@@ -148,8 +148,9 @@ def compile_cmd(ctx, circuit_file, qubits, out):
     decoherence budget attached."""
     cfg = _cfg(ctx)
     circuit = scheduler.parse_circuit(Path(circuit_file).read_text())
-    n_qubits = qubits or (max((q for g in circuit for q in g.qubits), default=0) + 1)
-    register = scheduler.Register(n_qubits=n_qubits)
+    if qubits is None:
+        qubits = max((q for g in circuit for q in g.qubits), default=0) + 1
+    register = scheduler.Register(n_qubits=qubits)
     schedule = scheduler.compile_circuit(circuit, register, cfg.compile_params)
     budget = scheduler.budget(schedule, cfg.rates_hz)
     doc = json.loads(scheduler.schedule_to_json(schedule))

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, special
 
 from .errors import DomainError, NumericalError
 from .units import (
@@ -192,11 +191,11 @@ _SERIES = [(-1) ** k * _double_factorial(2 * k + 1) * (k + 1) for k in range(13)
 _SERIES_SWITCH = 8.0  # in units of |z| / (sqrt(2) a_r)
 
 
-def _axial_kernel(z: float, a_r: float) -> float:
+def _axial_kernel(z: float, a_r: float, erfcx) -> float:
     az = abs(z)
     x = az / (math.sqrt(2.0) * a_r)
     if x < _SERIES_SWITCH:
-        bracket = 2.0 * az - (a_r * a_r + z * z) * math.sqrt(2.0 * math.pi) / a_r * special.erfcx(x)
+        bracket = 2.0 * az - (a_r * a_r + z * z) * math.sqrt(2.0 * math.pi) / a_r * erfcx(x)
     else:
         t = (a_r / az) ** 2
         s = 0.0
@@ -212,12 +211,15 @@ def dipolar_average(geom: TrapGeometry) -> CouplingResult:
     Adaptive Gauss-Kronrod quadrature of the closed-form z-integral over
     z0 +- 10 a_z (the Gaussian weight makes the excluded tails < 1e-20 of
     the result); relative accuracy 1e-8 is enforced against the
-    integrator's own error estimate.
+    integrator's own error estimate.  scipy is imported here, not at module
+    level, so that commands which never integrate do not pay its import.
     """
+    from scipy import integrate, special
+
     a_r, a_z, z0 = geom.a_r, geom.a_z, geom.z0
 
     def integrand(z: float) -> float:
-        return math.exp(-((z - z0) ** 2) / (2.0 * a_z**2)) * _axial_kernel(z, a_r)
+        return math.exp(-((z - z0) ** 2) / (2.0 * a_z**2)) * _axial_kernel(z, a_r, special.erfcx)
 
     lo, hi = z0 - 10.0 * a_z, z0 + 10.0 * a_z
     points = [0.0] if lo < 0.0 < hi else None  # |z| kink

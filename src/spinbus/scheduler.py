@@ -87,6 +87,8 @@ def parse_circuit(text: str) -> list[LogicalGate]:
                 angle = float(tokens[2])
             except ValueError:
                 fail(f"bad angle {tokens[2]!r}")
+            if not math.isfinite(angle):
+                fail(f"angle must be finite, got {tokens[2]!r}")
             out.append(LogicalGate(name, (qubit(tokens[1]),), angle))
         elif name in TWO_QUBIT_GATES:
             if len(tokens) != 3:

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError, PlanningError
 from .units import HBAR
@@ -29,6 +28,13 @@ from .units import HBAR
 #: fraction of the commanded displacement covered inside the reported
 #: transit window (the reference pulse has algebraic tails)
 TRANSIT_COVERAGE = 0.99
+
+#: K = Int_{-U}^{U} (1/4 + u^2/pi^2) sec^2(u) du with U = TRANSIT_COVERAGE pi/2:
+#: with t = tau tan(u), q0 = d (1/2 + u/pi) and dt = tau sec^2(u) du, so
+#: Int q0^2 dt over the window is d^2 tau K (the odd u/pi term cancels).
+#: Evaluated with 50-digit mpmath; it depends on TRANSIT_COVERAGE alone and
+#: must be recomputed with it (tests/test_transport.py checks the pair).
+PHASE_INTEGRAL_K = 60.813979668791977646
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,10 @@ def plan_transport(
     w_t tau only -- the peak speed d/(pi tau) is unconstrained, which is the
     point: fast transport stays adiabatic if it is smooth.
     """
+    named = (("distance_m", distance_m), ("omega_t", omega_t), ("mass_kg", mass_kg), ("p_budget", p_budget))
+    for name, value in named:
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value}")
     _check_trap(omega_t, mass_kg)
     if not (0.0 < p_budget < 1.0):
         raise DomainError(f"p_budget must lie in (0, 1), got {p_budget}")
@@ -189,12 +199,9 @@ def plan_transport(
     p = excitation_exact(pulse, omega_t, mass_kg)
     dv = impulse(pulse) / mass_kg
 
-    # deterministic phase (1/hbar) Int M w^2 q0(t)^2/2 dt over the window
-    def q0(t):
-        return distance_m * (0.5 + math.atan(t / tau) / math.pi)
-
-    acc, _ = integrate.quad(lambda t: q0(t) ** 2, -half_window, half_window, limit=200)
-    phase = mass_kg * omega_t**2 * acc / (2.0 * HBAR)
+    # deterministic phase (1/hbar) Int M w^2 q0(t)^2/2 dt over the window,
+    # with q0(t) = d (1/2 + atan(t/tau)/pi)
+    phase = mass_kg * omega_t**2 * distance_m**2 * tau * PHASE_INTEGRAL_K / (2.0 * HBAR)
 
     result = TransportResult(
         distance_m=distance_m,

@@ -1,9 +1,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import spinbus
 from spinbus.cli import main
 
 
@@ -115,6 +121,69 @@ def test_transport_command_meets_budget(capsys):
     assert doc["p_exact"] <= 1e-4 * (1 + 1e-9)
     assert doc["adiabatic"] is True
     assert set(doc) >= {"distance", "tau", "transit_time", "p_first_order", "p_exact", "phase"}
+
+
+@pytest.mark.parametrize(
+    "flag, value, arg",
+    [("--distance-m", "nan", "distance_m"), ("--distance-m", "inf", "distance_m"), ("--nu-trap-hz", "nan", "omega_t")],
+)
+def test_transport_non_finite_flag_named(capsys, flag, value, arg):
+    code, out, err = run(capsys, "transport", flag, value)
+    assert code == 1
+    assert out == ""
+    assert f"{arg} must be finite" in err
+
+
+def test_compile_zero_qubits_rejected(capsys, tmp_path):
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("H q0\n")
+    code, out, err = run(capsys, "compile", str(circuit), "--qubits", "0")
+    assert code == 1
+    assert out == ""
+    assert "at least one qubit" in err
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
+def test_compile_non_finite_angle_rejected(capsys, tmp_path, angle):
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text(f"H q0\nPHASE1 q0 {angle}\n")
+    schedule_path = tmp_path / "schedule.json"
+    code, _, err = run(capsys, "compile", str(circuit), "--out", str(schedule_path))
+    assert code == 1
+    assert "line 2" in err and "finite" in err
+    assert not schedule_path.exists()
+
+
+def _loads_scipy(tmp_path, *commands) -> bool:
+    """Run CLI commands in one fresh interpreter; report whether scipy got imported."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from spinbus.cli import main
+        for argv in COMMANDS:
+            if main(argv) != 0:
+                raise SystemExit(f"command failed: {argv}")
+        print("scipy" in sys.modules)
+        """
+    ).replace("COMMANDS", repr([list(c) for c in commands]))
+    src = str(Path(spinbus.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
+
+
+def test_only_quadrature_scan_imports_scipy(tmp_path):
+    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
+    assert not _loads_scipy(
+        tmp_path,
+        ["tables", "--lattice", "red"],
+        ["transport"],
+        ["compile", "circuit.txt", "--out", "schedule.json"],
+        ["simulate", "schedule.json"],
+        ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc", "--samples", "10000"],
+    )
+    assert _loads_scipy(tmp_path, ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"])
 
 
 def test_compile_then_simulate_round_trip(capsys, tmp_path):

@@ -31,6 +31,8 @@ def test_parse_basic_circuit():
         ("XOR q0 q0", "distinct"),
         ("H qx", "qubit"),
         ("PHASE1 q0 banana", "angle"),
+        ("PHASE1 q0 nan", "finite"),
+        ("PHASE1 q0 -inf", "finite"),
         ("X q0 q1", "one qubit"),
     ],
 )

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -169,6 +170,36 @@ def test_plan_validation():
         tr.plan_transport(-1.0, OMEGA_T, MASS, 1e-4)
     with pytest.raises(DomainError):
         tr.plan_transport(5.3e-6, -1.0, MASS, 1e-4)
+
+
+@pytest.mark.parametrize("arg", ["distance_m", "omega_t", "mass_kg", "p_budget"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_plan_rejects_non_finite_inputs(arg, bad):
+    kwargs = {"distance_m": 5.3e-6, "omega_t": OMEGA_T, "mass_kg": MASS, "p_budget": 1e-4, arg: bad}
+    with pytest.raises(DomainError, match=f"^{arg} must be finite"):
+        tr.plan_transport(**kwargs)
+
+
+def test_phase_integral_constant_matches_mpmath():
+    with mpmath.workdps(50):
+        u_max = mpmath.mpf(tr.TRANSIT_COVERAGE) * mpmath.pi / 2
+        k = mpmath.quad(lambda u: (mpmath.mpf(1) / 4 + u**2 / mpmath.pi**2) * mpmath.sec(u) ** 2, [-u_max, 0, u_max])
+        assert abs(tr.PHASE_INTEGRAL_K - k) / k < 1e-14
+
+
+@pytest.mark.parametrize("distance", [5.3e-7, 5.3e-6, 53e-6])
+def test_plan_phase_matches_mpmath_integral(distance):
+    _, result = tr.plan_transport(distance, OMEGA_T, MASS, 1e-4)
+    with mpmath.workdps(30):
+        tau = mpmath.mpf(result.tau_s)
+        half = mpmath.mpf(result.transit_time_s) / 2
+
+        def q0_squared(t):
+            return (distance * (mpmath.mpf(1) / 2 + mpmath.atan(t / tau) / mpmath.pi)) ** 2
+
+        acc = mpmath.quad(q0_squared, [-half, -tau, 0, tau, half])
+        expected = MASS * OMEGA_T**2 * acc / (2 * mpmath.mpf(units.HBAR))
+        assert abs(result.phase_rad - expected) / expected < 1e-12
 
 
 def test_result_dict_fields():
