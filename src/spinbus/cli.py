@@ -162,9 +162,13 @@ def compile_cmd(ctx, circuit_file, qubits, out):
 @click.argument("schedule_file", type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
 def simulate_cmd(schedule_file, out):
-    """Re-simulate a compiled schedule and report fidelity to the logical circuit."""
+    """Re-simulate a compiled schedule and report fidelity to the logical
+    circuit; exits 2 after writing the report if they do not match."""
     schedule = scheduler.schedule_from_json(Path(schedule_file).read_text())
-    _emit(_json_text(scheduler.verify_schedule(schedule)), out)
+    report = scheduler.verify_schedule(schedule)
+    _emit(_json_text(report), out)
+    if not report["matches"]:
+        raise NumericalError(f"schedule differs from the logical circuit by {report['max_norm_error']:.3e}")
 
 
 def main(argv=None) -> int:

@@ -8,13 +8,13 @@ to defaults.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
 from .interactions import ScatteringParams, TrapGeometry
+from .jsonio import loads_finite
 from .scheduler import CompileParams
 from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec
 from .units import ATOMIC_MASS
@@ -74,10 +74,10 @@ def load_config(path: str | Path | None) -> Config:
     if path is None:
         return cfg
     try:
-        doc = json.loads(Path(path).read_text())
+        doc = loads_finite(Path(path).read_text())
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import DomainError, NumericalError
 
-MAX_SITES = 12  # dense cap; the architecture simulations need at most 4
+MAX_SITES = 12  # dense cap for pauli(); schedule simulation needs at most 9 (8 qubits + header)
 
 _SINGLE = {
     "i": np.eye(2, dtype=complex),
@@ -36,22 +36,26 @@ def pauli(axis: str, site: int, n_sites: int) -> np.ndarray:
     return embed(_SINGLE[axis], [site], n_sites)
 
 
-def embed(op: np.ndarray, sites: list[int], n_sites: int) -> np.ndarray:
-    """Embed a k-site operator on the given sites (most significant first)."""
+def apply(op: np.ndarray, sites: list[int], u: np.ndarray) -> np.ndarray:
+    """``embed(op, sites, n) @ u`` for an array ``u`` with 2^n rows, without
+    building the embedded operator: the gate is contracted into the site
+    axes of ``u`` and the axes are moved back, O(2^k) work per entry."""
     op = np.asarray(op, dtype=complex)
-    k = len(sites)
+    k, n = len(sites), u.shape[0].bit_length() - 1
+    if u.shape[0] != 2**n:
+        raise DomainError(f"state has {u.shape[0]} rows, not a power of 2")
     if op.shape != (2**k, 2**k):
         raise DomainError(f"operator shape {op.shape} does not match {k} sites")
-    if len(set(sites)) != k or not all(0 <= s < n_sites for s in sites):
-        raise DomainError(f"bad site list {sites} for {n_sites} sites")
-    rest = [s for s in range(n_sites) if s not in sites]
-    full = np.kron(op, np.eye(2 ** (n_sites - k), dtype=complex))
-    # full acts on factor order sites + rest; permute tensor axes back to 0..n-1
-    order = list(sites) + rest
-    perm = [order.index(p) for p in range(n_sites)]
-    t = full.reshape((2,) * (2 * n_sites))
-    t = np.transpose(t, perm + [n_sites + p for p in perm])
-    return np.ascontiguousarray(t.reshape(2**n_sites, 2**n_sites))
+    if len(set(sites)) != k or not all(0 <= s < n for s in sites):
+        raise DomainError(f"bad site list {sites} for {n} sites")
+    gate_in = list(range(k, 2 * k))
+    t = np.tensordot(op.reshape((2,) * (2 * k)), u.reshape((2,) * n + (-1,)), axes=(gate_in, list(sites)))
+    return np.moveaxis(t, list(range(k)), list(sites)).reshape(u.shape)
+
+
+def embed(op: np.ndarray, sites: list[int], n_sites: int) -> np.ndarray:
+    """Embed a k-site operator on the given sites (most significant first)."""
+    return apply(op, sites, np.eye(2**n_sites, dtype=complex))
 
 
 def heisenberg_coupling(site_a: int, site_b: int, n_sites: int) -> np.ndarray:

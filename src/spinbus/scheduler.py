@@ -23,18 +23,19 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import gates as gatelib
 from . import operators as ops
 from .errors import CircuitParseError, DomainError
+from .jsonio import loads_finite
 from .transport import plan_transport
 from .traps import CO2_WAVELENGTH_M
 from .units import ATOMIC_MASS, BOHR_RADIUS
 
-SIMULATION_QUBIT_CAP = 3  # plus one header: dense 16x16 at most
+SIMULATION_QUBIT_CAP = 8  # plus the header: 9 sites, a dense 512x512 unitary
 
 SINGLE_QUBIT_GATES = ("X", "Z", "H", "PHASE1")
 TWO_QUBIT_GATES = ("XOR", "SWAP", "PHASE")
@@ -104,24 +105,22 @@ def parse_circuit(text: str) -> list[LogicalGate]:
 
 @dataclass(frozen=True)
 class Register:
-    """Qubit sites at integer coordinates (spacing lambda_CO2/2); headers
-    parked at inter-site midpoints."""
+    """Qubit sites at integer coordinates (spacing lambda_CO2/2) and the one
+    header atom ``h0``, parked at an inter-site midpoint."""
 
     n_qubits: int
-    header_positions: tuple[float, ...] = (0.5,)
+    header_position: float = 0.5
     site_spacing_m: float = CO2_WAVELENGTH_M / 2.0
 
     def __post_init__(self):
         if self.n_qubits < 1:
             raise DomainError("register needs at least one qubit")
-        if not self.header_positions:
-            raise DomainError("register needs at least one header atom")
         if self.site_spacing_m <= 0:
             raise DomainError("site spacing must be positive")
 
     @property
     def n_headers(self) -> int:
-        return len(self.header_positions)
+        return 1
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,7 @@ Primitive = Move | SwapStep | IsingPulse | OneBit
 class Schedule:
     register: Register
     params: CompileParams
-    circuit_lines: tuple[str, ...]
+    circuit: tuple[LogicalGate, ...]
     primitives: tuple[Primitive, ...]
     total_time_s: float
     global_phase_rad: float
@@ -228,7 +227,7 @@ class _Compiler:
         self.register = register
         self.params = params
         self.header = "h0"
-        self.pos = register.header_positions[0]
+        self.pos = register.header_position
         self.t = 0.0
         self.prims: list[Primitive] = []
         self.phase = 0.0
@@ -337,7 +336,7 @@ class _Compiler:
         return Schedule(
             register=self.register,
             params=self.params,
-            circuit_lines=tuple(g.text() for g in circuit),
+            circuit=tuple(circuit),
             primitives=tuple(self.prims),
             total_time_s=self.t,
             global_phase_rad=math.remainder(self.phase, 2.0 * math.pi),
@@ -356,7 +355,7 @@ class _Compiler:
         """
         site_a0 = self.register.site_spacing_m / BOHR_RADIUS
         gate_sep = self.params.gate_separation_a0
-        pos = self.register.header_positions[0]
+        pos = self.register.header_position
         phase = 0.0
         for prim in self.prims:
             if isinstance(prim, Move):
@@ -389,6 +388,7 @@ _ONEBIT_MATRICES = {
     "H": gatelib.HADAMARD,
     "S": np.diag([1.0 + 0j, 1j]),
 }
+_ZZ = np.array([1.0, -1.0, -1.0, 1.0])  # diagonal of sigma_z sigma_z
 
 
 def _onebit_matrix(gate: str, param: float | None) -> np.ndarray:
@@ -403,16 +403,24 @@ def _onebit_matrix(gate: str, param: float | None) -> np.ndarray:
 
 
 def _atom_site(atom: str, register: Register) -> int:
-    kind, idx = atom[0], int(atom[1:])
-    if kind == "q" and 0 <= idx < register.n_qubits:
-        return idx
-    if kind == "h" and 0 <= idx < register.n_headers:
-        return register.n_qubits + idx
+    """Tensor site of an atom: qubit q<i> is site i, the header h0 comes last."""
+    if atom == "h0":
+        return register.n_qubits
+    if isinstance(atom, str) and atom[:1] == "q" and atom[1:].isdigit() and int(atom[1:]) < register.n_qubits:
+        return int(atom[1:])
     raise DomainError(f"unknown atom {atom!r}")
 
 
+def _product(steps, n_sites: int) -> np.ndarray:
+    """The unitary of ``(matrix, sites)`` steps applied in order."""
+    u = np.eye(2**n_sites, dtype=complex)
+    for matrix, sites in steps:
+        u = ops.apply(matrix, sites, u)
+    return u
+
+
 def simulate_schedule(schedule: Schedule) -> np.ndarray:
-    """Compose the ideal primitive unitaries on the q-register + headers.
+    """Compose the ideal primitive unitaries on the q-register + header.
 
     Transport acts trivially on spin (spin and motion factorize), so MOVE
     primitives contribute identity; the returned matrix includes every
@@ -422,24 +430,18 @@ def simulate_schedule(schedule: Schedule) -> np.ndarray:
     reg = schedule.register
     if reg.n_qubits > SIMULATION_QUBIT_CAP:
         raise DomainError(f"simulation caps at {SIMULATION_QUBIT_CAP} qubits, got {reg.n_qubits}")
-    n = reg.n_qubits + reg.n_headers
     swap_u = gatelib.heisenberg_swap(math.pi / 4.0)
-    zz = ops.pauli("z", 0, 2) @ ops.pauli("z", 1, 2)
-    u = np.eye(2**n, dtype=complex)
+    steps = []
     for prim in schedule.primitives:
-        if isinstance(prim, Move):
-            continue
         if isinstance(prim, SwapStep):
-            sites = [_atom_site(a, reg) for a in prim.atoms]
-            u = ops.embed(swap_u, sites, n) @ u
-        elif isinstance(prim, IsingPulse):
-            sites = [_atom_site(a, reg) for a in prim.atoms]
-            u = ops.embed(ops.expm_h(zz, -prim.phase_rad), sites, n) @ u
+            steps.append((swap_u, prim.atoms))
+        elif isinstance(prim, IsingPulse):  # exp(+i phase zz)
+            steps.append((np.diag(np.exp(1j * prim.phase_rad * _ZZ)), prim.atoms))
         elif isinstance(prim, OneBit):
-            u = ops.embed(_onebit_matrix(prim.gate, prim.param), [_atom_site(prim.atom, reg)], n) @ u
-        else:
+            steps.append((_onebit_matrix(prim.gate, prim.param), (prim.atom,)))
+        elif not isinstance(prim, Move):
             raise DomainError(f"unknown primitive {prim!r}")
-    return u
+    return _product([(m, [_atom_site(a, reg) for a in atoms]) for m, atoms in steps], reg.n_qubits + 1)
 
 
 _LOGICAL_TWO_QUBIT = {
@@ -449,29 +451,25 @@ _LOGICAL_TWO_QUBIT = {
 }
 
 
+def _logical_matrix(gate: LogicalGate) -> np.ndarray:
+    if gate.name in _LOGICAL_TWO_QUBIT:
+        return _LOGICAL_TWO_QUBIT[gate.name]()
+    return _onebit_matrix("PHASE" if gate.name == "PHASE1" else gate.name, gate.param)
+
+
 def logical_unitary(circuit: list[LogicalGate], n_qubits: int) -> np.ndarray:
     """The ideal circuit unitary on the bare qubit register."""
-    u = np.eye(2**n_qubits, dtype=complex)
-    for gate in circuit:
-        if gate.name in _LOGICAL_TWO_QUBIT:
-            m = ops.embed(_LOGICAL_TWO_QUBIT[gate.name](), list(gate.qubits), n_qubits)
-        else:
-            name = "PHASE" if gate.name == "PHASE1" else gate.name
-            m = ops.embed(_onebit_matrix(name, gate.param), [gate.qubits[0]], n_qubits)
-        u = m @ u
-    return u
+    return _product(((_logical_matrix(g), list(g.qubits)) for g in circuit), n_qubits)
 
 
 def verify_schedule(schedule: Schedule) -> dict:
-    """Simulate and compare against logical x identity-on-headers.
+    """Simulate and compare against logical x identity-on-header.
 
     The fidelity is global-phase-invariant; ``max_norm_error`` additionally
     discharges the phase ledger, so it checks the compiled unitary exactly.
     """
-    reg = schedule.register
-    circuit = parse_circuit("\n".join(schedule.circuit_lines))
     achieved = simulate_schedule(schedule)
-    expected = np.kron(logical_unitary(circuit, reg.n_qubits), np.eye(2**reg.n_headers, dtype=complex))
+    expected = np.kron(logical_unitary(schedule.circuit, schedule.register.n_qubits), np.eye(2, dtype=complex))
     err = float(np.max(np.abs(achieved - np.exp(1j * schedule.global_phase_rad) * expected)))
     return {
         "fidelity": ops.fidelity(achieved, expected),
@@ -532,7 +530,7 @@ def budget(schedule: Schedule, rates_hz: dict[str, float], flag_threshold: float
 
 # --- serialization ----------------------------------------------------------
 
-SCHEDULE_FORMAT = "spinbus-schedule/1"
+SCHEDULE_FORMAT = "spinbus-schedule/2"
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -540,7 +538,7 @@ def schedule_to_json(schedule: Schedule) -> str:
         "format": SCHEDULE_FORMAT,
         "register": asdict(schedule.register),
         "params": asdict(schedule.params),
-        "circuit": list(schedule.circuit_lines),
+        "circuit": [g.text() for g in schedule.circuit],
         "total_time_s": schedule.total_time_s,
         "global_phase_rad": schedule.global_phase_rad,
         "idle_crosstalk_phase_rad": schedule.idle_crosstalk_phase_rad,
@@ -551,33 +549,63 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 _PRIMITIVE_TYPES = {"move": Move, "swap": SwapStep, "ising": IsingPulse, "onebit": OneBit}
+# JSON values accepted for each scalar field annotation; bools are refused separately
+_JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)), "str": str}
+
+
+def _checked_fields(cls, body, what: str) -> dict:
+    """A JSON object holding exactly the fields of dataclass ``cls``, with
+    numbers and strings where its scalar fields want them."""
+    if not isinstance(body, dict):
+        raise DomainError(f"{what} must be a JSON object")
+    types = {f.name: _JSON_TYPES.get(f.type) for f in fields(cls)}
+    if body.keys() != types.keys():
+        raise DomainError(f"{what} needs exactly the fields {sorted(types)}, got {sorted(body)}")
+    for name, value in body.items():
+        allowed = types[name]
+        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
+            raise DomainError(f"{what} field {name!r} has the wrong type: {value!r}")
+    return dict(body)
+
+
+def _primitive_from_json(body, index: int, register: Register) -> Primitive:
+    what = f"primitive {index}"
+    kind = body.get("kind") if isinstance(body, dict) else None
+    cls = _PRIMITIVE_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise DomainError(f"{what}: unknown kind {kind!r}; valid: {', '.join(_PRIMITIVE_TYPES)}")
+    body = _checked_fields(cls, body, what)
+    if "atoms" in body:
+        if not (isinstance(body["atoms"], list) and len(body["atoms"]) == 2):
+            raise DomainError(f"{what}: atoms must be a pair of atom names")
+        body["atoms"] = tuple(body["atoms"])
+    for atom in body.get("atoms", (body.get("atom"),)):
+        _atom_site(atom, register)
+    return cls(**body)
 
 
 def schedule_from_json(text: str) -> Schedule:
+    """Read a ``schedule_to_json`` document; the ``budget`` block that
+    ``compile`` adds is ignored.  Malformed input raises DomainError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"not valid JSON: {exc}") from None
+        doc = loads_finite(text)
+    except ValueError as exc:
+        raise DomainError(f"schedule is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise DomainError("schedule must be a JSON object")
     if doc.get("format") != SCHEDULE_FORMAT:
         raise DomainError(f"unsupported schedule format {doc.get('format')!r}")
-    reg_doc = dict(doc["register"])
-    reg_doc["header_positions"] = tuple(reg_doc["header_positions"])
-    register = Register(**reg_doc)
-    params = CompileParams(**doc["params"])
-    prims = []
-    for pd in doc["primitives"]:
-        pd = dict(pd)
-        cls = _PRIMITIVE_TYPES[pd.pop("kind")]
-        if "atoms" in pd:
-            pd["atoms"] = tuple(pd["atoms"])
-        prims.append(cls(**pd))
-    return Schedule(
-        register=register,
-        params=params,
-        circuit_lines=tuple(doc["circuit"]),
-        primitives=tuple(prims),
-        total_time_s=doc["total_time_s"],
-        global_phase_rad=doc["global_phase_rad"],
-        idle_crosstalk_phase_rad=doc.get("idle_crosstalk_phase_rad", 0.0),
-        idle_infidelity_estimate=doc.get("idle_infidelity_estimate", 0.0),
-    )
+    body = _checked_fields(Schedule, {k: v for k, v in doc.items() if k not in ("format", "budget")}, "schedule")
+    register = Register(**_checked_fields(Register, body["register"], "register"))
+    lines, prims = body["circuit"], body["primitives"]
+    if not (isinstance(lines, list) and all(isinstance(line, str) for line in lines)):
+        raise DomainError("schedule circuit must be a list of gate lines")
+    if not isinstance(prims, list):
+        raise DomainError("schedule primitives must be a list")
+    return Schedule(**{
+        **body,
+        "register": register,
+        "params": CompileParams(**_checked_fields(CompileParams, body["params"], "params")),
+        "circuit": tuple(parse_circuit("\n".join(lines))),
+        "primitives": tuple(_primitive_from_json(p, i, register) for i, p in enumerate(prims)),
+    })

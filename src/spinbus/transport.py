@@ -170,9 +170,13 @@ def plan_transport(
     point: fast transport stays adiabatic if it is smooth.
     """
     named = (("distance_m", distance_m), ("omega_t", omega_t), ("mass_kg", mass_kg), ("p_budget", p_budget))
+    if max_duration_s is not None:
+        named += (("max_duration_s", max_duration_s),)
     for name, value in named:
         if not math.isfinite(value):
             raise DomainError(f"{name} must be finite, got {value}")
+    if max_duration_s is not None and max_duration_s <= 0:
+        raise DomainError(f"max_duration_s must be positive, got {max_duration_s}")
     _check_trap(omega_t, mass_kg)
     if not (0.0 < p_budget < 1.0):
         raise DomainError(f"p_budget must lie in (0, 1), got {p_budget}")

@@ -193,7 +193,7 @@ def test_compile_then_simulate_round_trip(capsys, tmp_path):
     code, _, _ = run(capsys, "compile", str(circuit), "--out", str(schedule_path))
     assert code == 0
     doc = json.loads(schedule_path.read_text())
-    assert doc["format"] == "spinbus-schedule/1"
+    assert doc["format"] == "spinbus-schedule/2"
     assert doc["budget"]["ratio"] > 0
 
     code2, out, _ = run(capsys, "simulate", str(schedule_path))
@@ -205,6 +205,64 @@ def test_compile_then_simulate_round_trip(capsys, tmp_path):
     # re-reading reproduces the same fidelity, byte for byte
     code3, out2, _ = run(capsys, "simulate", str(schedule_path))
     assert out == out2
+
+
+def _compiled_schedule(capsys, tmp_path) -> dict:
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("XOR q0 q1\nH q0\n")
+    schedule_path = tmp_path / "schedule.json"
+    assert run(capsys, "compile", str(circuit), "--out", str(schedule_path))[0] == 0
+    return json.loads(schedule_path.read_text())
+
+
+def _without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def _first_primitive(doc, prim):
+    return json.dumps({**doc, "primitives": [prim, *doc["primitives"][1:]]})
+
+
+def _bare_total_time(token):
+    return lambda doc: json.dumps({**doc, "total_time_s": "@"}).replace('"@"', token)
+
+
+# defect -> (schedule text from a good schedule document, fragment of the error)
+SCHEDULE_DEFECTS = {
+    "array": (lambda doc: json.dumps([doc]), "must be a JSON object"),
+    "no-register": (lambda doc: json.dumps(_without(doc, "register")), "needs exactly the fields"),
+    "no-primitives": (lambda doc: json.dumps(_without(doc, "primitives")), "needs exactly the fields"),
+    "unknown-kind": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "kind": "warp"}), "'warp'"),
+    "extra-field": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "colour": 1}), "primitive 0"),
+    "missing-field": (lambda doc: _first_primitive(doc, _without(doc["primitives"][0], "start_s")), "primitive 0"),
+    "unknown-atom": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "atom": "h1"}), "'h1'"),
+    "nan": (_bare_total_time("NaN"), "non-finite number NaN"),
+    "infinity": (_bare_total_time("-Infinity"), "non-finite number -Infinity"),
+    "overflow": (_bare_total_time("1e999"), "1e999 overflows"),
+    "format-1": (lambda doc: json.dumps({**doc, "format": "spinbus-schedule/1"}), "unsupported schedule format"),
+}
+
+
+@pytest.mark.parametrize("defect", list(SCHEDULE_DEFECTS))
+def test_simulate_malformed_schedule_exit_1(capsys, tmp_path, defect):
+    make_text, fragment = SCHEDULE_DEFECTS[defect]
+    bad = tmp_path / "bad.json"
+    bad.write_text(make_text(_compiled_schedule(capsys, tmp_path)))
+    code, out, err = run(capsys, "simulate", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and fragment in err
+
+
+def test_simulate_mismatch_reports_then_exits_2(capsys, tmp_path):
+    doc = _compiled_schedule(capsys, tmp_path)
+    doc["global_phase_rad"] += 0.3
+    tampered = tmp_path / "tampered.json"
+    tampered.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", str(tampered))
+    assert code == 2
+    assert json.loads(out)["matches"] is False
+    assert err.startswith("numerical failure: ")
 
 
 def test_compile_malformed_circuit_names_line(capsys, tmp_path):
@@ -237,3 +295,13 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
 def test_missing_circuit_file_exit_1(capsys, tmp_path):
     code, _, err = run(capsys, "compile", str(tmp_path / "nope.txt"))
     assert code == 1
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_config_non_finite_number_rejected(capsys, tmp_path, token):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"red_lattice": {"intensity_w_cm2": %s}}' % token)
+    code, out, err = run(capsys, "--config", str(cfg), "tables", "--lattice", "red")
+    assert code == 1
+    assert out == ""
+    assert "config is not valid JSON" in err and token in err

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinbus import operators as ops
 from spinbus.errors import DomainError
@@ -177,3 +178,54 @@ def test_embed_random_three_site_against_direct_product():
     got_flipped = ops.embed(two_site, [2, 0], 3)
     direct_flipped = np.kron(b, np.kron(np.eye(2, dtype=complex), a))
     assert np.allclose(got_flipped, direct_flipped, atol=1e-13)
+
+
+def _kron_reference(op, sites, n):
+    """embed() written out as a sum over the operator's matrix units: each
+    unit |i><j| on k sites is a Kronecker product of single-site units."""
+    k = len(sites)
+    full = np.zeros((2**n, 2**n), dtype=complex)
+    for i in range(2**k):
+        for j in range(2**k):
+            factors = [np.eye(2, dtype=complex)] * n
+            for a, site in enumerate(sites):
+                unit = np.zeros((2, 2), dtype=complex)
+                unit[(i >> (k - 1 - a)) & 1, (j >> (k - 1 - a)) & 1] = 1.0
+                factors[site] = unit
+            term = np.ones((1, 1), dtype=complex)
+            for f in factors:
+                term = np.kron(term, f)
+            full += op[i, j] * term
+    return full
+
+
+@st.composite
+def _gate_and_state(draw):
+    n = draw(st.integers(1, 6))
+    sites = draw(st.permutations(range(n)))[: draw(st.integers(1, min(2, n)))]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = 2 ** len(sites)
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    u = rng.standard_normal((2**n, 3)) + 1j * rng.standard_normal((2**n, 3))
+    return q, list(sites), n, u
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_gate_and_state())
+def test_apply_matches_kron_reference(case):
+    op, sites, n, u = case
+    reference = _kron_reference(op, sites, n)
+    assert np.allclose(ops.apply(op, sites, u), reference @ u, rtol=0, atol=1e-13)
+    assert np.allclose(ops.embed(op, sites, n), reference, rtol=0, atol=1e-15)
+
+
+def test_apply_validates_inputs():
+    u = np.eye(8, dtype=complex)
+    with pytest.raises(DomainError, match="bad site list"):
+        ops.apply(np.eye(4), [1, 1], u)
+    with pytest.raises(DomainError, match="bad site list"):
+        ops.apply(np.eye(2), [3], u)
+    with pytest.raises(DomainError, match="does not match"):
+        ops.apply(np.eye(4), [0], u)
+    with pytest.raises(DomainError, match="power of 2"):
+        ops.apply(np.eye(2), [0], np.eye(6))

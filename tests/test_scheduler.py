@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinbus import gates, operators as ops, scheduler as sch
 from spinbus.errors import CircuitParseError, DomainError
@@ -169,7 +170,7 @@ def test_schedule_wellformed_non_overlapping_and_continuous():
         t += p.duration_s
     assert s.total_time_s == pytest.approx(t, rel=1e-12)
     moves = [p for p in s.primitives if p.kind == "move"]
-    pos = REG2.header_positions[0]
+    pos = REG2.header_position
     for m in moves:
         assert m.from_pos == pos
         pos = m.to_pos
@@ -198,10 +199,53 @@ def test_schedule_json_rejects_bad_format():
 
 
 def test_simulation_cap():
-    reg = sch.Register(n_qubits=4)
-    s = sch.compile_circuit(sch.parse_circuit("X q3"), reg)
+    n = sch.SIMULATION_QUBIT_CAP + 1
+    s = sch.compile_circuit(sch.parse_circuit(f"X q{n - 1}"), sch.Register(n_qubits=n))
     with pytest.raises(DomainError):
         sch.simulate_schedule(s)
+
+
+def test_random_circuit_at_the_qubit_cap_verifies_exactly():
+    n = sch.SIMULATION_QUBIT_CAP
+    rng = np.random.default_rng(8)
+    lines = []
+    for _ in range(16):
+        if rng.random() < 0.5:
+            a, b = rng.choice(n, size=2, replace=False)
+            lines.append(f"{rng.choice(sch.TWO_QUBIT_GATES)} q{a} q{b}")
+        else:
+            lines.append(f"PHASE1 q{rng.integers(n)} {rng.uniform(-math.pi, math.pi)!r}")
+            lines.append(f"{rng.choice(['X', 'Z', 'H'])} q{rng.integers(n)}")
+    s = sch.compile_circuit(sch.parse_circuit("\n".join(lines)), sch.Register(n_qubits=n))
+    v = sch.verify_schedule(s)
+    assert v["matches"] and v["max_norm_error"] < 1e-12
+    assert v["fidelity"] >= 1 - 1e-12
+
+
+@st.composite
+def _circuits(draw):
+    n = draw(st.integers(1, 3))
+    qubit = st.integers(0, n - 1).map(lambda q: f"q{q}")
+    gate = st.one_of(
+        st.tuples(st.sampled_from(["X", "Z", "H"]), qubit).map(" ".join),
+        st.tuples(qubit, st.floats(-10, 10)).map(lambda t: f"PHASE1 {t[0]} {t[1]!r}"),
+    )
+    if n > 1:
+        pair = st.permutations(range(n)).map(lambda p: f"q{p[0]} q{p[1]}")
+        gate = gate | st.tuples(st.sampled_from(sch.TWO_QUBIT_GATES), pair).map(" ".join)
+    params = sch.CompileParams(
+        swap_primitive=draw(st.sampled_from(["heisenberg", "xors"])),
+        single_bit_mode=draw(st.sampled_from(["direct", "mediated"])),
+    )
+    return n, draw(st.lists(gate, max_size=6)), params
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_circuits())
+def test_compile_json_load_round_trip_is_equal(case):
+    n, lines, params = case
+    s = sch.compile_circuit(sch.parse_circuit("\n".join(lines)), sch.Register(n_qubits=n), params)
+    assert sch.schedule_from_json(sch.schedule_to_json(s)) == s
 
 
 # --- budget -----------------------------------------------------------------

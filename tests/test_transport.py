@@ -170,9 +170,12 @@ def test_plan_validation():
         tr.plan_transport(-1.0, OMEGA_T, MASS, 1e-4)
     with pytest.raises(DomainError):
         tr.plan_transport(5.3e-6, -1.0, MASS, 1e-4)
+    for cap in (0.0, -1e-3):
+        with pytest.raises(DomainError, match="^max_duration_s must be positive"):
+            tr.plan_transport(5.3e-6, OMEGA_T, MASS, 1e-4, max_duration_s=cap)
 
 
-@pytest.mark.parametrize("arg", ["distance_m", "omega_t", "mass_kg", "p_budget"])
+@pytest.mark.parametrize("arg", ["distance_m", "omega_t", "mass_kg", "p_budget", "max_duration_s"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_plan_rejects_non_finite_inputs(arg, bad):
     kwargs = {"distance_m": 5.3e-6, "omega_t": OMEGA_T, "mass_kg": MASS, "p_budget": 1e-4, arg: bad}
