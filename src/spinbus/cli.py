@@ -33,6 +33,15 @@ def _emit(text: str, out: str | None):
         click.echo(text, nl=False)
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
@@ -147,7 +156,7 @@ def compile_cmd(ctx, circuit_file, qubits, out):
     """Compile a circuit file into a timed schedule (JSON), with the
     decoherence budget attached."""
     cfg = _cfg(ctx)
-    circuit = scheduler.parse_circuit(Path(circuit_file).read_text())
+    circuit = scheduler.parse_circuit(_read_text(circuit_file))
     if qubits is None:
         qubits = max((q for g in circuit for q in g.qubits), default=0) + 1
     register = scheduler.Register(n_qubits=qubits)
@@ -164,7 +173,7 @@ def compile_cmd(ctx, circuit_file, qubits, out):
 def simulate_cmd(schedule_file, out):
     """Re-simulate a compiled schedule and report fidelity to the logical
     circuit; exits 2 after writing the report if they do not match."""
-    schedule = scheduler.schedule_from_json(Path(schedule_file).read_text())
+    schedule = scheduler.schedule_from_json(_read_text(schedule_file))
     report = scheduler.verify_schedule(schedule)
     _emit(_json_text(report), out)
     if not report["matches"]:

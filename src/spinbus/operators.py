@@ -7,8 +7,6 @@ package-wide.  Everything here is pure: no function mutates its inputs.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from .errors import DomainError, NumericalError
@@ -91,30 +89,44 @@ def expm_h(h: np.ndarray, angle_t: float) -> np.ndarray:
 
 
 def evolve_td(
-    hamiltonian_fn: Callable[[float], np.ndarray],
+    h0: np.ndarray,
+    generator: np.ndarray,
     t0: float,
     t1: float,
     steps: int,
 ) -> np.ndarray:
-    """Time-ordered propagator by the exponential midpoint rule.
+    """Time-ordered propagator of H(t) = R(t) h0 R(t)^dag, R(t) = exp(-i G t),
+    by the exponential midpoint rule.
 
-    Each step applies exp(-i H(t_mid) dt); the result is unitary by
-    construction and converges with O(dt^2) error.  ``hamiltonian_fn``
-    must return matrices in angular-frequency units (rad/s).
+    Each step applies exp(-i H(t_mid) dt) = R(t_mid) E R(t_mid)^dag with
+    E = exp(-i h0 dt).  Between neighbouring steps the rotations cancel to
+    R(-dt), so the product is R(t_last) (E R(-dt))^(steps-1) E R(t_first)^dag,
+    and the power is taken by repeated squaring.  The result is unitary by
+    construction and converges with O(dt^2) error.  ``h0`` and the
+    Hermitian ``generator`` G are in angular-frequency units (rad/s).
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
+    h0 = np.asarray(h0, dtype=complex)
+    generator = np.asarray(generator, dtype=complex)
+    if h0.ndim != 2 or h0.shape[0] != h0.shape[1] or not h0.size or generator.shape != h0.shape:
+        raise DomainError(f"h0 {h0.shape} and generator {generator.shape} must be square and of one shape")
+    if not is_hermitian(generator):
+        raise DomainError("evolve_td requires a Hermitian generator")
     dt = (t1 - t0) / steps
-    mids = t0 + (np.arange(steps) + 0.5) * dt
-    hs = np.stack([np.asarray(hamiltonian_fn(t), dtype=complex) for t in mids])
-    scale = max(1.0, float(np.max(np.abs(hs))))
-    if np.max(np.abs(hs - np.conj(np.swapaxes(hs, -1, -2)))) > 1e-10 * scale:
-        raise DomainError("hamiltonian_fn returned a non-Hermitian matrix")
-    w, v = np.linalg.eigh(hs)
-    phases = np.exp(-1j * w * dt)
-    u = np.eye(hs.shape[-1], dtype=complex)
-    for k in range(steps):
-        u = (v[k] * phases[k]) @ v[k].conj().T @ u
+    e = expm_h(h0, dt)
+    w, v = np.linalg.eigh(generator)
+
+    def rotation(t: float) -> np.ndarray:
+        return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+    base, u, n = e @ rotation(-dt), e, steps - 1
+    while n:
+        if n & 1:
+            u = base @ u
+        base = base @ base
+        n >>= 1
+    u = rotation(t1 - dt / 2) @ u @ rotation(-(t0 + dt / 2))
     if not is_unitary(u, 1e-8):
         raise NumericalError("evolve_td produced a non-unitary propagator")
     return u

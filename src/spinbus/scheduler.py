@@ -602,10 +602,27 @@ def schedule_from_json(text: str) -> Schedule:
         raise DomainError("schedule circuit must be a list of gate lines")
     if not isinstance(prims, list):
         raise DomainError("schedule primitives must be a list")
+    primitives = tuple(_primitive_from_json(p, i, register) for i, p in enumerate(prims))
+    _check_timing(primitives, body["total_time_s"])
     return Schedule(**{
         **body,
         "register": register,
         "params": CompileParams(**_checked_fields(CompileParams, body["params"], "params")),
         "circuit": tuple(parse_circuit("\n".join(lines))),
-        "primitives": tuple(_primitive_from_json(p, i, register) for i, p in enumerate(prims)),
+        "primitives": primitives,
     })
+
+
+def _check_timing(primitives, total_time_s: float):
+    """Primitives run back to back from t = 0 and the schedule ends with the
+    last one.  The compiler accumulates ``start + duration`` and JSON floats
+    round-trip exactly, so the chain is checked for equality."""
+    end = 0.0
+    for i, p in enumerate(primitives):
+        if p.duration_s < 0:
+            raise DomainError(f"primitive {i}: negative duration_s {p.duration_s!r}")
+        if p.start_s != end:
+            raise DomainError(f"primitive {i}: start_s {p.start_s!r} is not the previous end {end!r}")
+        end = p.start_s + p.duration_s
+    if total_time_s != end:
+        raise DomainError(f"total_time_s {total_time_s!r} is not the end of the last primitive, {end!r}")

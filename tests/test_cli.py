@@ -105,6 +105,9 @@ def test_gatecheck_passes_and_reports(capsys, tmp_path):
         assert r["fidelity"] >= 1 - 1e-9
     fids = [r["fidelity"] for r in doc["rwa_scan"]]
     assert fids[0] >= 0.999
+    for r in doc["rwa_scan"]:
+        assert set(r) == {"omega_s_over_scale", "fidelity", "step_doubling_distance"}
+        assert 0.0 < r["step_doubling_distance"] <= 1e-4
     assert all(b <= a + 1e-3 for a, b in zip(fids, fids[1:]))
 
 
@@ -240,7 +243,21 @@ SCHEDULE_DEFECTS = {
     "infinity": (_bare_total_time("-Infinity"), "non-finite number -Infinity"),
     "overflow": (_bare_total_time("1e999"), "1e999 overflows"),
     "format-1": (lambda doc: json.dumps({**doc, "format": "spinbus-schedule/1"}), "unsupported schedule format"),
+    "negative-duration": (
+        lambda doc: _first_primitive(doc, {**doc["primitives"][0], "duration_s": -1.0}), "negative duration_s"
+    ),
+    "late-first-start": (
+        lambda doc: _first_primitive(doc, {**doc["primitives"][0], "start_s": 1e-9}), "primitive 0: start_s"
+    ),
+    "broken-chain": (lambda doc: _shift_start(doc, 1, 1e-6), "primitive 1: start_s"),
+    "total-time": (lambda doc: json.dumps({**doc, "total_time_s": 123.0}), "total_time_s 123.0"),
 }
+
+
+def _shift_start(doc, index, by):
+    prims = [dict(p) for p in doc["primitives"]]
+    prims[index]["start_s"] += by
+    return json.dumps({**doc, "primitives": prims})
 
 
 @pytest.mark.parametrize("defect", list(SCHEDULE_DEFECTS))
@@ -252,6 +269,39 @@ def test_simulate_malformed_schedule_exit_1(capsys, tmp_path, defect):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and fragment in err
+
+
+def test_simulate_refuses_edited_timing(capsys, tmp_path):
+    # a negative first duration, a broken start-time chain and a made-up
+    # total time together, as a hand-edited schedule might carry them
+    doc = _compiled_schedule(capsys, tmp_path)
+    doc["primitives"][0]["duration_s"] = -1.0
+    doc["primitives"][2]["start_s"] += 1e-6
+    doc["total_time_s"] = 123.0
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", str(edited))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: primitive 0: negative duration_s")
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_non_utf8_input_exit_1(capsys, tmp_path, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, command, str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and str(bad) in err and "not UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_unreadable_input_exit_1(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error: cannot read {tmp_path}")
 
 
 def test_simulate_mismatch_reports_then_exits_2(capsys, tmp_path):

@@ -168,3 +168,39 @@ def test_driven_vs_effective_operator_distance_at_1000x():
     p = gates.StirringParams(omega_s=1000.0 * scale, **base)
     rep = gates.rwa_fidelity(p, duration_s=5e-5, steps=16384)
     assert rep.max_norm_error <= 1e-2
+
+
+@pytest.mark.parametrize(
+    "kw",
+    [{}, {"alignment": 1.0 / 3.0}, {"rabi": 0.0}, {"omega1": -3e4, "gamma_e_hz": 400.0, "alignment": 0.2}],
+)
+def test_stirring_hamiltonian_is_a_rotated_copy_of_h0(kw):
+    # H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i G t): the symmetry evolve_td relies on
+    p = _params(**kw)
+    h0, g = gates.stirring_hamiltonian(p, 0.0), gates.stirring_generator(p)
+    rng = np.random.default_rng(5)
+    for t in rng.uniform(-1e-3, 1e-3, size=6):
+        r = ops.expm_h(g, t)
+        h = gates.stirring_hamiltonian(p, t)
+        assert np.max(np.abs(h - r @ h0 @ r.conj().T)) <= 1e-9 * np.max(np.abs(h))
+
+
+# rwa_scan fidelities from the step-by-step midpoint product that preceded the
+# matrix-power propagator.  At 100x and 3x a 40-digit mpmath evaluation of the
+# midpoint product puts these 1.6e-12, and the matrix power 4e-13, from exact.
+RWA_SCAN_FIDELITIES = (
+    0.9999929135982477,
+    0.9999929191035541,
+    0.999949119140247,
+    0.9998581054827986,
+    0.9994086696261557,
+    0.9932569389008168,
+)
+
+
+def test_rwa_scan_fidelities_pinned():
+    rows = gates.rwa_scan()
+    assert [r["omega_s_over_scale"] for r in rows] == list(gates.RWA_SCAN_MULTIPLIERS)
+    for row, want in zip(rows, RWA_SCAN_FIDELITIES, strict=True):
+        assert abs(row["fidelity"] - want) <= 1e-11
+        assert 0.0 < row["step_doubling_distance"] <= 1e-4

@@ -88,45 +88,84 @@ def test_expm_h_rejects_non_hermitian():
         ops.expm_h(np.array([[0, 1], [0, 0]], dtype=complex), 1.0)
 
 
-def _smooth_h(t):
-    return (
-        2.0 * math.cos(1.3 * t) * np.array([[0, 1], [1, 0]], dtype=complex)
-        + 1.1 * math.sin(0.7 * t) * np.diag([1.0 + 0j, -1.0])
-    )
+_H0 = np.array([[1.1, 2.0], [2.0, -1.1]], dtype=complex)
+_G = np.array([[0.65, 0.2 - 0.4j], [0.2 + 0.4j, -0.65]], dtype=complex)
+
+
+def _midpoint_reference(h0, g, t0, t1, steps):
+    """The exponential midpoint rule step by step: prod_k exp(-i H(t_k) dt)
+    with H(t) = R(t) h0 R(t)^dag built afresh at every midpoint t_k."""
+    dt = (t1 - t0) / steps
+    u = np.eye(h0.shape[0], dtype=complex)
+    for k in range(steps):
+        r = ops.expm_h(g, t0 + (k + 0.5) * dt)  # R(t_k)
+        h = r @ h0 @ r.conj().T
+        u = ops.expm_h((h + h.conj().T) / 2, dt) @ u
+    return u
+
+
+def _random_hermitian(rng, dim):
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (a + a.conj().T) / 2
 
 
 def test_evolve_td_constant_matches_expm():
     h = np.array([[1.0, 0.3], [0.3, -0.5]], dtype=complex)
-    u = ops.evolve_td(lambda t: h, 0.0, 2.0, steps=17)
+    u = ops.evolve_td(h, np.zeros((2, 2)), 0.0, 2.0, steps=17)
     assert np.max(np.abs(u - ops.expm_h(h, 2.0))) < 1e-10
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    st.integers(1, 2),
+    st.sampled_from([1, 2, 3, 17, 64, 255]),
+    st.floats(-1.0, 1.0),
+    st.floats(0.05, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_evolve_td_matches_stepwise_midpoint_product(n_sites, steps, t0, duration, seed):
+    rng = np.random.default_rng(seed)
+    h0, g = _random_hermitian(rng, 2**n_sites), _random_hermitian(rng, 2**n_sites)
+    u = ops.evolve_td(h0, g, t0, t0 + duration, steps)
+    assert np.max(np.abs(u - _midpoint_reference(h0, g, t0, t0 + duration, steps))) <= 1e-10
+
+
 def test_evolve_td_step_doubling_ratio():
-    ref = ops.evolve_td(_smooth_h, 0.0, 3.0, steps=1 << 14)
+    # in the frame R(t) the Hamiltonian is the constant h0 - G, so the exact
+    # propagator over [0, T] is R(T) exp(-i (h0 - G) T)
+    exact = ops.expm_h(_G, 3.0) @ ops.expm_h(_H0 - _G, 3.0)
     errs = []
     for steps in (64, 128, 256):
-        u = ops.evolve_td(_smooth_h, 0.0, 3.0, steps=steps)
-        errs.append(np.max(np.abs(u - ref)))
+        u = ops.evolve_td(_H0, _G, 0.0, 3.0, steps=steps)
+        errs.append(np.max(np.abs(u - exact)))
     for a, b in zip(errs, errs[1:]):
         assert 3.5 < a / b < 4.5
 
 
 def test_evolve_td_reverse_composes_to_identity():
-    u = ops.evolve_td(_smooth_h, 0.0, 3.0, steps=200)
-    back = ops.evolve_td(lambda t: -_smooth_h(3.0 - t), 0.0, 3.0, steps=200)
-    assert np.max(np.abs(back @ u - np.eye(2))) < 1e-8
+    # -H(T - t) = R(T) [R(-t) (-h0) R(-t)^dag] R(T)^dag: generator -G, framed by R(T)
+    u = ops.evolve_td(_H0, _G, 0.0, 3.0, steps=200)
+    r = ops.expm_h(_G, 3.0)
+    back = r @ ops.evolve_td(-_H0, -_G, 0.0, 3.0, steps=200) @ r.conj().T
+    assert np.max(np.abs(back @ u - np.eye(2))) < 1e-11
 
 
 def test_evolve_td_unitary():
-    u = ops.evolve_td(_smooth_h, 0.0, 5.0, steps=101)
+    u = ops.evolve_td(_H0, _G, 0.0, 5.0, steps=101)
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-8
 
 
 def test_evolve_td_validates_input():
-    with pytest.raises(DomainError):
-        ops.evolve_td(_smooth_h, 0.0, 1.0, steps=0)
-    with pytest.raises(DomainError):
-        ops.evolve_td(lambda t: np.array([[0, 1], [0, 0]], dtype=complex), 0.0, 1.0, steps=4)
+    not_hermitian = np.array([[0, 1], [0, 0]], dtype=complex)
+    for args in (
+        (_H0, _G, 0.0, 1.0, 0),
+        (not_hermitian, _G, 0.0, 1.0, 4),
+        (_H0, not_hermitian, 0.0, 1.0, 4),
+        (_H0, np.zeros((4, 4)), 0.0, 1.0, 4),
+        (np.zeros((2, 3)), np.zeros((2, 3)), 0.0, 1.0, 4),
+    ):
+        with pytest.raises(DomainError):
+            ops.evolve_td(*args)
 
 
 def test_fidelity_properties():
