@@ -181,11 +181,14 @@ def rwa_fidelity(
     rotation e^{+i w_s T s2z}, and compares against exp(-i H_eff T).
     A step-doubling check guards the time discretization: the half-step
     propagator must agree with the full-step one within ``convergence_tol``;
-    their distance is reported as ``step_doubling_distance``.
+    their distance is reported as ``step_doubling_distance``.  ``steps``
+    must be at least 2, so that the half-step run is a different one.
     """
+    if steps < 2:
+        raise DomainError(f"step doubling needs at least 2 steps, got {steps}")
     h0, generator = stirring_hamiltonian(p, 0.0), stirring_generator(p)
     u_exact = ops.evolve_td(h0, generator, 0.0, duration_s, steps)
-    u_half = ops.evolve_td(h0, generator, 0.0, duration_s, max(1, steps // 2))
+    u_half = ops.evolve_td(h0, generator, 0.0, duration_s, steps // 2)
     conv = ops.operator_distance(u_half, u_exact)
     if conv > convergence_tol:
         raise NumericalError(

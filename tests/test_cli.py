@@ -157,18 +157,24 @@ def test_compile_non_finite_angle_rejected(capsys, tmp_path, angle):
     assert not schedule_path.exists()
 
 
-def _loads_scipy(tmp_path, *commands) -> bool:
-    """Run CLI commands in one fresh interpreter; report whether scipy got imported."""
+def _loads_scipy(tmp_path, *commands, preload="") -> bool:
+    """Run CLI commands in one fresh interpreter; report whether scipy got imported.
+
+    ``preload`` names a module the interpreter imports first.
+    """
     script = textwrap.dedent(
         """
+        import importlib
         import sys
         from spinbus.cli import main
+        if PRELOAD:
+            importlib.import_module(PRELOAD)
         for argv in COMMANDS:
             if main(argv) != 0:
                 raise SystemExit(f"command failed: {argv}")
         print("scipy" in sys.modules)
         """
-    ).replace("COMMANDS", repr([list(c) for c in commands]))
+    ).replace("COMMANDS", repr([list(c) for c in commands])).replace("PRELOAD", repr(preload))
     src = str(Path(spinbus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
@@ -176,7 +182,7 @@ def _loads_scipy(tmp_path, *commands) -> bool:
     return proc.stdout.splitlines()[-1] == "True"
 
 
-def test_only_quadrature_scan_imports_scipy(tmp_path):
+def test_no_command_imports_scipy(tmp_path):
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
     assert not _loads_scipy(
         tmp_path,
@@ -185,8 +191,11 @@ def test_only_quadrature_scan_imports_scipy(tmp_path):
         ["compile", "circuit.txt", "--out", "schedule.json"],
         ["simulate", "schedule.json"],
         ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc", "--samples", "10000"],
+        ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"],
+        ["gatecheck"],
     )
-    assert _loads_scipy(tmp_path, ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"])
+    # the probe does see scipy when something imports it
+    assert _loads_scipy(tmp_path, ["transport"], preload="scipy.special")
 
 
 def test_compile_then_simulate_round_trip(capsys, tmp_path):

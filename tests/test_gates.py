@@ -158,6 +158,15 @@ def test_rwa_convergence_guard():
         gates.rwa_fidelity(p, duration_s=1e-3, steps=4)
 
 
+@pytest.mark.parametrize("steps", [0, 1])
+def test_rwa_refuses_fewer_than_two_steps(steps):
+    # one step would be compared with itself (steps // 2 -> 1 at best), so
+    # the step-doubling guard would pass with distance 0 whatever the error
+    p = gates.StirringParams(omega_s=3.0 * gates.RWA_SCAN_BASE["omega2"], **gates.RWA_SCAN_BASE)
+    with pytest.raises(DomainError, match="at least 2 steps"):
+        gates.rwa_fidelity(p, gates.RWA_SCAN_DURATION_S, steps)
+
+
 def test_driven_vs_effective_operator_distance_at_1000x():
     # with the stirring frequency 1000x above every other scale, the two
     # propagators agree beyond fidelity: phase-aligned max-norm <= 1e-2.

@@ -3,12 +3,13 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import constants as codata
 from scipy import special
 
 from spinbus import interactions as ia
 from spinbus import units
-from spinbus.errors import DomainError
+from spinbus.errors import DomainError, NumericalError
 
 REF_GEOM = ia.TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0, z0=1000.0)
 RB_SCAT = ia.ScatteringParams(
@@ -145,6 +146,84 @@ def test_erfc_matches_high_precision_reference():
         assert special.erfcx(x) == pytest.approx(ref, rel=1e-14)
 
 
+def test_erfcx_matches_high_precision_reference_over_kernel_range():
+    # the kernel calls erfcx only below the series switch at x = 8
+    x = np.linspace(0.0, ia._SERIES_SWITCH, 2001)[:-1]
+    got = ia._erfcx(x)
+    with mpmath.workdps(50):
+        for xi, g in zip(x.tolist(), got.tolist()):
+            ref = float(mpmath.erfc(xi) * mpmath.exp(mpmath.mpf(xi) ** 2))
+            assert g == pytest.approx(ref, rel=1e-14)
+
+
+# --- adaptive Gauss-Kronrod rule ---------------------------------------------
+
+def _monomial_integral(k: int) -> float:
+    return 2.0 / (k + 1) if k % 2 == 0 else 0.0
+
+
+def test_gk21_rules_integrate_monomials_exactly_up_to_their_degree():
+    x = ia.KRONROD_NODES
+    for k in range(32):
+        assert abs(ia.KRONROD_WEIGHTS @ x**k - _monomial_integral(k)) <= 1e-15
+    for k in range(20):
+        assert abs(ia.GAUSS_WEIGHTS @ x[1::2] ** k - _monomial_integral(k)) <= 1e-15
+    # and no further: the next even degree is visibly off
+    assert abs(ia.KRONROD_WEIGHTS @ x**32 - _monomial_integral(32)) > 1e-13
+    assert abs(ia.GAUSS_WEIGHTS @ x[1::2] ** 20 - _monomial_integral(20)) > 1e-7
+
+
+def test_gauss_rule_matches_leggauss():
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert np.max(np.abs(ia.KRONROD_NODES[1::2] - nodes)) <= 1e-15
+    assert np.max(np.abs(ia.GAUSS_WEIGHTS - weights)) <= 1e-15
+
+
+def test_adaptive_gk21_converges_on_resolvable_integrands():
+    quad = ia.adaptive_gk21(lambda x: np.cos(1e3 * x), [0.0, 1.0], epsrel=1e-10, limit=300)
+    assert quad.converged and quad.subintervals < 300
+    assert quad.value == pytest.approx(math.sin(1e3) / 1e3, rel=1e-10)
+    # an integrable singularity at a breakpoint is resolved by bisection
+    quad = ia.adaptive_gk21(lambda x: 1 / np.sqrt(np.abs(x)), [-1.0, 0.0, 1.0], epsrel=1e-10, limit=300)
+    assert quad.converged
+    assert quad.value == pytest.approx(4.0, rel=1e-10)
+
+
+def test_adaptive_gk21_reports_non_convergence():
+    # without the breakpoint the centre node samples the singularity itself
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = ia.adaptive_gk21(lambda x: 1 / np.sqrt(np.abs(x)), [-1.0, 1.0], epsrel=1e-10, limit=300)
+    assert not quad.converged
+    # 1600 periods do not fit into 300 panels: the limit ends the bisection
+    quad = ia.adaptive_gk21(lambda x: np.cos(1e4 * x), [0.0, 1.0], epsrel=1e-10, limit=300)
+    assert not quad.converged
+    assert quad.subintervals == 300
+    assert math.isfinite(quad.value) and quad.abserr > 1e-10 * abs(quad.value)
+
+
+def test_dipolar_average_raises_when_the_integrator_gives_up(monkeypatch):
+    real = ia.adaptive_gk21
+
+    def limit_reached(*args, **kwargs):
+        return real(*args, **kwargs)._replace(subintervals=300, converged=False)
+
+    monkeypatch.setattr(ia, "adaptive_gk21", limit_reached)
+    with pytest.raises(NumericalError, match=r"abserr=.*subintervals=300"):
+        ia.dipolar_average(REF_GEOM)
+
+
+def test_dipolar_average_raises_on_a_large_error_estimate(monkeypatch):
+    real = ia.adaptive_gk21
+
+    def loose(*args, **kwargs):
+        quad = real(*args, **kwargs)
+        return quad._replace(abserr=1e-6 * abs(quad.value))
+
+    monkeypatch.setattr(ia, "adaptive_gk21", loose)
+    with pytest.raises(NumericalError, match=r"value=.*abserr=.*subintervals="):
+        ia.dipolar_average(REF_GEOM)
+
+
 # --- Gaussian-averaged dipolar integral -------------------------------------
 
 def test_dipolar_average_matches_shell_oracle_isotropic():
@@ -154,6 +233,37 @@ def test_dipolar_average_matches_shell_oracle_isotropic():
             geom = ia.TrapGeometry(aq, aq, ah, ah, z0)
             got = ia.dipolar_average(geom).value_hz * units.BOHR_RADIUS**3
             assert got == pytest.approx(shell_average(a, z0), rel=1e-9)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    aq=st.floats(1.0, 600.0),
+    ah=st.floats(1.0, 600.0),
+    ratio=st.floats(0.3, 20.0),
+)
+def test_dipolar_average_matches_shell_oracle_property(aq, ah, ratio):
+    a = math.hypot(aq, ah)
+    geom = ia.TrapGeometry(aq, aq, ah, ah, ratio * a)
+    got = ia.dipolar_average(geom).value_hz * units.BOHR_RADIUS**3
+    assert got == pytest.approx(shell_average(a, ratio * a), rel=1e-9)
+
+
+# rows 0, 15, 30, 45 and 59 of the default scan (REF_GEOM sizes, z0 =
+# linspace(200, 2500, 60)), in m^-3, as scipy.integrate.quad (QUADPACK qagp,
+# epsrel 1e-10) gives them
+@pytest.mark.parametrize(
+    "z0, expected",
+    [
+        (200.0, -4.774443237547115e22),
+        (784.7457627118644, -1.940387239764543e22),
+        (1369.4915254237287, -5.194005205266786e21),
+        (1954.2372881355932, -1.808306482258631e21),
+        (2500.0, -8.637867707358136e20),
+    ],
+)
+def test_dipolar_average_pinned_scan_rows(z0, expected):
+    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, z0)
+    assert ia.dipolar_average(geom).value_hz == pytest.approx(expected, rel=1e-11)
 
 
 def test_dipolar_average_point_trap_limit():
