@@ -99,7 +99,7 @@ def scan(ctx, z0_min, z0_max, points, mode, gamma_mode, samples, seed, out):
         cfg.scattering,
         z0s,
         gamma_mode=gamma_mode,
-        mc_samples=(samples or cfg.mc_samples) if mode == "mc" else 0,
+        mc_samples=(samples if samples is not None else cfg.mc_samples) if mode == "mc" else None,
         seed=seed if seed is not None else cfg.mc_seed,
     )
     pref = interactions.gamma_prefactor_hz_m3(gamma_mode)

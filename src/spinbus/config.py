@@ -8,6 +8,7 @@ to defaults.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -132,8 +133,12 @@ def _apply(cfg: Config, doc: dict):
             omega_ref=2.0 * math.pi * s["nu_ref_hz"] if "nu_ref_hz" in s else base.omega_ref,
         )
     if "mc" in doc:
-        cfg.mc_seed = int(doc["mc"].get("seed", cfg.mc_seed))
-        cfg.mc_samples = int(doc["mc"].get("samples", cfg.mc_samples))
+        mc = doc["mc"]
+        for key, value in mc.items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ConfigError(f"mc.{key} must be a JSON integer, got {json.dumps(value)}")
+        cfg.mc_seed = mc.get("seed", cfg.mc_seed)
+        cfg.mc_samples = mc.get("samples", cfg.mc_samples)
     if "transport" in doc:
         t = doc["transport"]
         cfg.transport_nu_trap_hz = t.get("nu_trap_hz", cfg.transport_nu_trap_hz)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -354,6 +355,60 @@ def dipolar_average(geom: TrapGeometry) -> CouplingResult:
     return CouplingResult(value_hz=value_a0 / BOHR_RADIUS**3, method="quadrature")
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _mc_chunk_sums(geom, n_samples, seed, cut2, chunks, buffers) -> list[tuple[float, float, int]]:
+    """(sum f, sum f^2, kept) for each chunk in ``chunks``, in that order.
+
+    Works in the caller's ``buffers`` (q and h of shape (size, 3), r2 and
+    keep of shape (size,)) with in-place operations in the order of the
+    plain expression (1 - 3 z^2 / r2) / (r2 sqrt(r2)), so each chunk's sums
+    are bit-identical to evaluating that expression on fresh arrays.
+    """
+    q, h, r2, keep = buffers
+    sigma_q = np.array([geom.a_qr, geom.a_qr, geom.a_qz])
+    sigma_h = np.array([geom.a_hr, geom.a_hr, geom.a_hz])
+    sums = []
+    for chunk in chunks:
+        n = min(_MC_CHUNK, n_samples - chunk * _MC_CHUNK)
+        r, rh, rr2, kp = q[:n], h[:n], r2[:n], keep[:n]
+        rng = np.random.default_rng([seed, chunk])
+        rng.standard_normal(out=r)
+        rng.standard_normal(out=rh)
+        r *= sigma_q
+        rh *= sigma_h
+        r -= rh
+        r[:, 2] -= geom.z0
+        np.einsum("ij,ij->i", r, r, out=rr2)
+        np.greater(rr2, cut2, out=kp)
+        m = int(np.count_nonzero(kp))
+        # h is spent: its storage holds the kept r2 and z, then f and f^2
+        flat = rh.reshape(-1)
+        f, tmp = flat[n:n + m], flat[2 * n:2 * n + m]
+        if m == n:  # nothing rejected: no compress, whose index array each thread would allocate
+            x = rr2
+            np.copyto(f, r[:, 2])
+        else:
+            x = np.compress(kp, rr2, out=flat[:m])
+            np.compress(kp, r[:, 2], out=f)
+        np.square(f, out=f)
+        f *= 3.0
+        f /= x
+        np.subtract(1.0, f, out=f)
+        np.sqrt(x, out=tmp)
+        tmp *= x
+        f /= tmp
+        np.square(f, out=tmp)
+        sums.append((float(f.sum()), float(tmp.sum()), m))
+    return sums
+
+
 def dipolar_average_mc(
     geom: TrapGeometry,
     n_samples: int,
@@ -368,34 +423,42 @@ def dipolar_average_mc(
     kernel has a divergent variance contribution from the measure-zero
     overlap region (its mean contribution vanishes by the angular average).
 
-    Deterministic for a fixed seed: samples are drawn in fixed-size chunks,
-    each chunk's generator seeded by (seed, chunk_index), so the result is
-    independent of how chunks are scheduled.
+    Deterministic for a fixed non-negative integer seed: samples are drawn
+    in fixed-size chunks, each chunk's generator seeded by
+    (seed, chunk_index).  The chunks run on a thread pool of one worker per
+    usable CPU (at most one per chunk); worker w takes chunks w, w+k, ...
+    and reuses one set of buffers of about 7 MB, allocated here.  The
+    per-chunk sums are added in chunk order, so the result is bit-identical
+    whatever the number of workers.
     """
     if n_samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {n_samples}")
-    sigma_q = np.array([geom.a_qr, geom.a_qr, geom.a_qz])
-    sigma_h = np.array([geom.a_hr, geom.a_hr, geom.a_hz])
-    cut2 = core_cutoff_a0**2
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"MC seed must be a non-negative integer, got {seed!r}")
+    from concurrent.futures import ThreadPoolExecutor  # off the import path of every other command
+
+    n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
+    workers = min(n_chunks, _usable_cpus())
+    size = min(_MC_CHUNK, n_samples)
+    buffers = [
+        (np.empty((size, 3)), np.empty((size, 3)), np.empty(size), np.empty(size, dtype=bool))
+        for _ in range(workers)
+    ]
+
+    def work(w: int):
+        return _mc_chunk_sums(geom, n_samples, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
+
+    with ThreadPoolExecutor(workers) as pool:
+        per_worker = list(pool.map(work, range(workers)))
 
     total = 0.0
     total_sq = 0.0
     kept = 0
-    rejected = 0
-    n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
     for chunk in range(n_chunks):
-        n = min(_MC_CHUNK, n_samples - chunk * _MC_CHUNK)
-        rng = np.random.default_rng([seed, chunk])
-        r = rng.standard_normal((n, 3)) * sigma_q - rng.standard_normal((n, 3)) * sigma_h
-        r[:, 2] -= geom.z0
-        r2 = np.einsum("ij,ij->i", r, r)
-        keep = r2 > cut2
-        rejected += int(n - keep.sum())
-        r2 = r2[keep]
-        f = (1.0 - 3.0 * r[keep, 2] ** 2 / r2) / (r2 * np.sqrt(r2))
-        total += float(f.sum())
-        total_sq += float((f * f).sum())
-        kept += int(keep.sum())
+        s, s2, m = per_worker[chunk % workers][chunk // workers]
+        total += s
+        total_sq += s2
+        kept += m
     if kept < 2:
         raise NumericalError("all samples rejected by the core cutoff")
     mean = total / kept
@@ -405,7 +468,7 @@ def dipolar_average_mc(
         value_hz=mean / BOHR_RADIUS**3,
         method="monte_carlo",
         stderr_hz=stderr / BOHR_RADIUS**3,
-        n_rejected=rejected,
+        n_rejected=n_samples - kept,
     )
 
 
@@ -453,16 +516,20 @@ def scan_couplings(
     scat: ScatteringParams,
     z0_values_a0,
     gamma_mode: str = "calibrated",
-    mc_samples: int = 0,
+    mc_samples: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Coupling components over a z0 scan; one dict per ``SCAN_FIELDS`` row."""
+    """Coupling components over a z0 scan; one dict per ``SCAN_FIELDS`` row.
+
+    The dipolar part is Monte Carlo with ``mc_samples`` per point (point i
+    seeded ``seed + i``) when ``mc_samples`` is given, quadrature otherwise.
+    """
     rows = []
     pref = gamma_prefactor_hz_m3(gamma_mode)
     for i, z0 in enumerate(z0_values_a0):
         g = TrapGeometry(geom.a_qr, geom.a_qz, geom.a_hr, geom.a_hz, float(z0))
         ex = exchange_strength(g, scat).value_hz
-        if mc_samples:
+        if mc_samples is not None:
             part = dipolar_average_mc(g, mc_samples, seed + i)
             dip, err, method = pref * part.value_hz, pref * part.stderr_hz, "monte_carlo"
         else:

@@ -92,6 +92,31 @@ def test_scan_mc_agrees_with_quadrature(capsys):
         assert abs(float(rm["J_dipolar_Hz"]) - float(rq["J_dipolar_Hz"])) <= 3 * float(rm["stderr_Hz"])
 
 
+MC_SCAN = ["scan", "--z0-min", "600", "--z0-max", "900", "--points", "2", "--mode", "mc"]
+
+
+@pytest.mark.parametrize("flags, config, message", [
+    (["--samples", "10000", "--seed", "-1"], None, "MC seed must be a non-negative integer, got -1"),
+    (["--samples", "10000"], {"mc": {"seed": -3}}, "MC seed must be a non-negative integer, got -3"),
+    ([], {"mc": {"seed": 1.5}}, "mc.seed must be a JSON integer, got 1.5"),
+    ([], {"mc": {"seed": True}}, "mc.seed must be a JSON integer, got true"),
+    ([], {"mc": {"samples": 1.5}}, "mc.samples must be a JSON integer, got 1.5"),
+    ([], {"mc": {"samples": True}}, "mc.samples must be a JSON integer, got true"),
+    (["--samples", "0"], None, "need at least 1e4 samples, got 0"),
+], ids=["flag-seed-negative", "config-seed-negative", "config-seed-float", "config-seed-bool",
+        "config-samples-float", "config-samples-bool", "flag-samples-zero"])
+def test_scan_mc_bad_seed_or_samples_exit_1(capsys, tmp_path, flags, config, message):
+    prefix = []
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        prefix = ["--config", str(cfg)]
+    code, out, err = run(capsys, *prefix, *MC_SCAN, *flags)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_gatecheck_passes_and_reports(capsys, tmp_path):
     out_path = tmp_path / "gates.json"
     code, _, _ = run(capsys, "gatecheck", "--out", str(out_path))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import constants as codata
-from scipy import special
 
 from spinbus import interactions as ia
 from spinbus import units
@@ -139,11 +138,14 @@ def test_dipole_strength_domain():
 
 
 def test_erfc_matches_high_precision_reference():
-    # 20 points spanning the quadrature's working range, vs 50-digit mpmath
-    mpmath.mp.dps = 50
-    for x in np.linspace(0.05, 9.5, 20):
-        ref = float(mpmath.erfc(mpmath.mpf(x)) * mpmath.exp(mpmath.mpf(x) ** 2))
-        assert special.erfcx(x) == pytest.approx(ref, rel=1e-14)
+    # the quadrature's working range, vs 50-digit mpmath; points at or above
+    # the series switch are left out because the kernel never calls _erfcx there
+    x = np.linspace(0.05, 9.5, 20)
+    x = x[x < ia._SERIES_SWITCH]
+    with mpmath.workdps(50):
+        for xi, got in zip(x.tolist(), ia._erfcx(x).tolist()):
+            ref = float(mpmath.erfc(mpmath.mpf(xi)) * mpmath.exp(mpmath.mpf(xi) ** 2))
+            assert got == pytest.approx(ref, rel=1e-14)
 
 
 def test_erfcx_matches_high_precision_reference_over_kernel_range():
@@ -303,17 +305,75 @@ def test_dipolar_mc_point_trap_limit():
     assert abs(mc.value_hz - target) <= 3.0 * mc.stderr_hz + 1e-6 * abs(target)
 
 
+def serial_mc_reference(geom: ia.TrapGeometry, n_samples: int, seed: int, core_cutoff_a0: float = 0.1):
+    """(value_hz, stderr_hz, n_rejected) of the Monte Carlo oracle, computed
+    one chunk after another on fresh arrays: the seeded stream that
+    ``dipolar_average_mc`` must reproduce bit for bit."""
+    chunk_size = 1 << 17
+    sigma_q = np.array([geom.a_qr, geom.a_qr, geom.a_qz])
+    sigma_h = np.array([geom.a_hr, geom.a_hr, geom.a_hz])
+    total, total_sq, kept, rejected = 0.0, 0.0, 0, 0
+    for chunk in range((n_samples + chunk_size - 1) // chunk_size):
+        n = min(chunk_size, n_samples - chunk * chunk_size)
+        rng = np.random.default_rng([seed, chunk])
+        r = rng.standard_normal((n, 3)) * sigma_q - rng.standard_normal((n, 3)) * sigma_h
+        r[:, 2] -= geom.z0
+        r2 = np.einsum("ij,ij->i", r, r)
+        keep = r2 > core_cutoff_a0**2
+        rejected += int(n - keep.sum())
+        r2 = r2[keep]
+        f = (1.0 - 3.0 * r[keep, 2] ** 2 / r2) / (r2 * np.sqrt(r2))
+        total += float(f.sum())
+        total_sq += float((f * f).sum())
+        kept += int(keep.sum())
+    mean = total / kept
+    var = max(0.0, (total_sq - kept * mean * mean) / (kept - 1))
+    return mean / units.BOHR_RADIUS**3, math.sqrt(var / kept) / units.BOHR_RADIUS**3, rejected
+
+
+def _mc_triple(result: ia.CouplingResult):
+    return result.value_hz, result.stderr_hz, result.n_rejected
+
+
 def test_dipolar_mc_deterministic_and_chunk_invariant():
     a = ia.dipolar_average_mc(REF_GEOM, 150_000, seed=42)
     b = ia.dipolar_average_mc(REF_GEOM, 150_000, seed=42)
     assert a == b
+    assert _mc_triple(a) == serial_mc_reference(REF_GEOM, 150_000, 42)
     c = ia.dipolar_average_mc(REF_GEOM, 150_000, seed=43)
     assert c.value_hz != a.value_hz
+
+
+MC_STREAM_CASES = {
+    "z0=0": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0, 0.0), 0.1),
+    "z0=2100": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0, 2100.0), 0.1),
+    "cutoff=1": (ia.TrapGeometry(1.0, 1.0, 1.0, 1.0, 0.0), 1.0),
+    "cutoff=50": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0, 0.0), 50.0),
+}
+
+
+@pytest.mark.parametrize("n_samples", [10_000, 2**17, 2**17 + 1, 3 * 2**17 + 5])
+@pytest.mark.parametrize("case", list(MC_STREAM_CASES))
+def test_dipolar_mc_bit_identical_to_serial_reference_for_any_pool_size(monkeypatch, case, n_samples):
+    geom, cutoff = MC_STREAM_CASES[case]
+    want = serial_mc_reference(geom, n_samples, 42, cutoff)
+    if cutoff > 0.1:
+        assert want[2] > 0  # the rejecting path is exercised
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(ia, "_usable_cpus", lambda: cpus)
+        got = ia.dipolar_average_mc(geom, n_samples, seed=42, core_cutoff_a0=cutoff)
+        assert _mc_triple(got) == want, f"{cpus} workers"
 
 
 def test_dipolar_mc_validates_sample_count():
     with pytest.raises(DomainError):
         ia.dipolar_average_mc(REF_GEOM, 100, seed=1)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_dipolar_mc_refuses_bad_seed(seed):
+    with pytest.raises(DomainError, match="non-negative integer"):
+        ia.dipolar_average_mc(REF_GEOM, 10_000, seed=seed)
 
 
 def test_dipolar_mc_core_rejection_counted():
