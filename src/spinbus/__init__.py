@@ -1,9 +1,12 @@
 """spinbus: simulator and compiler toolkit for a dual-lattice architecture
 where stationary atomic spins store qubits and a movable header atom of a
 second species carries quantum state between them.
+
+Importing the package loads no submodule, so a command that needs no arrays
+never imports numpy; import the modules by name (``from spinbus import
+scheduler``).
 """
 
-from . import gates, interactions, operators, scheduler, transport, traps, units
 from .errors import (
     CircuitParseError,
     ConfigError,
@@ -16,13 +19,6 @@ from .errors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "units",
-    "operators",
-    "interactions",
-    "traps",
-    "gates",
-    "transport",
-    "scheduler",
     "SpinBusError",
     "DomainError",
     "NumericalError",

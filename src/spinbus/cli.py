@@ -4,6 +4,10 @@ Commands: ``tables``, ``scan``, ``gatecheck``, ``transport``, ``compile``,
 ``simulate``.  All commands are deterministic given the config file and
 seed, and write byte-identical output on repeated runs.  Exit codes:
 0 success, 1 validation failure, 2 numerical failure.
+
+numpy is imported inside the commands that build arrays (``scan``,
+``gatecheck`` and, through the scheduler's simulation, ``simulate``), so
+``tables``, ``transport`` and ``compile`` start without it.
 """
 
 from __future__ import annotations
@@ -14,10 +18,8 @@ import sys
 from pathlib import Path
 
 import click
-import numpy as np
 
-from . import gates as gatelib
-from . import interactions, scheduler, transport, traps
+from . import scheduler, transport, traps
 from .config import Config, load_config
 from .errors import DomainError, NumericalError, SpinBusError
 from .units import ATOMIC_MASS, BOHR_RADIUS
@@ -79,7 +81,7 @@ def tables(ctx, lattice, species_filter, fmt, out):
 @click.option("--z0-max", type=float, required=True)
 @click.option("--points", type=int, required=True)
 @click.option("--mode", type=click.Choice(["quadrature", "mc"]), default="quadrature")
-@click.option("--gamma-mode", type=click.Choice(list(interactions.GAMMA_MODES)), default="calibrated")
+@click.option("--gamma-mode", type=click.Choice(list(traps.GAMMA_MODES)), default="calibrated")
 @click.option("--samples", type=int, default=None, help="MC samples per point (mc mode).")
 @click.option("--seed", type=int, default=None)
 @click.option("--out", default=None, type=click.Path())
@@ -90,6 +92,10 @@ def scan(ctx, z0_min, z0_max, points, mode, gamma_mode, samples, seed, out):
     Columns: exchange, Gaussian-averaged dipolar, total, plus the point
     dipole reference -2 gamma_e(z0) (the asymptotic 1/z0^3 line).
     """
+    import numpy as np
+
+    from . import interactions
+
     cfg = _cfg(ctx)
     if z0_min <= 0 or points < 2:
         raise DomainError("need z0_min > 0 and points >= 2")
@@ -115,6 +121,8 @@ def scan(ctx, z0_min, z0_max, points, mode, gamma_mode, samples, seed, out):
 def gatecheck(tolerance, rwa_threshold, out):
     """Gate identity checks plus the stirring/RWA validity scan; fails nonzero
     if any identity fidelity drops below the threshold."""
+    from . import gates as gatelib
+
     reports = [r.as_dict() for r in gatelib.gate_identity_reports()]
     scan_rows = gatelib.rwa_scan()
     doc = {

@@ -14,10 +14,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError
-from .interactions import ScatteringParams, TrapGeometry
 from .jsonio import loads_finite
 from .scheduler import CompileParams
-from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec
+from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec, ScatteringParams, TrapGeometry
 from .units import ATOMIC_MASS
 
 _SCHEMA: dict[str, tuple[str, ...]] = {

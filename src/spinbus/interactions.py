@@ -28,6 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .traps import GAMMA_MODES, ScatteringParams, TrapGeometry
 from .units import (
     BOHR_MAGNETON,
     BOHR_RADIUS,
@@ -46,66 +47,7 @@ GAMMA_E_FIRST_PRINCIPLES_HZ = (
     VACUUM_PERMEABILITY / (4 * math.pi) * BOHR_MAGNETON**2 / (H_PLANCK * BOHR_RADIUS**3)
 )
 
-GAMMA_MODES = ("calibrated", "first_principles")
-
 _MC_CHUNK = 1 << 17
-
-
-@dataclass(frozen=True)
-class TrapGeometry:
-    """Gaussian ground-state sizes of the two traps and their separation, in a0.
-
-    a_r and a_z are the combined widths sqrt(a_q^2 + a_h^2) per axis; the
-    difference coordinate r_q - r_h is Gaussian with those sigmas.
-    """
-
-    a_qr: float
-    a_qz: float
-    a_hr: float
-    a_hz: float
-    z0: float
-
-    def __post_init__(self):
-        if min(self.a_qr, self.a_qz, self.a_hr, self.a_hz) <= 0:
-            raise DomainError("trap sizes must be positive")
-        if not math.isfinite(self.z0):
-            raise DomainError("z0 must be finite")
-        # z0 >= 0 is the working convention; negative values are accepted
-        # because every coupling here is even in z0
-
-    @property
-    def a_r(self) -> float:
-        return math.hypot(self.a_qr, self.a_hr)
-
-    @property
-    def a_z(self) -> float:
-        return math.hypot(self.a_qz, self.a_hz)
-
-
-@dataclass(frozen=True)
-class ScatteringParams:
-    """Contact-interaction inputs: scattering lengths and the reference trap.
-
-    ``mass_kg`` is the mass appearing in the 4 pi hbar^2 a / M
-    pseudo-potential prefactor (twice the reduced mass of the pair).  The
-    reference ground-state size is derived from (mass, omega_ref) with the
-    package convention a = sqrt(hbar / (2 M omega)), which is exactly the
-    normalization that makes the displayed exchange formula equal the
-    Gaussian-overlap integral.
-    """
-
-    a_t_a0: float
-    a_s_a0: float
-    mass_kg: float
-    omega_ref: float  # rad/s
-
-    def __post_init__(self):
-        if self.mass_kg <= 0 or self.omega_ref <= 0:
-            raise DomainError("mass and reference trap frequency must be positive")
-
-    @property
-    def a_ref_m(self) -> float:
-        return math.sqrt(HBAR / (2.0 * self.mass_kg * self.omega_ref))
 
 
 @dataclass(frozen=True)
@@ -478,13 +420,13 @@ def effective_J(
     gamma_mode: str = "calibrated",
     include_exchange: bool = True,
     include_dipole: bool = True,
-    mc_samples: int = 0,
+    mc_samples: int | None = None,
     seed: int = 0,
 ) -> CouplingResult:
     """Effective Ising coupling J(z0) in Hz: exchange plus averaged dipole.
 
     ``include_exchange=False`` models the two-different-species case, where
-    the contact exchange is strongly suppressed.  With ``mc_samples`` > 0
+    the contact exchange is strongly suppressed.  When ``mc_samples`` is given
     the dipolar part uses the Monte Carlo estimator instead of quadrature
     (stderr propagates to the result).
     """
@@ -495,7 +437,7 @@ def effective_J(
         value += exchange_strength(geom, scat).value_hz
     if include_dipole:
         pref = gamma_prefactor_hz_m3(gamma_mode)
-        if mc_samples:
+        if mc_samples is not None:
             part = dipolar_average_mc(geom, mc_samples, seed)
             stderr = pref * part.stderr_hz
             method = "monte_carlo"

@@ -17,18 +17,18 @@ A MOVE departs from wherever the header currently is (trajectory
 continuity); it may span several sites in one primitive.  The header is
 left at the last gate site rather than re-parked, so a lone two-qubit gate
 compiles to exactly three MOVEs.
+
+Parsing, compiling, budgeting and JSON need no arrays; numpy, ``gates`` and
+``operators`` are imported by the simulation functions when they are called.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
-from . import gates as gatelib
-from . import operators as ops
 from .errors import CircuitParseError, DomainError
 from .jsonio import loads_finite
 from .transport import plan_transport
@@ -382,22 +382,29 @@ def compile_circuit(
 
 # --- simulation -------------------------------------------------------------
 
-_ONEBIT_MATRICES = {
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.diag([1.0 + 0j, -1.0]),
-    "H": gatelib.HADAMARD,
-    "S": np.diag([1.0 + 0j, 1j]),
-}
-_ZZ = np.array([1.0, -1.0, -1.0, 1.0])  # diagonal of sigma_z sigma_z
+@functools.cache
+def _onebit_matrices() -> dict:
+    import numpy as np
+
+    from . import gates as gatelib
+
+    return {
+        "X": np.array([[0, 1], [1, 0]], dtype=complex),
+        "Z": np.diag([1.0 + 0j, -1.0]),
+        "H": gatelib.HADAMARD,
+        "S": np.diag([1.0 + 0j, 1j]),
+    }
 
 
 def _onebit_matrix(gate: str, param: float | None) -> np.ndarray:
+    import numpy as np
+
     if gate == "PHASE":
         if param is None:
             raise DomainError("PHASE one-bit primitive needs an angle")
         return np.diag([1.0 + 0j, np.exp(1j * param)])
     try:
-        return _ONEBIT_MATRICES[gate]
+        return _onebit_matrices()[gate]
     except KeyError:
         raise DomainError(f"unknown one-bit gate {gate!r}") from None
 
@@ -413,6 +420,10 @@ def _atom_site(atom: str, register: Register) -> int:
 
 def _product(steps, n_sites: int) -> np.ndarray:
     """The unitary of ``(matrix, sites)`` steps applied in order."""
+    import numpy as np
+
+    from . import operators as ops
+
     u = np.eye(2**n_sites, dtype=complex)
     for matrix, sites in steps:
         u = ops.apply(matrix, sites, u)
@@ -427,16 +438,21 @@ def simulate_schedule(schedule: Schedule) -> np.ndarray:
     primitive's intrinsic phase and therefore matches the logical unitary
     times exp(i * global_phase_rad) exactly.
     """
+    import numpy as np
+
+    from . import gates as gatelib
+
     reg = schedule.register
     if reg.n_qubits > SIMULATION_QUBIT_CAP:
         raise DomainError(f"simulation caps at {SIMULATION_QUBIT_CAP} qubits, got {reg.n_qubits}")
     swap_u = gatelib.heisenberg_swap(math.pi / 4.0)
+    zz = np.array([1.0, -1.0, -1.0, 1.0])  # diagonal of sigma_z sigma_z
     steps = []
     for prim in schedule.primitives:
         if isinstance(prim, SwapStep):
             steps.append((swap_u, prim.atoms))
         elif isinstance(prim, IsingPulse):  # exp(+i phase zz)
-            steps.append((np.diag(np.exp(1j * prim.phase_rad * _ZZ)), prim.atoms))
+            steps.append((np.diag(np.exp(1j * prim.phase_rad * zz)), prim.atoms))
         elif isinstance(prim, OneBit):
             steps.append((_onebit_matrix(prim.gate, prim.param), (prim.atom,)))
         elif not isinstance(prim, Move):
@@ -444,16 +460,15 @@ def simulate_schedule(schedule: Schedule) -> np.ndarray:
     return _product([(m, [_atom_site(a, reg) for a in atoms]) for m, atoms in steps], reg.n_qubits + 1)
 
 
-_LOGICAL_TWO_QUBIT = {
-    "XOR": lambda: gatelib.CNOT,
-    "SWAP": lambda: gatelib.SWAP,
-    "PHASE": gatelib.ising_phase_gate,
-}
-
-
 def _logical_matrix(gate: LogicalGate) -> np.ndarray:
-    if gate.name in _LOGICAL_TWO_QUBIT:
-        return _LOGICAL_TWO_QUBIT[gate.name]()
+    from . import gates as gatelib
+
+    if gate.name == "XOR":
+        return gatelib.CNOT
+    if gate.name == "SWAP":
+        return gatelib.SWAP
+    if gate.name == "PHASE":
+        return gatelib.ising_phase_gate()
     return _onebit_matrix("PHASE" if gate.name == "PHASE1" else gate.name, gate.param)
 
 
@@ -468,6 +483,10 @@ def verify_schedule(schedule: Schedule) -> dict:
     The fidelity is global-phase-invariant; ``max_norm_error`` additionally
     discharges the phase ledger, so it checks the compiled unitary exactly.
     """
+    import numpy as np
+
+    from . import operators as ops
+
     achieved = simulate_schedule(schedule)
     expected = np.kron(logical_unitary(schedule.circuit, schedule.register.n_qubits), np.eye(2, dtype=complex))
     err = float(np.max(np.abs(achieved - np.exp(1j * schedule.global_phase_rad) * expected)))

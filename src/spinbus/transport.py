@@ -13,14 +13,15 @@ component of the force at the trap frequency:
 closed form).  For the reference pulse F(t) = (F0 tau/w)/(tau^2 + t^2)
 the transform is analytic and the excitation scales as exp(-2 w_t tau):
 adiabaticity depends on w_t tau alone, not on the peak speed reached.
+
+Planning is pure ``math``; numpy is imported only when a sampled pulse or a
+Lorentzian evaluated on an array needs it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DomainError, PlanningError
 from .units import HBAR
@@ -57,6 +58,8 @@ class LorentzianPulse:
             raise DomainError("pulse amplitude must be finite")
 
     def __call__(self, t):
+        import numpy as np
+
         return (self.f0_n * self.tau_s / self.omega_norm) / (self.tau_s**2 + (np.asarray(t) - self.t_center_s) ** 2)
 
 
@@ -68,6 +71,8 @@ class SampledPulse:
     forces_n: tuple
 
     def __post_init__(self):
+        import numpy as np
+
         t = np.asarray(self.times_s, dtype=float)
         f = np.asarray(self.forces_n, dtype=float)
         if t.ndim != 1 or t.shape != f.shape or t.size < 2:
@@ -89,6 +94,8 @@ def impulse(pulse: PulseShape) -> float:
     """Integral of F(t), kg m/s.  Analytic (pi f0/omega_norm) for the Lorentzian."""
     if isinstance(pulse, LorentzianPulse):
         return math.pi * pulse.f0_n / pulse.omega_norm
+    import numpy as np
+
     return float(np.trapezoid(np.asarray(pulse.forces_n), np.asarray(pulse.times_s)))
 
 
@@ -98,6 +105,8 @@ def fourier_magnitude(pulse: PulseShape, omega: float) -> float:
         raise DomainError(f"omega must be positive, got {omega}")
     if isinstance(pulse, LorentzianPulse):
         return abs(math.pi * pulse.f0_n / pulse.omega_norm) * math.exp(-omega * pulse.tau_s)
+    import numpy as np
+
     t = np.asarray(pulse.times_s)
     f = np.asarray(pulse.forces_n)
     return float(abs(np.trapezoid(f * np.exp(1j * omega * t), t)))
@@ -168,6 +177,9 @@ def plan_transport(
     formulas reproduce the co-moving result exactly.  Note the budget fixes
     w_t tau only -- the peak speed d/(pi tau) is unconstrained, which is the
     point: fast transport stays adiabatic if it is smooth.
+
+    The plan meets the budget exactly (``p_exact <= p_budget``).  Inputs
+    whose plan overflows a float raise DomainError.
     """
     named = (("distance_m", distance_m), ("omega_t", omega_t), ("mass_kg", mass_kg), ("p_budget", p_budget))
     if max_duration_s is not None:
@@ -182,25 +194,45 @@ def plan_transport(
         raise DomainError(f"p_budget must lie in (0, 1), got {p_budget}")
     if distance_m < 0:
         raise DomainError("distance must be >= 0")
-    if distance_m == 0.0:
-        null = LorentzianPulse(f0_n=0.0, tau_s=1.0 / omega_t)
-        result = TransportResult(0.0, null.tau_s, 0.0, 0.0, 0.0, 0.0, 0.0, True, 0.0, 0.0)
-        return null, result
-
-    n_target = -math.log1p(-p_budget)  # p_exact <= budget <=> |alpha|^2 <= this
-    n0 = mass_kg * omega_t * distance_m**2 / (2.0 * HBAR)
-    tau = max(math.log(n0 / n_target) / (2.0 * omega_t), 0.1 / omega_t)
-    half_window = tau * math.tan(TRANSIT_COVERAGE * math.pi / 2.0)
-    transit = 2.0 * half_window
-    if max_duration_s is not None and transit > max_duration_s:
+    try:
+        pulse, result = _plan(distance_m, omega_t, mass_kg, p_budget)
+    except (OverflowError, ZeroDivisionError):
+        result = None
+    if result is None or not all(map(math.isfinite, result.as_dict().values())):
+        raise DomainError(
+            f"distance_m {distance_m}, omega_t {omega_t} and mass_kg {mass_kg} "
+            "take the plan out of float range"
+        )
+    if max_duration_s is not None and result.transit_time_s > max_duration_s:
         raise PlanningError(
-            f"budget {p_budget} needs a {transit:.3e} s transit window, "
+            f"budget {p_budget} needs a {result.transit_time_s:.3e} s transit window, "
             f"over the {max_duration_s:.3e} s cap"
         )
+    return pulse, result
 
-    pulse = LorentzianPulse(f0_n=mass_kg * omega_t * distance_m / math.pi, tau_s=tau)
+
+def _plan(
+    distance_m: float, omega_t: float, mass_kg: float, p_budget: float
+) -> tuple[PulseShape, TransportResult]:
+    """The plan for validated inputs; arithmetic may overflow."""
+    if distance_m == 0.0:
+        null = LorentzianPulse(f0_n=0.0, tau_s=1.0 / omega_t)
+        return null, TransportResult(0.0, null.tau_s, 0.0, 0.0, 0.0, 0.0, 0.0, True, 0.0, 0.0)
+    n_target = -math.log1p(-p_budget)  # p_exact <= budget <=> |alpha|^2 <= this
+    n0 = mass_kg * omega_t * distance_m**2 / (2.0 * HBAR)
+    # max(.., 1) sends n0 <= n_target, and an n0 underflowed to 0, to the floor
+    tau = max(math.log(max(n0 / n_target, 1.0)) / (2.0 * omega_t), 0.1 / omega_t)
+    f0 = mass_kg * omega_t * distance_m / math.pi
+    pulse = LorentzianPulse(f0_n=f0, tau_s=tau)
+    # tau meets the budget only up to rounding: lengthen it by 1, 2, 4, ...
+    # ulps until p_exact <= p_budget holds exactly (at tau = inf, p_exact = 0)
+    step = math.ulp(tau)
+    while (p := excitation_exact(pulse, omega_t, mass_kg)) > p_budget:
+        pulse = LorentzianPulse(f0_n=f0, tau_s=pulse.tau_s + step)
+        step *= 2.0
+    tau = pulse.tau_s
+    transit = 2.0 * tau * math.tan(TRANSIT_COVERAGE * math.pi / 2.0)
     p1 = excitation_first_order(pulse, omega_t, mass_kg)
-    p = excitation_exact(pulse, omega_t, mass_kg)
     dv = impulse(pulse) / mass_kg
 
     # deterministic phase (1/hbar) Int M w^2 q0(t)^2/2 dt over the window,

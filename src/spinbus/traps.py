@@ -5,7 +5,9 @@ the movable header atom sits in a much tighter blue-detuned near-resonant
 lattice.  This module reproduces, per alkali species, the derived trap
 quantities: depth, oscillation frequency, ground-state size, Lamb-Dicke
 parameters, and (blue lattice) the effective photon-scattering rate that
-sets the dominant decoherence budget.
+sets the dominant decoherence budget.  It also holds the inputs of the
+coupling model in ``spinbus.interactions``: the two traps' geometry, the
+scattering parameters and the names of the dipole-strength conventions.
 
 Caption identities used throughout (all energies as frequencies in Hz):
 
@@ -27,6 +29,7 @@ from .units import (
     ATOMIC_MASS,
     BOHR_RADIUS,
     H_PLANCK,
+    HBAR,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
     ground_state_size,
@@ -268,3 +271,66 @@ def reports_csv(reports: list[TrapReport]) -> str:
 
 def reports_json(reports: list[TrapReport]) -> str:
     return json.dumps({r.species: r.as_table_row() for r in reports}, indent=2, sort_keys=True) + "\n"
+
+
+# --- inputs of the coupling model (spinbus.interactions) ---------------------
+
+#: gamma_e(a0) conventions for the dipole strength; see interactions.dipole_strength
+GAMMA_MODES = ("calibrated", "first_principles")
+
+
+@dataclass(frozen=True)
+class TrapGeometry:
+    """Gaussian ground-state sizes of the two traps and their separation, in a0.
+
+    a_r and a_z are the combined widths sqrt(a_q^2 + a_h^2) per axis; the
+    difference coordinate r_q - r_h is Gaussian with those sigmas.
+    """
+
+    a_qr: float
+    a_qz: float
+    a_hr: float
+    a_hz: float
+    z0: float
+
+    def __post_init__(self):
+        if min(self.a_qr, self.a_qz, self.a_hr, self.a_hz) <= 0:
+            raise DomainError("trap sizes must be positive")
+        if not math.isfinite(self.z0):
+            raise DomainError("z0 must be finite")
+        # z0 >= 0 is the working convention; negative values are accepted
+        # because every coupling here is even in z0
+
+    @property
+    def a_r(self) -> float:
+        return math.hypot(self.a_qr, self.a_hr)
+
+    @property
+    def a_z(self) -> float:
+        return math.hypot(self.a_qz, self.a_hz)
+
+
+@dataclass(frozen=True)
+class ScatteringParams:
+    """Contact-interaction inputs: scattering lengths and the reference trap.
+
+    ``mass_kg`` is the mass appearing in the 4 pi hbar^2 a / M
+    pseudo-potential prefactor (twice the reduced mass of the pair).  The
+    reference ground-state size is derived from (mass, omega_ref) with the
+    package convention a = sqrt(hbar / (2 M omega)), which is exactly the
+    normalization that makes the displayed exchange formula equal the
+    Gaussian-overlap integral.
+    """
+
+    a_t_a0: float
+    a_s_a0: float
+    mass_kg: float
+    omega_ref: float  # rad/s
+
+    def __post_init__(self):
+        if self.mass_kg <= 0 or self.omega_ref <= 0:
+            raise DomainError("mass and reference trap frequency must be positive")
+
+    @property
+    def a_ref_m(self) -> float:
+        return math.sqrt(HBAR / (2.0 * self.mass_kg * self.omega_ref))

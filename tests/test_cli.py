@@ -1,4 +1,5 @@
 import csv
+import functools
 import io
 import json
 import os
@@ -182,8 +183,8 @@ def test_compile_non_finite_angle_rejected(capsys, tmp_path, angle):
     assert not schedule_path.exists()
 
 
-def _loads_scipy(tmp_path, *commands, preload="") -> bool:
-    """Run CLI commands in one fresh interpreter; report whether scipy got imported.
+def _loads(module, tmp_path, *commands, preload="") -> bool:
+    """Run CLI commands in one fresh interpreter; report whether ``module`` got imported.
 
     ``preload`` names a module the interpreter imports first.
     """
@@ -197,14 +198,19 @@ def _loads_scipy(tmp_path, *commands, preload="") -> bool:
         for argv in COMMANDS:
             if main(argv) != 0:
                 raise SystemExit(f"command failed: {argv}")
-        print("scipy" in sys.modules)
+        print(MODULE in sys.modules)
         """
-    ).replace("COMMANDS", repr([list(c) for c in commands])).replace("PRELOAD", repr(preload))
+    )
+    for name, value in (("COMMANDS", [list(c) for c in commands]), ("PRELOAD", preload), ("MODULE", module)):
+        script = script.replace(name, repr(value))
     src = str(Path(spinbus.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
+
+
+_loads_scipy = functools.partial(_loads, "scipy")
 
 
 def test_no_command_imports_scipy(tmp_path):
@@ -221,6 +227,20 @@ def test_no_command_imports_scipy(tmp_path):
     )
     # the probe does see scipy when something imports it
     assert _loads_scipy(tmp_path, ["transport"], preload="scipy.special")
+
+
+def test_tables_transport_and_compile_do_not_import_numpy(tmp_path):
+    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
+    assert not _loads(
+        "numpy",
+        tmp_path,
+        ["tables", "--lattice", "red"],
+        ["tables", "--lattice", "blue", "--format", "json"],
+        ["transport"],
+        ["compile", "circuit.txt", "--out", "schedule.json"],
+    )
+    # the probe does see numpy when a command imports it
+    assert _loads("numpy", tmp_path, ["simulate", "schedule.json"])
 
 
 def test_compile_then_simulate_round_trip(capsys, tmp_path):

@@ -414,6 +414,19 @@ def test_effective_j_mc_mode_propagates_stderr():
     assert abs(j.value_hz - quad.value_hz) <= 4.0 * j.stderr_hz
 
 
+def test_effective_j_zero_mc_samples_is_refused_not_quadrature():
+    with pytest.raises(DomainError, match="at least 1e4 samples"):
+        ia.effective_J(REF_GEOM, RB_SCAT, include_exchange=False, mc_samples=0)
+
+
+def test_coupling_inputs_are_the_trap_module_definitions():
+    from spinbus import traps
+
+    assert ia.TrapGeometry is traps.TrapGeometry
+    assert ia.ScatteringParams is traps.ScatteringParams
+    assert ia.GAMMA_MODES is traps.GAMMA_MODES
+
+
 def test_coupling_result_invariants():
     with pytest.raises(DomainError):
         ia.CouplingResult(value_hz=1.0, method="quadrature", stderr_hz=0.5)

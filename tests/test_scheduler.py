@@ -49,6 +49,29 @@ def test_parse_error_line_number():
     assert "line 3" in str(err.value)
 
 
+@st.composite
+def _logical_gates(draw):
+    n = draw(st.integers(1, 8))
+    qubit = st.integers(0, n - 1)
+    angle = st.floats(allow_nan=False, allow_infinity=False)
+    gate = st.one_of(
+        st.builds(sch.LogicalGate, st.sampled_from(["X", "Z", "H"]), st.tuples(qubit)),
+        st.builds(sch.LogicalGate, st.just("PHASE1"), st.tuples(qubit), angle),
+    )
+    if n > 1:
+        pair = st.permutations(range(n)).map(lambda p: (p[0], p[1]))
+        gate = gate | st.builds(sch.LogicalGate, st.sampled_from(sch.TWO_QUBIT_GATES), pair)
+    return draw(st.lists(gate, max_size=12))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_logical_gates())
+def test_circuit_text_round_trip(gates):
+    parsed = sch.parse_circuit("\n".join(g.text() for g in gates))
+    assert parsed == gates
+    assert sch.parse_circuit("\n".join(g.text() for g in parsed)) == parsed
+
+
 # --- compilation shape ------------------------------------------------------
 
 def test_empty_circuit_empty_schedule():

@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinbus import transport as tr
 from spinbus import units
@@ -181,6 +182,51 @@ def test_plan_rejects_non_finite_inputs(arg, bad):
     kwargs = {"distance_m": 5.3e-6, "omega_t": OMEGA_T, "mass_kg": MASS, "p_budget": 1e-4, arg: bad}
     with pytest.raises(DomainError, match=f"^{arg} must be finite"):
         tr.plan_transport(**kwargs)
+
+
+def _transit_or_none(distance, omega_t, p_budget):
+    try:
+        _, result = tr.plan_transport(distance, omega_t, MASS, p_budget)
+    except DomainError:
+        return None
+    assert all(map(math.isfinite, result.as_dict().values()))
+    assert result.p_exact <= p_budget and result.adiabatic
+    return result.transit_time_s
+
+
+# up to a metre, 1 rad/s to 1e12 rad/s and budgets down to 1e-200 every plan
+# stays inside float range
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2).map(sorted),
+    st.floats(1.0, 1e12),
+    st.floats(1e-200, 1.0, exclude_max=True),
+)
+def test_plan_meets_budget_and_transit_grows_with_distance(distances, omega_t, p_budget):
+    near, far = (_transit_or_none(d, omega_t, p_budget) for d in distances)
+    assert near is not None and far is not None
+    assert near <= far
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(0.0, allow_infinity=False), min_size=2, max_size=2).map(sorted),
+    st.floats(0.0, exclude_min=True, allow_infinity=False),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_plan_at_any_float_scale_meets_budget_or_raises_domain_error(distances, omega_t, p_budget):
+    near, far = (_transit_or_none(d, omega_t, p_budget) for d in distances)
+    if near is not None and far is not None:
+        assert near <= far
+
+
+def test_plan_out_of_float_range_is_a_domain_error():
+    for args in ((1e200, OMEGA_T), (1e150, OMEGA_T), (5.3e-6, 1e-300), (5.3e-6, 1e300)):
+        with pytest.raises(DomainError, match="out of float range"):
+            tr.plan_transport(*args, MASS, 1e-4)
+    # a sub-femtometre move underflows n0 to 0 and takes the 0.1/w_t floor
+    _, result = tr.plan_transport(5e-324, OMEGA_T, MASS, 1e-4)
+    assert result.tau_s == 0.1 / OMEGA_T and result.p_exact == 0.0
 
 
 def test_phase_integral_constant_matches_mpmath():
