@@ -5,9 +5,11 @@ Commands: ``tables``, ``scan``, ``gatecheck``, ``transport``, ``compile``,
 seed, and write byte-identical output on repeated runs.  Exit codes:
 0 success, 1 validation failure, 2 numerical failure.
 
-numpy is imported inside the commands that build arrays (``scan``,
-``gatecheck`` and, through the scheduler's simulation, ``simulate``), so
-``tables``, ``transport`` and ``compile`` start without it.
+Each command imports the modules it uses when it runs.  Only ``scan --mode
+mc``, ``gatecheck`` and, through the scheduler's simulation, ``simulate``
+load numpy; ``tables``, ``transport``, ``compile`` and the quadrature
+``scan`` start without it, and only ``compile`` and ``simulate`` load the
+scheduler.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from pathlib import Path
 
 import click
 
-from . import scheduler, transport, traps
+from . import traps
 from .config import Config, load_config
 from .errors import DomainError, NumericalError, SpinBusError
 from .units import ATOMIC_MASS, BOHR_RADIUS
@@ -76,6 +78,18 @@ def tables(ctx, lattice, species_filter, fmt, out):
     _emit(traps.reports_csv(reports) if fmt == "csv" else traps.reports_json(reports), out)
 
 
+def _point_dipole_hz(pref: float, z0_a0: float) -> float:
+    """The point-dipole reference -2 gamma_e(z0) in Hz; a DomainError where
+    (z0 a0)^3 leaves the float range."""
+    try:
+        value = -2.0 * pref / (z0_a0 * BOHR_RADIUS) ** 3
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"z0 = {z0_a0!r} a0 is out of range: the point-dipole reference is not a finite float")
+    return value
+
+
 @cli.command()
 @click.option("--z0-min", type=float, required=True, help="Smallest separation, a0.")
 @click.option("--z0-max", type=float, required=True)
@@ -92,14 +106,19 @@ def scan(ctx, z0_min, z0_max, points, mode, gamma_mode, samples, seed, out):
     Columns: exchange, Gaussian-averaged dipolar, total, plus the point
     dipole reference -2 gamma_e(z0) (the asymptotic 1/z0^3 line).
     """
-    import numpy as np
-
     from . import interactions
 
     cfg = _cfg(ctx)
-    if z0_min <= 0 or points < 2:
-        raise DomainError("need z0_min > 0 and points >= 2")
-    z0s = np.linspace(z0_min, z0_max, points)
+    if points < 2:
+        raise DomainError("need points >= 2")
+    # numpy.linspace's arithmetic, so the grid is the same to the bit
+    step = (z0_max - z0_min) / (points - 1)
+    z0s = [i * step + z0_min for i in range(points - 1)] + [z0_max]
+    bad = next((z for z in z0s if not z > 0), None)
+    if bad is not None:
+        raise DomainError(f"need every z0 > 0; the grid from {z0_min!r} to {z0_max!r} reaches {bad!r}")
+    pref = interactions.gamma_prefactor_hz_m3(gamma_mode)
+    point_dipole = [_point_dipole_hz(pref, z0) for z0 in z0s]
     rows = interactions.scan_couplings(
         cfg.geometry,
         cfg.scattering,
@@ -108,9 +127,8 @@ def scan(ctx, z0_min, z0_max, points, mode, gamma_mode, samples, seed, out):
         mc_samples=(samples if samples is not None else cfg.mc_samples) if mode == "mc" else None,
         seed=seed if seed is not None else cfg.mc_seed,
     )
-    pref = interactions.gamma_prefactor_hz_m3(gamma_mode)
-    for row in rows:
-        row["J_pointdipole_Hz"] = -2.0 * pref / (row["z0_a0"] * BOHR_RADIUS) ** 3
+    for row, value in zip(rows, point_dipole):
+        row["J_pointdipole_Hz"] = value
     _emit(interactions.scan_csv(rows, extra_fields=("J_pointdipole_Hz",)), out)
 
 
@@ -147,6 +165,8 @@ def gatecheck(tolerance, rwa_threshold, out):
 @click.pass_context
 def transport_cmd(ctx, distance_m, nu_trap_hz, mass_amu, budget, out):
     """Plan an adiabatic header translation and report the excitation numbers."""
+    from . import transport
+
     cfg = _cfg(ctx)
     nu = nu_trap_hz if nu_trap_hz is not None else cfg.transport_nu_trap_hz
     mass = mass_amu * ATOMIC_MASS if mass_amu is not None else cfg.transport_mass_kg
@@ -163,6 +183,8 @@ def transport_cmd(ctx, distance_m, nu_trap_hz, mass_amu, budget, out):
 def compile_cmd(ctx, circuit_file, qubits, out):
     """Compile a circuit file into a timed schedule (JSON), with the
     decoherence budget attached."""
+    from . import scheduler
+
     cfg = _cfg(ctx)
     circuit = scheduler.parse_circuit(_read_text(circuit_file))
     if qubits is None:
@@ -181,6 +203,8 @@ def compile_cmd(ctx, circuit_file, qubits, out):
 def simulate_cmd(schedule_file, out):
     """Re-simulate a compiled schedule and report fidelity to the logical
     circuit; exits 2 after writing the report if they do not match."""
+    from . import scheduler
+
     schedule = scheduler.schedule_from_json(_read_text(schedule_file))
     report = scheduler.verify_schedule(schedule)
     _emit(_json_text(report), out)

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .jsonio import loads_finite
-from .scheduler import CompileParams
 from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec, ScatteringParams, TrapGeometry
 from .units import ATOMIC_MASS
 
@@ -43,6 +42,35 @@ _SCHEMA: dict[str, tuple[str, ...]] = {
 }
 
 _SPECIES_KEYS = ("mass_amu", "alpha0_a03", "lambda0_nm", "linewidth_hz")
+
+
+@dataclass(frozen=True)
+class CompileParams:
+    """Physical knobs used by the compiler.
+
+    Couplings are the effective Ising strengths (Hz) at the swap and gate
+    working separations; the defaults are the exchange strength at zero
+    separation and the dipole-only coupling at 1000 a0 for the default
+    interaction geometry.  Trap frequency and mass describe the header's
+    blue-lattice confinement for transport planning.
+    """
+
+    j_swap_hz: float = 4.7227e4
+    j_gate_hz: float = -882.5
+    gate_separation_a0: float = 1000.0   # separation at which j_gate_hz is quoted
+    onebit_time_s: float = 1.0e-5
+    trap_frequency_hz: float = 982323.0
+    mass_kg: float = 87.0 * ATOMIC_MASS
+    p_budget: float = 1.0e-4
+    swap_primitive: str = "heisenberg"   # heisenberg | xors
+    single_bit_mode: str = "direct"      # direct | mediated
+    max_move_duration_s: float | None = None
+
+    def __post_init__(self):
+        if self.swap_primitive not in ("heisenberg", "xors"):
+            raise DomainError(f"swap_primitive must be heisenberg|xors, got {self.swap_primitive!r}")
+        if self.single_bit_mode not in ("direct", "mediated"):
+            raise DomainError(f"single_bit_mode must be direct|mediated, got {self.single_bit_mode!r}")
 
 
 @dataclass

@@ -25,8 +25,6 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import DomainError, NumericalError
 from .traps import GAMMA_MODES, ScatteringParams, TrapGeometry
 from .units import (
@@ -78,12 +76,15 @@ def exchange_strength(geom: TrapGeometry, scat: ScatteringParams) -> CouplingRes
     d_scat = a0_to_m(scat.a_t_a0 - scat.a_s_a0)
     a_ref = scat.a_ref_m
     z0 = a0_to_m(geom.z0)
+    # the Gaussian factor is 0.0 beyond 38.6 a_z; testing that first keeps
+    # z0**2 from overflowing
+    overlap = math.exp(-(z0**2) / (2.0 * a_z**2)) if abs(z0) < 40.0 * a_z else 0.0
     energy = (
         4.0 / math.sqrt(2.0 * math.pi)
         * d_scat
         * (a_ref**2 / a_r**2)
         * (HBAR * scat.omega_ref / a_z)
-        * math.exp(-(z0**2) / (2.0 * a_z**2))
+        * overlap
     )
     return CouplingResult(value_hz=energy / H_PLANCK, method="closed_form")
 
@@ -116,7 +117,7 @@ def _gamma_at_a0(mode: str) -> float:
 # nodes on [-1, 1] with the 10-point Gauss rule embedded at the odd indices.
 # Exact for polynomials of degree 31 (Kronrod) and 19 (Gauss).
 
-_XK = np.array([
+_XK = (
     0.995657163025808080735527280689003,
     0.973906528517171720077964012084452,
     0.930157491355708226001207180059508,
@@ -128,8 +129,8 @@ _XK = np.array([
     0.294392862701460198131126603103866,
     0.148874338981631210884826001129720,
     0.0,
-])
-_WK = np.array([
+)
+_WK = (
     0.011694638867371874278064396062192,
     0.032558162307964727478818972459390,
     0.054755896574351996031381300244580,
@@ -141,18 +142,18 @@ _WK = np.array([
     0.142775938577060080797094273138717,
     0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
-])
-_WG = np.array([
+)
+_WG = (
     0.066671344308688137593568809893332,
     0.149451349150580593145776339657697,
     0.219086362515982043995534934228163,
     0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
-])
+)
 # the same rules over all 21 nodes, in ascending order
-KRONROD_NODES = np.concatenate([-_XK[:-1], _XK[::-1]])
-KRONROD_WEIGHTS = np.concatenate([_WK[:-1], _WK[::-1]])
-GAUSS_WEIGHTS = np.concatenate([_WG, _WG[::-1]])  # at KRONROD_NODES[1::2]
+KRONROD_NODES = tuple(-x for x in _XK[:-1]) + _XK[::-1]
+KRONROD_WEIGHTS = _WK[:-1] + _WK[::-1]
+GAUSS_WEIGHTS = _WG + _WG[::-1]  # at KRONROD_NODES[1::2]
 
 _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
@@ -166,19 +167,17 @@ class Quadrature(NamedTuple):
 
 
 def _gk21(f, lo: list, hi: list) -> tuple[list, list]:
-    """Kronrod estimates and QUADPACK error estimates on panels [lo, hi].
-
-    All nodes of all panels go to ``f`` in one array call.
-    """
-    centre, half = 0.5 * (np.array(lo) + hi), 0.5 * (np.array(hi) - lo)
-    fv = f(centre[:, None] + half[:, None] * KRONROD_NODES)
-    resk = fv @ KRONROD_WEIGHTS
-    resg = fv[:, 1::2] @ GAUSS_WEIGHTS
-    resabs = np.abs(fv) @ KRONROD_WEIGHTS
-    resasc = np.abs(fv - 0.5 * resk[:, None]) @ KRONROD_WEIGHTS
+    """Kronrod estimates and QUADPACK error estimates on panels [lo, hi]."""
     res, errs = [], []
-    for h, k, g, s_abs, s_asc in zip(np.abs(half).tolist(), resk.tolist(), resg.tolist(),
-                                     resabs.tolist(), resasc.tolist()):
+    for a, b in zip(lo, hi):
+        centre, half = 0.5 * (a + b), 0.5 * (b - a)
+        fv = [f(centre + half * x) for x in KRONROD_NODES]
+        k = sum(w * v for w, v in zip(KRONROD_WEIGHTS, fv))
+        g = sum(w * v for w, v in zip(GAUSS_WEIGHTS, fv[1::2]))
+        mean = 0.5 * k
+        s_abs = sum(w * abs(v) for w, v in zip(KRONROD_WEIGHTS, fv))
+        s_asc = sum(w * abs(v - mean) for w, v in zip(KRONROD_WEIGHTS, fv))
+        h = abs(half)
         err, s_abs, s_asc = abs(k - g) * h, s_abs * h, s_asc * h
         if s_asc != 0.0 and err != 0.0:
             err = s_asc * min(1.0, (200.0 * err / s_asc) ** 1.5)
@@ -192,12 +191,12 @@ def _gk21(f, lo: list, hi: list) -> tuple[list, list]:
 def adaptive_gk21(f, points, epsrel: float, limit: int) -> Quadrature:
     """Integral of ``f`` over [points[0], points[-1]], split at every point.
 
-    ``f`` maps an array of abscissae to an array of values.  The panel with
-    the largest error estimate is bisected until the summed estimate is at
-    most ``epsrel`` * |value| (there is no absolute tolerance), until there
-    are ``limit`` panels, or until a sum is not finite (bisection cannot
-    mend a sample that hit a singularity); ``converged`` is true only in
-    the first case.
+    ``f`` maps one float abscissa to one float value: the rule runs on
+    plain ``math`` floats, node by node.  The panel with the largest error
+    estimate is bisected until the summed estimate is at most ``epsrel`` *
+    |value| (there is no absolute tolerance), until there are ``limit``
+    panels, or until a sum is not finite (bisection cannot mend a sample
+    that hit a singularity); ``converged`` is true only in the first case.
     """
     lo, hi = list(points[:-1]), list(points[1:])
     res, err = _gk21(f, lo, hi)
@@ -243,52 +242,58 @@ _SERIES = [(-1) ** k * _double_factorial(2 * k + 1) * (k + 1) for k in range(13)
 _SERIES_SWITCH = 8.0  # in units of |z| / (sqrt(2) a_r)
 
 
-def _erfcx(x: np.ndarray) -> np.ndarray:
+def _erfcx(x: float) -> float:
     """Scaled complementary error function exp(x^2) erfc(x), for 0 <= x < 8.
 
     Within 4e-15 (relative) of a 50-digit reference there; the kernel only
     calls it below ``_SERIES_SWITCH``.
     """
-    return np.exp(x * x) * np.array([math.erfc(v) for v in x.tolist()])
+    return math.exp(x * x) * math.erfc(x)
 
 
-def _axial_kernel(z: np.ndarray, a_r: float) -> np.ndarray:
-    az = np.abs(z)
+def _axial_kernel(z: float, a_r: float) -> float:
+    az = abs(z)
     x = az / (math.sqrt(2.0) * a_r)
-    near = x < _SERIES_SWITCH
-    bracket = np.empty_like(az)
-    zn = az[near]
-    bracket[near] = 2.0 * zn - (a_r * a_r + zn * zn) * math.sqrt(2.0 * math.pi) / a_r * _erfcx(x[near])
-    if not near.all():
-        zf = az[~near]
-        t = (a_r / zf) ** 2
+    if x < _SERIES_SWITCH:
+        bracket = 2.0 * az - (a_r * a_r + az * az) * math.sqrt(2.0 * math.pi) / a_r * _erfcx(x)
+    else:
+        t = (a_r / az) * (a_r / az)
         s = 0.0
         for d in reversed(_SERIES):
             s = s * t + d
-        bracket[~near] = -4.0 * a_r**4 / zf**3 * s
+        bracket = -4.0 * a_r**4 / (az * az * az) * s  # products, not **: inf rather than OverflowError
     return bracket / (2.0 * a_r**4)
 
 
 def dipolar_average(geom: TrapGeometry) -> CouplingResult:
     """Ground-state average of (1/R^3)(1 - 3 (z/R)^2), in m^-3.
 
-    Adaptive Gauss-Kronrod quadrature of the closed-form z-integral over
-    z0 +- 10 a_z (the Gaussian weight makes the excluded tails < 1e-20 of
-    the result), split at the |z| kink at 0; relative accuracy 1e-8 is
-    enforced against the integrator's own error estimate.
+    Adaptive Gauss-Kronrod quadrature, on plain ``math`` floats, of the
+    closed-form z-integral over z0 +- 10 a_z (the Gaussian weight makes the
+    excluded tails < 1e-20 of the result), split at the |z| kink at 0;
+    relative accuracy 1e-8 is enforced against the integrator's own error
+    estimate.
     """
     a_r, a_z, z0 = geom.a_r, geom.a_z, geom.z0
 
-    def integrand(z: np.ndarray) -> np.ndarray:
-        return np.exp(-((z - z0) ** 2) / (2.0 * a_z**2)) * _axial_kernel(z, a_r)
+    def integrand(z: float) -> float:
+        d = z - z0
+        return math.exp(-(d * d) / (2.0 * a_z**2)) * _axial_kernel(z, a_r)
 
     lo, hi = z0 - 10.0 * a_z, z0 + 10.0 * a_z
     points = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
-    quad = adaptive_gk21(integrand, points, epsrel=1e-10, limit=300)
+    try:
+        quad = adaptive_gk21(integrand, points, epsrel=1e-10, limit=300)
+    except (OverflowError, ZeroDivisionError):
+        # Python floats raise where numpy arrays gave inf or nan: a width
+        # whose powers leave float range
+        raise NumericalError(f"dipolar quadrature cannot evaluate trap widths a_r={a_r} a0, a_z={a_z} a0") from None
     pref = 1.0 / (math.sqrt(2.0 * math.pi) * a_z)
     value_a0 = pref * quad.value
-    # absolute floor for geometries where the average crosses zero
-    floor_a0 = 1e-12 * 2.0 / max(z0, a_r, a_z) ** 3
+    # absolute floor for geometries where the average crosses zero; 0 once
+    # the cube overflows
+    scale = max(z0, a_r, a_z)
+    floor_a0 = 1e-12 * 2.0 / (scale * scale * scale)
     if not quad.converged or pref * quad.abserr > max(1e-8 * abs(value_a0), floor_a0):
         raise NumericalError(
             f"dipolar quadrature did not converge: value={value_a0} a0^-3, "
@@ -313,6 +318,8 @@ def _mc_chunk_sums(geom, n_samples, seed, cut2, chunks, buffers) -> list[tuple[f
     plain expression (1 - 3 z^2 / r2) / (r2 sqrt(r2)), so each chunk's sums
     are bit-identical to evaluating that expression on fresh arrays.
     """
+    import numpy as np
+
     q, h, r2, keep = buffers
     sigma_q = np.array([geom.a_qr, geom.a_qr, geom.a_qz])
     sigma_h = np.array([geom.a_hr, geom.a_hr, geom.a_hz])
@@ -373,6 +380,8 @@ def dipolar_average_mc(
     per-chunk sums are added in chunk order, so the result is bit-identical
     whatever the number of workers.
     """
+    import numpy as np
+
     if n_samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {n_samples}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
@@ -414,6 +423,26 @@ def dipolar_average_mc(
     )
 
 
+class _Parts(NamedTuple):
+    exchange_hz: float
+    dipolar_hz: float
+    stderr_hz: float | None
+    method: str
+
+
+def _coupling_parts(geom, scat, gamma_mode, include_exchange, include_dipole, mc_samples, seed) -> _Parts:
+    """The exchange and dipolar parts of J(z0) in Hz; the one evaluator
+    behind ``effective_J`` and ``scan_couplings``."""
+    ex = exchange_strength(geom, scat).value_hz if include_exchange else 0.0
+    if not include_dipole:
+        return _Parts(ex, 0.0, None, "closed_form")
+    pref = gamma_prefactor_hz_m3(gamma_mode)
+    if mc_samples is not None:
+        part = dipolar_average_mc(geom, mc_samples, seed)
+        return _Parts(ex, pref * part.value_hz, pref * part.stderr_hz, "monte_carlo")
+    return _Parts(ex, pref * dipolar_average(geom).value_hz, None, "quadrature")
+
+
 def effective_J(
     geom: TrapGeometry,
     scat: ScatteringParams,
@@ -430,22 +459,8 @@ def effective_J(
     the dipolar part uses the Monte Carlo estimator instead of quadrature
     (stderr propagates to the result).
     """
-    value = 0.0
-    stderr = None
-    method = "closed_form"
-    if include_exchange:
-        value += exchange_strength(geom, scat).value_hz
-    if include_dipole:
-        pref = gamma_prefactor_hz_m3(gamma_mode)
-        if mc_samples is not None:
-            part = dipolar_average_mc(geom, mc_samples, seed)
-            stderr = pref * part.stderr_hz
-            method = "monte_carlo"
-        else:
-            part = dipolar_average(geom)
-            method = "quadrature"
-        value += pref * part.value_hz
-    return CouplingResult(value_hz=value, method=method, stderr_hz=stderr)
+    p = _coupling_parts(geom, scat, gamma_mode, include_exchange, include_dipole, mc_samples, seed)
+    return CouplingResult(value_hz=p.exchange_hz + p.dipolar_hz, method=p.method, stderr_hz=p.stderr_hz)
 
 
 # --- scan output (consumed by the CLI's coupling-scan command) -------------
@@ -467,23 +482,17 @@ def scan_couplings(
     seeded ``seed + i``) when ``mc_samples`` is given, quadrature otherwise.
     """
     rows = []
-    pref = gamma_prefactor_hz_m3(gamma_mode)
     for i, z0 in enumerate(z0_values_a0):
         g = TrapGeometry(geom.a_qr, geom.a_qz, geom.a_hr, geom.a_hz, float(z0))
-        ex = exchange_strength(g, scat).value_hz
-        if mc_samples is not None:
-            part = dipolar_average_mc(g, mc_samples, seed + i)
-            dip, err, method = pref * part.value_hz, pref * part.stderr_hz, "monte_carlo"
-        else:
-            dip, err, method = pref * dipolar_average(g).value_hz, None, "quadrature"
+        p = _coupling_parts(g, scat, gamma_mode, True, True, mc_samples, seed + i)
         rows.append(
             {
                 "z0_a0": float(z0),
-                "J_exchange_Hz": ex,
-                "J_dipolar_Hz": dip,
-                "J_total_Hz": ex + dip,
-                "method": method,
-                "stderr_Hz": err,
+                "J_exchange_Hz": p.exchange_hz,
+                "J_dipolar_Hz": p.dipolar_hz,
+                "J_total_Hz": p.exchange_hz + p.dipolar_hz,
+                "method": p.method,
+                "stderr_Hz": p.stderr_hz,
             }
         )
     return rows

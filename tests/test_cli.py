@@ -2,6 +2,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spinbus
 from spinbus.cli import main
@@ -74,6 +76,41 @@ def test_scan_two_points(capsys):
 def test_scan_validates_range(capsys):
     code, _, err = run(capsys, "scan", "--z0-min", "-5", "--z0-max", "100", "--points", "3")
     assert code == 1
+
+
+@pytest.mark.parametrize("z0_min, z0_max, points, message", [
+    ("100", "-100", "3", "need every z0 > 0; the grid from 100.0 to -100.0 reaches 0.0"),
+    ("1e-100", "1e-100", "2", "z0 = 1e-100 a0 is out of range: the point-dipole reference is not a finite float"),
+    ("1e200", "1e200", "2", "z0 = 1e+200 a0 is out of range: the point-dipole reference is not a finite float"),
+], ids=["grid-crosses-zero", "cube-underflows", "cube-overflows"])
+def test_scan_z0_out_of_float_range_exit_1(capsys, z0_min, z0_max, points, message):
+    code, out, err = run(capsys, "scan", "--z0-min", z0_min, "--z0-max", z0_max, "--points", points)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(z0_min=_FINITE, z0_max=_FINITE, points=st.integers(2, 5))
+def test_scan_any_finite_range_writes_finite_numbers_or_one_error_line(capsys, z0_min, z0_max, points):
+    code, out, err = run(capsys, "scan", "--z0-min", repr(z0_min), "--z0-max", repr(z0_max),
+                         "--points", str(points))
+    if code == 0:
+        rows = parse_csv(out)
+        assert len(rows) == points
+        for row in rows:
+            for key, value in row.items():
+                if key not in ("method", "stderr_Hz"):
+                    assert math.isfinite(float(value)), (key, value)
+    else:
+        assert code in (1, 2)
+        assert out == ""
+        assert err.startswith("error: " if code == 1 else "numerical failure: ")
+        assert err.count("\n") == 1
 
 
 def test_scan_mc_byte_deterministic(capsys):
@@ -229,7 +266,10 @@ def test_no_command_imports_scipy(tmp_path):
     assert _loads_scipy(tmp_path, ["transport"], preload="scipy.special")
 
 
-def test_tables_transport_and_compile_do_not_import_numpy(tmp_path):
+QUAD_SCAN = ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "5"]
+
+
+def test_tables_transport_compile_and_quadrature_scan_do_not_import_numpy(tmp_path):
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
     assert not _loads(
         "numpy",
@@ -238,9 +278,21 @@ def test_tables_transport_and_compile_do_not_import_numpy(tmp_path):
         ["tables", "--lattice", "blue", "--format", "json"],
         ["transport"],
         ["compile", "circuit.txt", "--out", "schedule.json"],
+        QUAD_SCAN,
     )
     # the probe does see numpy when a command imports it
     assert _loads("numpy", tmp_path, ["simulate", "schedule.json"])
+    assert _loads("numpy", tmp_path, [*QUAD_SCAN, "--mode", "mc", "--samples", "10000"])
+    # only compile and simulate load the scheduler
+    assert not _loads(
+        "spinbus.scheduler",
+        tmp_path,
+        ["tables", "--lattice", "red"],
+        ["tables", "--lattice", "blue", "--format", "json"],
+        ["transport"],
+        QUAD_SCAN,
+    )
+    assert _loads("spinbus.scheduler", tmp_path, ["compile", "circuit.txt", "--out", "schedule.json"])
 
 
 def test_compile_then_simulate_round_trip(capsys, tmp_path):

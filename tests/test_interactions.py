@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -143,7 +144,8 @@ def test_erfc_matches_high_precision_reference():
     x = np.linspace(0.05, 9.5, 20)
     x = x[x < ia._SERIES_SWITCH]
     with mpmath.workdps(50):
-        for xi, got in zip(x.tolist(), ia._erfcx(x).tolist()):
+        for xi in x.tolist():
+            got = ia._erfcx(xi)
             ref = float(mpmath.erfc(mpmath.mpf(xi)) * mpmath.exp(mpmath.mpf(xi) ** 2))
             assert got == pytest.approx(ref, rel=1e-14)
 
@@ -151,9 +153,9 @@ def test_erfc_matches_high_precision_reference():
 def test_erfcx_matches_high_precision_reference_over_kernel_range():
     # the kernel calls erfcx only below the series switch at x = 8
     x = np.linspace(0.0, ia._SERIES_SWITCH, 2001)[:-1]
-    got = ia._erfcx(x)
     with mpmath.workdps(50):
-        for xi, g in zip(x.tolist(), got.tolist()):
+        for xi in x.tolist():
+            g = ia._erfcx(xi)
             ref = float(mpmath.erfc(xi) * mpmath.exp(mpmath.mpf(xi) ** 2))
             assert g == pytest.approx(ref, rel=1e-14)
 
@@ -165,14 +167,15 @@ def _monomial_integral(k: int) -> float:
 
 
 def test_gk21_rules_integrate_monomials_exactly_up_to_their_degree():
-    x = ia.KRONROD_NODES
+    x = np.asarray(ia.KRONROD_NODES)
+    wk, wg = np.asarray(ia.KRONROD_WEIGHTS), np.asarray(ia.GAUSS_WEIGHTS)
     for k in range(32):
-        assert abs(ia.KRONROD_WEIGHTS @ x**k - _monomial_integral(k)) <= 1e-15
+        assert abs(wk @ x**k - _monomial_integral(k)) <= 1e-15
     for k in range(20):
-        assert abs(ia.GAUSS_WEIGHTS @ x[1::2] ** k - _monomial_integral(k)) <= 1e-15
+        assert abs(wg @ x[1::2] ** k - _monomial_integral(k)) <= 1e-15
     # and no further: the next even degree is visibly off
-    assert abs(ia.KRONROD_WEIGHTS @ x**32 - _monomial_integral(32)) > 1e-13
-    assert abs(ia.GAUSS_WEIGHTS @ x[1::2] ** 20 - _monomial_integral(20)) > 1e-7
+    assert abs(wk @ x**32 - _monomial_integral(32)) > 1e-13
+    assert abs(wg @ x[1::2] ** 20 - _monomial_integral(20)) > 1e-7
 
 
 def test_gauss_rule_matches_leggauss():
@@ -417,6 +420,33 @@ def test_effective_j_mc_mode_propagates_stderr():
 def test_effective_j_zero_mc_samples_is_refused_not_quadrature():
     with pytest.raises(DomainError, match="at least 1e4 samples"):
         ia.effective_J(REF_GEOM, RB_SCAT, include_exchange=False, mc_samples=0)
+
+
+@pytest.mark.parametrize("mc_samples", [None, 20_000], ids=["quadrature", "monte_carlo"])
+def test_effective_j_equals_each_scan_row_total(mc_samples):
+    z0s = [300.0, 1000.0, 2400.0]
+    rows = ia.scan_couplings(REF_GEOM, RB_SCAT, z0s, mc_samples=mc_samples, seed=5)
+    for i, (z0, row) in enumerate(zip(z0s, rows)):
+        geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, z0)
+        j = ia.effective_J(geom, RB_SCAT, mc_samples=mc_samples, seed=5 + i)
+        assert j.value_hz == row["J_total_Hz"]
+        assert (j.method, j.stderr_hz) == (row["method"], row["stderr_Hz"])
+
+
+@pytest.mark.parametrize("z0", [1e103, 1e200, sys.float_info.max])
+def test_couplings_beyond_float_range_of_z0_cubed_do_not_overflow(z0):
+    # the kernel's |z|^3 overflows from 5.6e102 a0, the exchange's z0^2 (in m)
+    # from 2.5e164 a0; both couplings are 0 or vanishingly small out there
+    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, z0)
+    assert ia.exchange_strength(geom, RB_SCAT).value_hz == 0.0
+    assert abs(ia.dipolar_average(geom).value_hz) <= 1e-250
+
+
+@pytest.mark.parametrize("a_r", [1e-90, 1e100])
+def test_dipolar_average_at_widths_out_of_float_range_is_a_numerical_error(a_r):
+    # a_r^4 underflows to 0 or overflows
+    with pytest.raises(NumericalError, match="cannot evaluate trap widths"):
+        ia.dipolar_average(ia.TrapGeometry(a_r, 400.0, a_r, 100.0, 1000.0))
 
 
 def test_coupling_inputs_are_the_trap_module_definitions():
