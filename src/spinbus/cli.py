@@ -1,25 +1,28 @@
 """Command-line entry point.
 
 Commands: ``tables``, ``scan``, ``gatecheck``, ``transport``, ``compile``,
-``simulate``.  All commands are deterministic given the config file and
-seed, and write byte-identical output on repeated runs.  Exit codes:
-0 success, 1 validation failure, 2 numerical failure.
+``simulate``; the global ``--config`` goes before the command.  All commands
+are deterministic given the config file and seed, and write byte-identical
+output on repeated runs.  Exit codes: 0 success (``--help`` included),
+1 validation failure, 2 numerical failure.  A failure writes one line to
+stderr: ``error: ...`` for exit 1, ``numerical failure: ...`` for exit 2; a
+usage error (unknown command or option, missing or malformed value) is a
+validation failure.
 
-Each command imports the modules it uses when it runs.  Only ``scan --mode
-mc``, ``gatecheck`` and, through the scheduler's simulation, ``simulate``
-load numpy; ``tables``, ``transport``, ``compile`` and the quadrature
-``scan`` start without it, and only ``compile`` and ``simulate`` load the
-scheduler.
+The front end is the standard library's ``argparse``.  Each command imports
+the modules it uses when it runs.  Only ``scan --mode mc``, ``gatecheck``
+and, through the scheduler's simulation, ``simulate`` load numpy;
+``tables``, ``transport``, ``compile`` and the quadrature ``scan`` start
+without it, and only ``compile`` and ``simulate`` load the scheduler.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 from pathlib import Path
-
-import click
 
 from . import traps
 from .config import Config, load_config
@@ -34,7 +37,7 @@ def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
     else:
-        click.echo(text, nl=False)
+        sys.stdout.write(text)
 
 
 def _read_text(path: str) -> str:
@@ -50,32 +53,18 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-@click.group()
-@click.option("--config", "config_path", type=click.Path(), default=None, help="JSON config file.")
-@click.pass_context
-def cli(ctx, config_path):
-    """Simulator and compiler for the dual-lattice trapped-spin architecture."""
-    ctx.obj = {"config_path": config_path}
+def _cfg(args) -> Config:
+    return load_config(args.config)
 
 
-def _cfg(ctx) -> Config:
-    return load_config(ctx.obj["config_path"])
-
-
-@cli.command()
-@click.option("--lattice", type=click.Choice(["red", "blue"]), required=True)
-@click.option("--species", "species_filter", default=None, help="Comma-separated species names.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def tables(ctx, lattice, species_filter, fmt, out):
+def tables(args):
     """Per-species trap parameter table for one lattice."""
-    cfg = _cfg(ctx)
-    names = [s.strip() for s in species_filter.split(",")] if species_filter else None
+    cfg = _cfg(args)
+    names = [s.strip() for s in args.species.split(",")] if args.species else None
     reports = traps.lattice_reports(
-        lattice, names, registry=cfg.species, red_spec=cfg.red_lattice, blue_spec=cfg.blue_lattice
+        args.lattice, names, registry=cfg.species, red_spec=cfg.red_lattice, blue_spec=cfg.blue_lattice
     )
-    _emit(traps.reports_csv(reports) if fmt == "csv" else traps.reports_json(reports), out)
+    _emit(traps.reports_csv(reports) if args.format == "csv" else traps.reports_json(reports), args.out)
 
 
 def _point_dipole_hz(pref: float, z0_a0: float) -> float:
@@ -90,17 +79,7 @@ def _point_dipole_hz(pref: float, z0_a0: float) -> float:
     return value
 
 
-@cli.command()
-@click.option("--z0-min", type=float, required=True, help="Smallest separation, a0.")
-@click.option("--z0-max", type=float, required=True)
-@click.option("--points", type=int, required=True)
-@click.option("--mode", type=click.Choice(["quadrature", "mc"]), default="quadrature")
-@click.option("--gamma-mode", type=click.Choice(list(traps.GAMMA_MODES)), default="calibrated")
-@click.option("--samples", type=int, default=None, help="MC samples per point (mc mode).")
-@click.option("--seed", type=int, default=None)
-@click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def scan(ctx, z0_min, z0_max, points, mode, gamma_mode, samples, seed, out):
+def scan(args):
     """Coupling-strength scan over the trap separation.
 
     Columns: exchange, Gaussian-averaged dipolar, total, plus the point
@@ -108,7 +87,8 @@ def scan(ctx, z0_min, z0_max, points, mode, gamma_mode, samples, seed, out):
     """
     from . import interactions
 
-    cfg = _cfg(ctx)
+    cfg = _cfg(args)
+    z0_min, z0_max, points = args.z0_min, args.z0_max, args.points
     if points < 2:
         raise DomainError("need points >= 2")
     # numpy.linspace's arithmetic, so the grid is the same to the bit
@@ -117,26 +97,22 @@ def scan(ctx, z0_min, z0_max, points, mode, gamma_mode, samples, seed, out):
     bad = next((z for z in z0s if not z > 0), None)
     if bad is not None:
         raise DomainError(f"need every z0 > 0; the grid from {z0_min!r} to {z0_max!r} reaches {bad!r}")
-    pref = interactions.gamma_prefactor_hz_m3(gamma_mode)
+    pref = interactions.gamma_prefactor_hz_m3(args.gamma_mode)
     point_dipole = [_point_dipole_hz(pref, z0) for z0 in z0s]
     rows = interactions.scan_couplings(
         cfg.geometry,
         cfg.scattering,
         z0s,
-        gamma_mode=gamma_mode,
-        mc_samples=(samples if samples is not None else cfg.mc_samples) if mode == "mc" else None,
-        seed=seed if seed is not None else cfg.mc_seed,
+        gamma_mode=args.gamma_mode,
+        mc_samples=(args.samples if args.samples is not None else cfg.mc_samples) if args.mode == "mc" else None,
+        seed=args.seed if args.seed is not None else cfg.mc_seed,
     )
     for row, value in zip(rows, point_dipole):
         row["J_pointdipole_Hz"] = value
-    _emit(interactions.scan_csv(rows, extra_fields=("J_pointdipole_Hz",)), out)
+    _emit(interactions.scan_csv(rows, extra_fields=("J_pointdipole_Hz",)), args.out)
 
 
-@cli.command()
-@click.option("--tolerance", type=float, default=1.0 - 1e-9, help="Identity fidelity threshold.")
-@click.option("--rwa-threshold", type=float, default=0.999, help="Required fidelity at the widest scan point.")
-@click.option("--out", default=None, type=click.Path())
-def gatecheck(tolerance, rwa_threshold, out):
+def gatecheck(args):
     """Gate identity checks plus the stirring/RWA validity scan; fails nonzero
     if any identity fidelity drops below the threshold."""
     from . import gates as gatelib
@@ -146,47 +122,36 @@ def gatecheck(tolerance, rwa_threshold, out):
     doc = {
         "identities": reports,
         "rwa_scan": scan_rows,
-        "tolerance": tolerance,
-        "rwa_threshold": rwa_threshold,
+        "tolerance": args.tolerance,
+        "rwa_threshold": args.rwa_threshold,
     }
-    ok = all(r["fidelity"] >= tolerance for r in reports) and scan_rows[0]["fidelity"] >= rwa_threshold
+    ok = all(r["fidelity"] >= args.tolerance for r in reports) and scan_rows[0]["fidelity"] >= args.rwa_threshold
     doc["pass"] = ok
-    _emit(_json_text(doc), out)
+    _emit(_json_text(doc), args.out)
     if not ok:
         raise NumericalError("gate check failed the fidelity threshold")
 
 
-@cli.command("transport")
-@click.option("--distance-m", type=float, default=traps.CO2_WAVELENGTH_M / 2.0, show_default=True)
-@click.option("--nu-trap-hz", type=float, default=None, help="Header trap frequency (default: config).")
-@click.option("--mass-amu", type=float, default=None)
-@click.option("--budget", type=float, default=None, help="Excitation probability budget.")
-@click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def transport_cmd(ctx, distance_m, nu_trap_hz, mass_amu, budget, out):
+def transport_cmd(args):
     """Plan an adiabatic header translation and report the excitation numbers."""
     from . import transport
 
-    cfg = _cfg(ctx)
-    nu = nu_trap_hz if nu_trap_hz is not None else cfg.transport_nu_trap_hz
-    mass = mass_amu * ATOMIC_MASS if mass_amu is not None else cfg.transport_mass_kg
-    p_budget = budget if budget is not None else cfg.transport_p_budget
-    _, result = transport.plan_transport(distance_m, 2.0 * math.pi * nu, mass, p_budget)
-    _emit(_json_text(result.as_dict()), out)
+    cfg = _cfg(args)
+    nu = args.nu_trap_hz if args.nu_trap_hz is not None else cfg.transport_nu_trap_hz
+    mass = args.mass_amu * ATOMIC_MASS if args.mass_amu is not None else cfg.transport_mass_kg
+    p_budget = args.budget if args.budget is not None else cfg.transport_p_budget
+    _, result = transport.plan_transport(args.distance_m, 2.0 * math.pi * nu, mass, p_budget)
+    _emit(_json_text(result.as_dict()), args.out)
 
 
-@cli.command("compile")
-@click.argument("circuit_file", type=click.Path(exists=True))
-@click.option("--qubits", type=int, default=None, help="Register size (default: fit the circuit).")
-@click.option("--out", default=None, type=click.Path())
-@click.pass_context
-def compile_cmd(ctx, circuit_file, qubits, out):
+def compile_cmd(args):
     """Compile a circuit file into a timed schedule (JSON), with the
     decoherence budget attached."""
     from . import scheduler
 
-    cfg = _cfg(ctx)
-    circuit = scheduler.parse_circuit(_read_text(circuit_file))
+    cfg = _cfg(args)
+    circuit = scheduler.parse_circuit(_read_text(args.circuit_file))
+    qubits = args.qubits
     if qubits is None:
         qubits = max((q for g in circuit for q in g.qubits), default=0) + 1
     register = scheduler.Register(n_qubits=qubits)
@@ -194,37 +159,130 @@ def compile_cmd(ctx, circuit_file, qubits, out):
     budget = scheduler.budget(schedule, cfg.rates_hz)
     doc = json.loads(scheduler.schedule_to_json(schedule))
     doc["budget"] = budget.as_dict()
-    _emit(_json_text(doc), out)
+    _emit(_json_text(doc), args.out)
 
 
-@cli.command("simulate")
-@click.argument("schedule_file", type=click.Path(exists=True))
-@click.option("--out", default=None, type=click.Path())
-def simulate_cmd(schedule_file, out):
+def simulate_cmd(args):
     """Re-simulate a compiled schedule and report fidelity to the logical
     circuit; exits 2 after writing the report if they do not match."""
     from . import scheduler
 
-    schedule = scheduler.schedule_from_json(_read_text(schedule_file))
+    schedule = scheduler.schedule_from_json(_read_text(args.schedule_file))
     report = scheduler.verify_schedule(schedule)
-    _emit(_json_text(report), out)
+    _emit(_json_text(report), args.out)
     if not report["matches"]:
         raise NumericalError(f"schedule differs from the logical circuit by {report['max_norm_error']:.3e}")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a validation failure: one ``error:`` line, exit 1
+        # (argparse itself prints the usage and exits 2)
+        raise DomainError(message)
+
+
+def _parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The command-line parser, and the option strings that take a value:
+    ``scopes[None]`` before the command, ``scopes[name]`` after it."""
+    valued = {}  # parser -> its option strings that take a value
+
+    def option(p, name, **kw):
+        valued.setdefault(p, set()).add(name)
+        p.add_argument(name, **kw)
+
+    parser = _Parser(
+        prog="spinbus",
+        description="Simulator and compiler for the dual-lattice trapped-spin architecture.",
+        allow_abbrev=False,
+    )
+    option(parser, "--config", help="JSON config file.")
+    commands = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func):
+        doc = func.__doc__ or ""  # None under python -OO
+        p = commands.add_parser(name, help=doc.split("\n\n")[0], description=doc, allow_abbrev=False)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("tables", tables)
+    option(p, "--lattice", choices=["red", "blue"], required=True)
+    option(p, "--species", help="Comma-separated species names.")
+    option(p, "--format", choices=["csv", "json"], default="csv")
+    option(p, "--out")
+
+    p = command("scan", scan)
+    option(p, "--z0-min", type=float, required=True, help="Smallest separation, a0.")
+    option(p, "--z0-max", type=float, required=True)
+    option(p, "--points", type=int, required=True)
+    option(p, "--mode", choices=["quadrature", "mc"], default="quadrature")
+    option(p, "--gamma-mode", choices=list(traps.GAMMA_MODES), default="calibrated")
+    option(p, "--samples", type=int, help="MC samples per point (mc mode).")
+    option(p, "--seed", type=int)
+    option(p, "--out")
+
+    p = command("gatecheck", gatecheck)
+    option(p, "--tolerance", type=float, default=1.0 - 1e-9, help="Identity fidelity threshold.")
+    option(p, "--rwa-threshold", type=float, default=0.999, help="Required fidelity at the widest scan point.")
+    option(p, "--out")
+
+    p = command("transport", transport_cmd)
+    option(p, "--distance-m", type=float, default=traps.CO2_WAVELENGTH_M / 2.0, help="(default: %(default)s)")
+    option(p, "--nu-trap-hz", type=float, help="Header trap frequency (default: config).")
+    option(p, "--mass-amu", type=float)
+    option(p, "--budget", type=float, help="Excitation probability budget.")
+    option(p, "--out")
+
+    p = command("compile", compile_cmd)
+    p.add_argument("circuit_file")
+    option(p, "--qubits", type=int, help="Register size (default: fit the circuit).")
+    option(p, "--out")
+
+    p = command("simulate", simulate_cmd)
+    p.add_argument("schedule_file")
+    option(p, "--out")
+    scopes = {name: valued[sub] for name, sub in commands.choices.items()}
+    scopes[None] = valued[parser]
+    return parser, scopes
+
+
+def _attach_values(argv: list[str], scopes: dict) -> list[str]:
+    """Join each ``--option value`` pair into ``--option=value``.
+
+    An option's value is the next token whatever it looks like, as in
+    ``--z0-min -1e-100`` or ``--tolerance -inf``; argparse would read those
+    tokens as option strings, because its negative-number pattern has no
+    exponent and no ``inf``.
+    """
+    out, scope = [], scopes[None]
+    tokens = iter(argv)
+    for token in tokens:
+        if token in scope:
+            value = next(tokens, None)
+            out.append(token if value is None else f"{token}={value}")
+            continue
+        if scope is scopes[None] and token in scopes:  # the command name
+            scope = scopes[token]
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
+    parser, scopes = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Abort:
-        return EXIT_VALIDATION
-    except click.ClickException as exc:
-        click.echo(f"error: {exc.format_message()}", err=True)
+        try:
+            args = parser.parse_args(_attach_values(argv, scopes))
+        except SystemExit as exc:  # --help prints the usage, then argparse exits
+            return exc.code
+        args.func(args)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_VALIDATION
     except NumericalError as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (DomainError, SpinBusError) as exc:
-        click.echo(f"error: {exc}", err=True)
+    except SpinBusError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     return 0
 

@@ -76,17 +76,24 @@ def exchange_strength(geom: TrapGeometry, scat: ScatteringParams) -> CouplingRes
     d_scat = a0_to_m(scat.a_t_a0 - scat.a_s_a0)
     a_ref = scat.a_ref_m
     z0 = a0_to_m(geom.z0)
-    # the Gaussian factor is 0.0 beyond 38.6 a_z; testing that first keeps
-    # z0**2 from overflowing
-    overlap = math.exp(-(z0**2) / (2.0 * a_z**2)) if abs(z0) < 40.0 * a_z else 0.0
-    energy = (
-        4.0 / math.sqrt(2.0 * math.pi)
-        * d_scat
-        * (a_ref**2 / a_r**2)
-        * (HBAR * scat.omega_ref / a_z)
-        * overlap
-    )
-    return CouplingResult(value_hz=energy / H_PLANCK, method="closed_form")
+    try:
+        # the Gaussian factor is 0.0 beyond 38.6 a_z; testing that first
+        # keeps z0**2 from overflowing
+        overlap = math.exp(-(z0**2) / (2.0 * a_z**2)) if abs(z0) < 40.0 * a_z else 0.0
+        energy = (
+            4.0 / math.sqrt(2.0 * math.pi)
+            * d_scat
+            * (a_ref**2 / a_r**2)
+            * (HBAR * scat.omega_ref / a_z)
+            * overlap
+        )
+        value_hz = energy / H_PLANCK
+    except (OverflowError, ZeroDivisionError):
+        value_hz = math.inf
+    if not math.isfinite(value_hz):
+        # a width whose square leaves float range
+        raise NumericalError(f"exchange coupling cannot evaluate trap widths a_r={geom.a_r} a0, a_z={geom.a_z} a0")
+    return CouplingResult(value_hz=value_hz, method="closed_form")
 
 
 def dipole_strength(r_a0: float, mode: str = "calibrated") -> CouplingResult:
@@ -269,19 +276,20 @@ def dipolar_average(geom: TrapGeometry) -> CouplingResult:
     """Ground-state average of (1/R^3)(1 - 3 (z/R)^2), in m^-3.
 
     Adaptive Gauss-Kronrod quadrature, on plain ``math`` floats, of the
-    closed-form z-integral over z0 +- 10 a_z (the Gaussian weight makes the
-    excluded tails < 1e-20 of the result), split at the |z| kink at 0;
-    relative accuracy 1e-8 is enforced against the integrator's own error
-    estimate.
+    closed-form z-integral over u = z - z0 in +- 10 a_z (the Gaussian weight
+    makes the excluded tails < 1e-20 of the result), split at the |z| kink
+    at u = -z0 when it lies inside; relative accuracy 1e-8 is enforced
+    against the integrator's own error estimate.  The nodes are offsets from
+    z0, so the Gaussian weight keeps full precision at any z0; nodes at
+    z0 + u would be rounded to the ulp of z0.
     """
     a_r, a_z, z0 = geom.a_r, geom.a_z, geom.z0
 
-    def integrand(z: float) -> float:
-        d = z - z0
-        return math.exp(-(d * d) / (2.0 * a_z**2)) * _axial_kernel(z, a_r)
+    def integrand(u: float) -> float:
+        return math.exp(-(u * u) / (2.0 * a_z**2)) * _axial_kernel(z0 + u, a_r)
 
-    lo, hi = z0 - 10.0 * a_z, z0 + 10.0 * a_z
-    points = [lo, 0.0, hi] if lo < 0.0 < hi else [lo, hi]
+    half = 10.0 * a_z
+    points = [-half, -z0, half] if -half < -z0 < half else [-half, half]
     try:
         quad = adaptive_gk21(integrand, points, epsrel=1e-10, limit=300)
     except (OverflowError, ZeroDivisionError):

@@ -26,6 +26,39 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+USAGE_ERRORS = {
+    "no-command": [],
+    "unknown-command": ["frobnicate"],
+    "unknown-option": ["tables", "--lattice", "red", "--colour", "blue"],
+    "missing-required-option": ["tables"],
+    "missing-value": ["tables", "--lattice"],
+    "bad-choice": ["tables", "--lattice", "green"],
+    "non-numeric-float": ["scan", "--z0-min", "near", "--z0-max", "2500", "--points", "3"],
+    "non-numeric-int": ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "3.5"],
+    "abbreviated-option": ["scan", "--z0-min", "200", "--z0-max", "2500", "--poi", "3"],
+    "abbreviated-optional-option": ["tables", "--lattice", "red", "--form", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS.values()), ids=list(USAGE_ERRORS))
+def test_usage_error_exit_1_with_one_error_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: spinbus "),
+    (["scan", "--help"], "usage: spinbus scan "),
+], ids=["global", "scan"])
+def test_help_exit_0_with_usage_on_stdout(capsys, argv, usage):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert out.startswith(usage)
+    assert err == ""
+
+
 def test_tables_red_rb_matches_reference(capsys):
     code, out, _ = run(capsys, "tables", "--lattice", "red", "--species", "Rb")
     assert code == 0
@@ -88,6 +121,28 @@ def test_scan_z0_out_of_float_range_exit_1(capsys, z0_min, z0_max, points, messa
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_scan_negative_value_in_scientific_notation_is_read_as_a_value(capsys):
+    # a value-taking option takes the next token even when it looks like an option
+    code, out, err = run(capsys, "scan", "--z0-min", "-1e-100", "--z0-max", "2500", "--points", "3")
+    assert code == 1
+    assert out == ""
+    assert err == "error: need every z0 > 0; the grid from -1e-100 to 2500.0 reaches -1e-100\n"
+
+
+@pytest.mark.parametrize("geometry, widths", [
+    ({"a_qz_a0": 1e200}, "a_r=412.31056256176606 a0, a_z=1e+200 a0"),
+    ({"a_qr_a0": 1e-200, "a_hr_a0": 1e-200}, "a_r=1.414213562373095e-200 a0, a_z=412.31056256176606 a0"),
+    ({"a_qr_a0": 1e-150, "a_hr_a0": 1e-150}, "a_r=1.414213562373095e-150 a0, a_z=412.31056256176606 a0"),
+], ids=["square-overflows", "square-underflows", "coupling-overflows"])
+def test_scan_trap_widths_out_of_float_range_exit_2(capsys, tmp_path, geometry, widths):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"geometry": geometry}))
+    code, out, err = run(capsys, "--config", str(cfg), "scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"numerical failure: exchange coupling cannot evaluate trap widths {widths}\n"
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -248,22 +303,31 @@ def _loads(module, tmp_path, *commands, preload="") -> bool:
 
 
 _loads_scipy = functools.partial(_loads, "scipy")
+_loads_click = functools.partial(_loads, "click")
+
+EVERY_COMMAND = (
+    ["tables", "--lattice", "red"],
+    ["transport"],
+    ["compile", "circuit.txt", "--out", "schedule.json"],
+    ["simulate", "schedule.json"],
+    ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc", "--samples", "10000"],
+    ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"],
+    ["gatecheck"],
+)
 
 
 def test_no_command_imports_scipy(tmp_path):
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
-    assert not _loads_scipy(
-        tmp_path,
-        ["tables", "--lattice", "red"],
-        ["transport"],
-        ["compile", "circuit.txt", "--out", "schedule.json"],
-        ["simulate", "schedule.json"],
-        ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc", "--samples", "10000"],
-        ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"],
-        ["gatecheck"],
-    )
+    assert not _loads_scipy(tmp_path, *EVERY_COMMAND)
     # the probe does see scipy when something imports it
     assert _loads_scipy(tmp_path, ["transport"], preload="scipy.special")
+
+
+def test_no_command_imports_click(tmp_path):
+    # click is not a dependency, so it may not be installed for a positive
+    # control; the scipy test above shows the probe sees an imported module
+    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
+    assert not _loads_click(tmp_path, *EVERY_COMMAND)
 
 
 QUAD_SCAN = ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "5"]

@@ -293,6 +293,15 @@ def test_dipolar_average_far_asymptote():
         assert val * units.a0_to_m(geom.z0) ** 3 == pytest.approx(-2.0, rel=0.01)
 
 
+@pytest.mark.parametrize("z0", [1e15, 1e19, 1e20])
+def test_dipolar_average_at_large_z0_is_the_point_dipole(z0):
+    # nodes at z0 + u would be rounded to the ulp of z0 (2048 a0 at 1e19 a0,
+    # against a_z = 412 a0)
+    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, z0)
+    got = ia.dipolar_average(geom).value_hz * units.BOHR_RADIUS**3
+    assert got * z0**3 == pytest.approx(-2.0, rel=1e-12)
+
+
 def test_dipolar_mc_agrees_with_quadrature_anisotropic():
     geom = ia.TrapGeometry(300, 150, 120, 80, 600.0)
     mc = ia.dipolar_average_mc(geom, 400_000, seed=99)
