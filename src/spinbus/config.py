@@ -1,47 +1,24 @@
-"""Run configuration: one JSON file, validated strictly, flags win.
+"""Run configuration: one JSON file, checked whole at load; flags win.
 
 Every section is optional; omitted keys take the architecture defaults
 (Rb register in the CO2 lattice, the reference interaction geometry).
-Unknown sections or keys are rejected so typos cannot silently fall back
-to defaults.
+Section keys and their JSON types come from the dataclass each section
+builds, or from a map written out where a key carries a unit its field
+does not (``geometry``, ``scattering``, ``mc``, ``transport``).  Any
+unknown section or key, missing species key or value of the wrong JSON
+type fails every command, so typos cannot silently fall back to defaults.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
-from .jsonio import loads_finite
+from .jsonio import checked_fields, loads_finite
 from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec, ScatteringParams, TrapGeometry
 from .units import ATOMIC_MASS
-
-_SCHEMA: dict[str, tuple[str, ...]] = {
-    "species": (),  # free-form: name -> {mass_amu, alpha0_a03, lambda0_nm, linewidth_hz}
-    "red_lattice": ("wavelength_m", "intensity_w_cm2", "depth_calibration_hz_per_a03"),
-    "blue_lattice": ("rabi_hz", "detuning_hz", "linewidth_hz"),
-    "geometry": ("a_qr_a0", "a_qz_a0", "a_hr_a0", "a_hz_a0", "z0_a0"),
-    "scattering": ("a_t_a0", "a_s_a0", "mass_amu", "nu_ref_hz"),
-    "mc": ("seed", "samples"),
-    "transport": ("nu_trap_hz", "mass_amu", "p_budget"),
-    "scheduler": (
-        "j_swap_hz",
-        "j_gate_hz",
-        "gate_separation_a0",
-        "onebit_time_s",
-        "trap_frequency_hz",
-        "mass_amu",
-        "p_budget",
-        "swap_primitive",
-        "single_bit_mode",
-        "max_move_duration_s",
-        "rates_hz",
-    ),
-}
-
-_SPECIES_KEYS = ("mass_amu", "alpha0_a03", "lambda0_nm", "linewidth_hz")
 
 
 @dataclass(frozen=True)
@@ -71,6 +48,10 @@ class CompileParams:
             raise DomainError(f"swap_primitive must be heisenberg|xors, got {self.swap_primitive!r}")
         if self.single_bit_mode not in ("direct", "mediated"):
             raise DomainError(f"single_bit_mode must be direct|mediated, got {self.single_bit_mode!r}")
+        if not self.gate_separation_a0 > 0:
+            raise DomainError(f"gate_separation_a0 must be positive, got {self.gate_separation_a0!r}")
+        if self.onebit_time_s < 0:
+            raise DomainError(f"onebit_time_s must be >= 0, got {self.onebit_time_s!r}")
 
 
 @dataclass
@@ -97,6 +78,25 @@ class Config:
     )
 
 
+def _annotations(cls, **renamed) -> dict[str, str]:
+    """``{JSON key: field annotation}`` of dataclass ``cls``; ``renamed``
+    maps a field name to the key it is read under."""
+    return {renamed.get(f.name, f.name): f.type for f in fields(cls)}
+
+
+_SPECIES = {k: v for k, v in _annotations(AtomSpecies).items() if k != "name"}
+_SPECIES_REQUIRED = [f.name for f in fields(AtomSpecies) if f.default is MISSING and f.name != "name"]
+_SECTIONS = {
+    "red_lattice": _annotations(RedLatticeSpec),
+    "blue_lattice": _annotations(BlueLatticeSpec),
+    "geometry": {"a_qr_a0": "float", "a_qz_a0": "float", "a_hr_a0": "float", "a_hz_a0": "float", "z0_a0": "float"},
+    "scattering": {"a_t_a0": "float", "a_s_a0": "float", "mass_amu": "float", "nu_ref_hz": "float"},
+    "mc": {"seed": "int", "samples": "int"},
+    "transport": {"nu_trap_hz": "float", "mass_amu": "float", "p_budget": "float"},
+    "scheduler": {**_annotations(CompileParams, mass_kg="mass_amu"), "rates_hz": "dict[str, float]"},
+}
+
+
 def load_config(path: str | Path | None) -> Config:
     cfg = Config()
     if path is None:
@@ -107,80 +107,42 @@ def load_config(path: str | Path | None) -> Config:
         raise ConfigError(f"cannot read config: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(doc) - set(_SCHEMA)
-    if unknown:
-        raise ConfigError(f"unknown config sections: {', '.join(sorted(unknown))}")
-    for section, keys in _SCHEMA.items():
-        if section not in doc:
-            continue
-        body = doc[section]
-        if not isinstance(body, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        if keys:
-            bad = set(body) - set(keys)
-            if bad:
-                raise ConfigError(f"unknown keys in {section!r}: {', '.join(sorted(bad))}")
-    _apply(cfg, doc)
+    doc = checked_fields(dict.fromkeys(["species", *_SECTIONS], "dict"), doc, "config")
+    for name, body in doc.pop("species", {}).items():
+        body = checked_fields(_SPECIES, body, f"species.{name}", _SPECIES_REQUIRED)
+        cfg.species[name] = AtomSpecies(name=name, **body)
+    _apply(cfg, {section: checked_fields(_SECTIONS[section], body, section) for section, body in doc.items()})
     return cfg
 
 
-def _apply(cfg: Config, doc: dict):
-    for name, body in doc.get("species", {}).items():
-        bad = set(body) - set(_SPECIES_KEYS)
-        if bad:
-            raise ConfigError(f"unknown keys in species {name!r}: {', '.join(sorted(bad))}")
-        missing = {"mass_amu", "alpha0_a03", "lambda0_nm"} - set(body)
-        if missing:
-            raise ConfigError(f"species {name!r} missing keys: {', '.join(sorted(missing))}")
-        cfg.species[name] = AtomSpecies(name=name, **body)
+def _kg(body: dict) -> dict:
+    """``body`` with its ``mass_amu`` read as ``mass_kg``."""
+    if "mass_amu" in body:
+        body["mass_kg"] = body.pop("mass_amu") * ATOMIC_MASS
+    return body
 
+
+def _apply(cfg: Config, doc: dict):
     if "red_lattice" in doc:
-        cfg.red_lattice = RedLatticeSpec(**doc["red_lattice"])
+        cfg.red_lattice = replace(cfg.red_lattice, **doc["red_lattice"])
     if "blue_lattice" in doc:
-        cfg.blue_lattice = BlueLatticeSpec(**doc["blue_lattice"])
+        cfg.blue_lattice = replace(cfg.blue_lattice, **doc["blue_lattice"])
     if "geometry" in doc:
-        g = doc["geometry"]
-        base = cfg.geometry
-        cfg.geometry = TrapGeometry(
-            a_qr=g.get("a_qr_a0", base.a_qr),
-            a_qz=g.get("a_qz_a0", base.a_qz),
-            a_hr=g.get("a_hr_a0", base.a_hr),
-            a_hz=g.get("a_hz_a0", base.a_hz),
-            z0=g.get("z0_a0", base.z0),
-        )
+        cfg.geometry = replace(cfg.geometry, **{k.removesuffix("_a0"): v for k, v in doc["geometry"].items()})
     if "scattering" in doc:
-        s = doc["scattering"]
-        base = cfg.scattering
-        cfg.scattering = ScatteringParams(
-            a_t_a0=s.get("a_t_a0", base.a_t_a0),
-            a_s_a0=s.get("a_s_a0", base.a_s_a0),
-            mass_kg=s["mass_amu"] * ATOMIC_MASS if "mass_amu" in s else base.mass_kg,
-            omega_ref=2.0 * math.pi * s["nu_ref_hz"] if "nu_ref_hz" in s else base.omega_ref,
-        )
+        s = _kg(doc["scattering"])
+        if "nu_ref_hz" in s:
+            s["omega_ref"] = 2.0 * math.pi * s.pop("nu_ref_hz")
+        cfg.scattering = replace(cfg.scattering, **s)
     if "mc" in doc:
-        mc = doc["mc"]
-        for key, value in mc.items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"mc.{key} must be a JSON integer, got {json.dumps(value)}")
-        cfg.mc_seed = mc.get("seed", cfg.mc_seed)
-        cfg.mc_samples = mc.get("samples", cfg.mc_samples)
+        cfg.mc_seed = doc["mc"].get("seed", cfg.mc_seed)
+        cfg.mc_samples = doc["mc"].get("samples", cfg.mc_samples)
     if "transport" in doc:
-        t = doc["transport"]
+        t = _kg(doc["transport"])
         cfg.transport_nu_trap_hz = t.get("nu_trap_hz", cfg.transport_nu_trap_hz)
-        if "mass_amu" in t:
-            cfg.transport_mass_kg = t["mass_amu"] * ATOMIC_MASS
+        cfg.transport_mass_kg = t.get("mass_kg", cfg.transport_mass_kg)
         cfg.transport_p_budget = t.get("p_budget", cfg.transport_p_budget)
     if "scheduler" in doc:
-        s = dict(doc["scheduler"])
+        s = _kg(doc["scheduler"])
         cfg.rates_hz = s.pop("rates_hz", cfg.rates_hz)
-        if "mass_amu" in s:
-            s["mass_kg"] = s.pop("mass_amu") * ATOMIC_MASS
-        base = cfg.compile_params
-        cfg.compile_params = CompileParams(
-            **{
-                **{k: getattr(base, k) for k in base.__dataclass_fields__},
-                **s,
-            }
-        )
+        cfg.compile_params = replace(cfg.compile_params, **s)

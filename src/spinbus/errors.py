@@ -22,4 +22,4 @@ class CircuitParseError(DomainError):
 
 
 class ConfigError(DomainError):
-    """Bad or unknown keys in a configuration file."""
+    """A configuration file that cannot be read or is not valid JSON."""

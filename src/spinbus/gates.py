@@ -43,9 +43,7 @@ class StirringParams:
 
     omega1, omega2: Zeeman splittings (rad/s); omega_s, rabi: stirring
     drive frequency and Rabi frequency (rad/s); gamma_e_hz: dipole
-    strength at the working separation (Hz); alignment: (Rhat.zhat)^2;
-    j_total_hz: optional combined Ising strength for the compensated
-    effective form (exchange + averaged dipole, in Hz).
+    strength at the working separation (Hz); alignment: (Rhat.zhat)^2.
     """
 
     omega1: float
@@ -54,7 +52,6 @@ class StirringParams:
     rabi: float
     gamma_e_hz: float
     alignment: float
-    j_total_hz: float | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.alignment <= 1.0):
@@ -146,21 +143,13 @@ def stirring_generator(p: StirringParams) -> np.ndarray:
     return 0.5 * p.omega_s * (_S1Z + _S2Z)
 
 
-def effective_hamiltonian(p: StirringParams, compensated: bool = False) -> np.ndarray:
+def effective_hamiltonian(p: StirringParams) -> np.ndarray:
     """Rotating-wave effective Hamiltonian, rad/s.
 
     H_eff = gamma (1 - 3 alignment) s1z s2z + w1 s1z + (w2 - w_s) s2z
             + rabi (s2+ + s2-)
-
-    With ``compensated=True`` the single-spin terms are removed (they are
-    undone by one-bit rotations at the schedule level) and the Ising
-    coefficient is the combined strength ``j_total_hz`` when provided,
-    leaving the bare J s1z s2z form.
     """
     gamma = 2.0 * math.pi * p.gamma_e_hz
-    if compensated:
-        j = 2.0 * math.pi * p.j_total_hz if p.j_total_hz is not None else gamma * (1.0 - 3.0 * p.alignment)
-        return j * _ZZ
     return (
         gamma * (1.0 - 3.0 * p.alignment) * _ZZ
         + p.omega1 * _S1Z

@@ -1,9 +1,13 @@
-"""Strict JSON reading shared by the config and schedule loaders."""
+"""Strict JSON reading shared by the config and schedule loaders: finite
+numbers only, and objects checked field by field against dataclass
+annotations."""
 
 from __future__ import annotations
 
 import json
 import math
+
+from .errors import DomainError
 
 
 def _reject(token: str):
@@ -23,3 +27,40 @@ def loads_finite(text: str):
     """``json.loads`` that raises ValueError on NaN, Infinity and on numbers
     too large for a float (``1e999``), so no non-finite value gets in."""
     return json.loads(text, parse_constant=_reject, parse_float=_finite(float), parse_int=_finite(int))
+
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)  # a bool is never a number
+
+
+# field annotation -> (JSON type named in messages, test of a JSON value);
+# fields with any other annotation are checked by their loader
+_JSON_TYPES = {
+    "int": ("integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    "float": ("number", _number),
+    "float | None": ("number or null", lambda v: v is None or _number(v)),
+    "str": ("string", lambda v: isinstance(v, str)),
+    "dict": ("object", lambda v: isinstance(v, dict)),
+    "dict[str, float]": ("object of numbers", lambda v: isinstance(v, dict) and all(map(_number, v.values()))),
+}
+
+
+def checked_fields(types: dict[str, str | None], body, label: str, required=()) -> dict:
+    """A copy of the JSON object ``body`` whose keys are among ``types`` and
+    include ``required``, with each value of the JSON type its annotation in
+    ``types`` names.  ``label`` names the object in the DomainError raised
+    otherwise."""
+    if not isinstance(body, dict):
+        raise DomainError(f"{label} must be a JSON object")
+    unknown, missing = body.keys() - types.keys(), set(required) - body.keys()
+    if len(required) == len(types) and (unknown or missing):
+        raise DomainError(f"{label} needs exactly the fields {sorted(types)}, got {sorted(body)}")
+    if unknown:
+        raise DomainError(f"unknown keys in {label}: {', '.join(sorted(unknown))}")
+    if missing:
+        raise DomainError(f"{label} is missing keys: {', '.join(sorted(missing))}")
+    for key, value in body.items():
+        name, test = _JSON_TYPES.get(types[key], (None, None))
+        if test and not test(value):
+            raise DomainError(f"{label}.{key} must be a JSON {name}, got {json.dumps(value)}")
+    return dict(body)

@@ -30,8 +30,8 @@ import math
 from dataclasses import asdict, dataclass, fields
 
 from .config import CompileParams
-from .errors import CircuitParseError, DomainError
-from .jsonio import loads_finite
+from .errors import CircuitParseError, DomainError, NumericalError
+from .jsonio import checked_fields, loads_finite
 from .transport import plan_transport
 from .traps import CO2_WAVELENGTH_M
 from .units import BOHR_RADIUS
@@ -305,16 +305,16 @@ class _Compiler:
             else:
                 self.single_qubit(gate)
         idle_phase = self._idle_crosstalk_phase()
-        return Schedule(
-            register=self.register,
-            params=self.params,
-            circuit=tuple(circuit),
-            primitives=tuple(self.prims),
-            total_time_s=self.t,
-            global_phase_rad=math.remainder(self.phase, 2.0 * math.pi),
-            idle_crosstalk_phase_rad=idle_phase,
-            idle_infidelity_estimate=0.5 * idle_phase**2,
-        )
+        totals = {
+            "total_time_s": self.t,
+            "global_phase_rad": math.remainder(self.phase, 2.0 * math.pi),
+            "idle_crosstalk_phase_rad": idle_phase,
+            "idle_infidelity_estimate": 0.5 * (idle_phase * idle_phase),
+        }
+        for name, value in totals.items():
+            if not math.isfinite(value):
+                raise NumericalError(f"compiled {name} is not a finite float ({self.params})")
+        return Schedule(self.register, self.params, tuple(circuit), tuple(self.prims), **totals)
 
     def _idle_crosstalk_phase(self) -> float:
         """|zz phase| picked up from the residual dipolar coupling while the
@@ -540,23 +540,16 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 _PRIMITIVE_TYPES = {"move": Move, "swap": SwapStep, "ising": IsingPulse, "onebit": OneBit}
-# JSON values accepted for each scalar field annotation; bools are refused separately
-_JSON_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)), "str": str}
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, str]:
+    return {f.name: f.type for f in fields(cls)}
 
 
 def _checked_fields(cls, body, what: str) -> dict:
-    """A JSON object holding exactly the fields of dataclass ``cls``, with
-    numbers and strings where its scalar fields want them."""
-    if not isinstance(body, dict):
-        raise DomainError(f"{what} must be a JSON object")
-    types = {f.name: _JSON_TYPES.get(f.type) for f in fields(cls)}
-    if body.keys() != types.keys():
-        raise DomainError(f"{what} needs exactly the fields {sorted(types)}, got {sorted(body)}")
-    for name, value in body.items():
-        allowed = types[name]
-        if allowed and (isinstance(value, bool) or not isinstance(value, allowed)):
-            raise DomainError(f"{what} field {name!r} has the wrong type: {value!r}")
-    return dict(body)
+    """A JSON object holding exactly the fields of dataclass ``cls``."""
+    return checked_fields(_field_types(cls), body, what, required=_field_types(cls))
 
 
 def _primitive_from_json(body, index: int, register: Register) -> Primitive:

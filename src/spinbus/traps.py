@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 from .units import (
     ATOMIC_MASS,
     BOHR_RADIUS,
@@ -178,6 +178,15 @@ class TrapReport:
         return row
 
 
+def _finite_report(report: TrapReport | None, *inputs) -> TrapReport:
+    """``report``, or a NumericalError naming ``inputs`` where the arithmetic
+    behind it left the float range (``report`` None) or gave a non-finite
+    number."""
+    if report is None or not all(math.isfinite(v) for v in vars(report).values() if isinstance(v, (int, float))):
+        raise NumericalError(f"trap report is not a finite float for {', '.join(map(repr, inputs))}")
+    return report
+
+
 def _derived(species: AtomSpecies, v_max_hz: float, lattice_wavelength_m: float):
     m = species.mass_kg
     er_lattice = recoil_frequency(m, lattice_wavelength_m)
@@ -194,27 +203,28 @@ def red_lattice_report(
 ) -> TrapReport:
     """Trap report for a q atom in the CO2 lattice."""
     spec = spec or RedLatticeSpec()
-    v_cal = spec.depth_calibration_hz_per_a03 * species.alpha0_a03
-    v_fp = spec.first_principles_depth_hz(species)
-    if mode == "calibrated":
-        v = v_cal
-    elif mode == "first_principles":
-        v = v_fp
-    else:
+    if mode not in ("calibrated", "first_principles"):
         raise DomainError(f"mode must be calibrated|first_principles, got {mode!r}")
-    er_lat, er_res, nu, a = _derived(species, v, spec.wavelength_m)
-    return TrapReport(
-        species=species.name,
-        lattice="red",
-        v_max_hz=v,
-        v_max_alt_hz=v_fp if mode == "calibrated" else v_cal,
-        nu_osc_hz=nu,
-        a_osc_m=a,
-        recoil_lattice_hz=er_lat,
-        recoil_resonance_hz=er_res,
-        eta0=math.sqrt(er_res / nu),
-        eta_lattice=math.sqrt(er_lat / nu),
-    )
+    try:
+        v_cal = spec.depth_calibration_hz_per_a03 * species.alpha0_a03
+        v_fp = spec.first_principles_depth_hz(species)
+        v, v_alt = (v_cal, v_fp) if mode == "calibrated" else (v_fp, v_cal)
+        er_lat, er_res, nu, a = _derived(species, v, spec.wavelength_m)
+        report = TrapReport(
+            species=species.name,
+            lattice="red",
+            v_max_hz=v,
+            v_max_alt_hz=v_alt,
+            nu_osc_hz=nu,
+            a_osc_m=a,
+            recoil_lattice_hz=er_lat,
+            recoil_resonance_hz=er_res,
+            eta0=math.sqrt(er_res / nu),
+            eta_lattice=math.sqrt(er_lat / nu),
+        )
+    except (OverflowError, ZeroDivisionError):
+        report = None
+    return _finite_report(report, species, spec)
 
 
 def blue_lattice_report(species: AtomSpecies, spec: BlueLatticeSpec | None = None) -> TrapReport:
@@ -225,21 +235,25 @@ def blue_lattice_report(species: AtomSpecies, spec: BlueLatticeSpec | None = Non
     Lamb-Dicke parameters coincide.
     """
     spec = spec or BlueLatticeSpec()
-    er_lat, er_res, nu, a = _derived(species, spec.effective_depth_hz, species.lambda0_m)
-    eta = math.sqrt(er_res / nu)
-    return TrapReport(
-        species=species.name,
-        lattice="blue",
-        v_max_hz=spec.effective_depth_hz,
-        v_max_alt_hz=spec.quoted_depth_hz,
-        nu_osc_hz=nu,
-        a_osc_m=a,
-        recoil_lattice_hz=er_lat,
-        recoil_resonance_hz=er_res,
-        eta0=eta,
-        eta_lattice=eta,
-        gamma_eff_hz=eta**2 * (spec.rabi_hz**2 / (4.0 * spec.detuning_hz**2)) * spec.linewidth_hz,
-    )
+    try:
+        er_lat, er_res, nu, a = _derived(species, spec.effective_depth_hz, species.lambda0_m)
+        eta = math.sqrt(er_res / nu)
+        report = TrapReport(
+            species=species.name,
+            lattice="blue",
+            v_max_hz=spec.effective_depth_hz,
+            v_max_alt_hz=spec.quoted_depth_hz,
+            nu_osc_hz=nu,
+            a_osc_m=a,
+            recoil_lattice_hz=er_lat,
+            recoil_resonance_hz=er_res,
+            eta0=eta,
+            eta_lattice=eta,
+            gamma_eff_hz=eta**2 * (spec.rabi_hz**2 / (4.0 * spec.detuning_hz**2)) * spec.linewidth_hz,
+        )
+    except (OverflowError, ZeroDivisionError):
+        report = None
+    return _finite_report(report, species, spec)
 
 
 def lattice_reports(
@@ -333,4 +347,10 @@ class ScatteringParams:
 
     @property
     def a_ref_m(self) -> float:
-        return math.sqrt(HBAR / (2.0 * self.mass_kg * self.omega_ref))
+        try:
+            return math.sqrt(HBAR / (2.0 * self.mass_kg * self.omega_ref))
+        except ZeroDivisionError:
+            raise NumericalError(
+                f"reference trap size sqrt(hbar / (2 M omega_ref)) cannot be evaluated for "
+                f"mass_kg={self.mass_kg!r}, omega_ref={self.omega_ref!r} rad/s"
+            ) from None

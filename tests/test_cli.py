@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -525,3 +526,153 @@ def test_config_non_finite_number_rejected(capsys, tmp_path, token):
     assert code == 1
     assert out == ""
     assert "config is not valid JSON" in err and token in err
+
+
+def _run_with_config(capsys, tmp_path, config, *argv):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    return run(capsys, "--config", str(cfg), *argv)
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"geometry": {"a_qr_a0": "400"}}, 'geometry.a_qr_a0 must be a JSON number, got "400"'),
+    ({"scheduler": {"j_swap_hz": "1"}}, 'scheduler.j_swap_hz must be a JSON number, got "1"'),
+    ({"scheduler": {"rates_hz": {"red_scattering": None}}},
+     'scheduler.rates_hz must be a JSON object of numbers, got {"red_scattering": null}'),
+    ({"blue_lattice": {"rabi_hz": True}}, "blue_lattice.rabi_hz must be a JSON number, got true"),
+    ({"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8}}}, "species.Fr is missing keys: lambda0_nm"),
+    ({"transport": []}, "config.transport must be a JSON object, got []"),
+], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list"])
+def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, config, message):
+    (tmp_path / "circuit.txt").write_text("XOR q0 q1\n")
+    for argv in (["tables", "--lattice", "red"], ["transport"], ["compile", str(tmp_path / "circuit.txt")]):
+        assert _run_with_config(capsys, tmp_path, config, *argv) == (1, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("scheduler, code, message", [
+    ({"gate_separation_a0": 0}, 1, "error: gate_separation_a0 must be positive, got 0"),
+    ({"gate_separation_a0": -5}, 1, "error: gate_separation_a0 must be positive, got -5"),
+    ({"onebit_time_s": -1e-5}, 1, "error: onebit_time_s must be >= 0, got -1e-05"),
+    ({"j_gate_hz": 1e308}, 2, "numerical failure: compiled idle_crosstalk_phase_rad is not a finite float"),
+    ({"j_gate_hz": 1e200}, 2, "numerical failure: compiled idle_infidelity_estimate is not a finite float"),
+    ({"onebit_time_s": 1e300}, 2, "numerical failure: compiled idle_infidelity_estimate is not a finite float"),
+], ids=["separation-zero", "separation-negative", "onebit-negative", "crosstalk-infinite",
+        "infidelity-overflows", "onebit-huge"])
+def test_compile_scheduler_values_it_cannot_use(capsys, tmp_path, scheduler, code, message):
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("XOR q0 q1\nH q0\n")
+    got, out, err = _run_with_config(capsys, tmp_path, {"scheduler": scheduler}, "compile", str(circuit))
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and err.count("\n") == 1, err
+
+
+_FR_TINY_LAMBDA = {"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 1e-150}}}
+
+
+@pytest.mark.parametrize("config, argv, named", [
+    ({"blue_lattice": {"detuning_hz": 1e300}}, ["tables", "--lattice", "blue"], "detuning_hz=1e+300"),
+    ({"blue_lattice": {"rabi_hz": 1e300}}, ["tables", "--lattice", "blue"], "rabi_hz=1e+300"),
+    (_FR_TINY_LAMBDA, ["tables", "--lattice", "red", "--species", "Fr"], "lambda0_nm=1e-150"),
+    (_FR_TINY_LAMBDA, ["tables", "--lattice", "blue", "--species", "Fr"], "lambda0_nm=1e-150"),
+], ids=["detuning-huge", "rabi-huge", "lambda0-tiny-red", "lambda0-tiny-blue"])
+def test_tables_trap_inputs_out_of_float_range_exit_2(capsys, tmp_path, config, argv, named):
+    code, out, err = _run_with_config(capsys, tmp_path, config, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: trap report is not a finite float for AtomSpecies(")
+    assert named in err and err.count("\n") == 1, err
+
+
+def test_scan_reference_trap_frequency_out_of_float_range_exit_2(capsys, tmp_path):
+    code, out, err = _run_with_config(capsys, tmp_path, {"scattering": {"nu_ref_hz": 5e-324}},
+                                      "scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2")
+    assert (code, out) == (2, "")
+    assert err == (
+        "numerical failure: reference trap size sqrt(hbar / (2 M omega_ref)) cannot be evaluated for "
+        "mass_kg=1.444668987942e-25, omega_ref=3e-323 rad/s\n"
+    )
+
+
+def _readme_config() -> dict:
+    """The example config of the README's "Config file" section."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return json.loads(text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def _paths(doc, prefix=()):
+    """The path to every value inside a JSON document, containers included."""
+    for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+        yield (*prefix, key)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, (*prefix, key))
+
+
+def _replaced(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    parent = functools.reduce(lambda node, key: node[key], path[:-1], doc)
+    parent[path[-1]] = value
+    return doc
+
+
+# numbers at the ends of the float range, drawn as often as every other kind
+# of JSON value together, since most config leaves are numbers
+_EXTREMES = st.sampled_from([1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 0, -1])
+_JSON_VALUES = _EXTREMES | st.recursive(
+    st.none() | st.booleans() | st.text(max_size=3) | st.integers() | _FINITE,
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+README_CONFIG = _readme_config()
+_FUZZ_COMMANDS = (
+    ["tables", "--lattice", "red"],
+    ["tables", "--lattice", "blue"],
+    ["transport"],
+    ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"],
+)
+
+
+def _assert_clean_exit(code, out, err):
+    """Exit 0, 1 or 2; a failure writes one stderr line; no non-finite number on stdout."""
+    assert code in (0, 1, 2), code
+    if code:
+        assert err.startswith("error: " if code == 1 else "numerical failure: ") and err.count("\n") == 1, err
+    assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), out
+
+
+def test_readme_config_runs_every_command(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(README_CONFIG))
+    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nH q0\n")
+    for argv in (*_FUZZ_COMMANDS, ["compile", str(tmp_path / "circuit.txt")]):
+        code, out, err = run(capsys, "--config", str(cfg), *argv)
+        assert (code, err) == (0, ""), argv
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(list(_paths(README_CONFIG))), value=_JSON_VALUES)
+def test_fuzzed_config_exits_cleanly_from_every_command(capsys, tmp_path, path, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_replaced(README_CONFIG, path, value)))
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("XOR q0 q1\nH q0\n")
+    for argv in (*_FUZZ_COMMANDS, ["compile", str(circuit)]):
+        _assert_clean_exit(*run(capsys, "--config", str(cfg), *argv))
+
+
+@functools.cache
+def _compiled_schedule_doc() -> dict:
+    from spinbus import scheduler as sch
+
+    schedule = sch.compile_circuit(sch.parse_circuit("XOR q0 q1\nH q0\n"), sch.Register(n_qubits=2))
+    return json.loads(sch.schedule_to_json(schedule))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_schedule_exits_cleanly_from_simulate(capsys, tmp_path, data):
+    doc = _compiled_schedule_doc()
+    path = data.draw(st.sampled_from(list(_paths(doc))))
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text(json.dumps(_replaced(doc, path, data.draw(_JSON_VALUES))))
+    _assert_clean_exit(*run(capsys, "simulate", str(schedule)))

@@ -124,16 +124,6 @@ def test_effective_hamiltonian_limits():
     assert np.max(np.abs(h - (-2.0 * gam) * zz)) < 1e-9
 
 
-def test_effective_hamiltonian_compensated_uses_total_j():
-    zz = ops.pauli("z", 0, 2) @ ops.pauli("z", 1, 2)
-    p = _params(j_total_hz=123.0)
-    h = gates.effective_hamiltonian(p, compensated=True)
-    assert np.max(np.abs(h - 2 * math.pi * 123.0 * zz)) < 1e-12
-    h2 = gates.effective_hamiltonian(_params(), compensated=True)
-    gam = 2 * math.pi * 20.0
-    assert np.max(np.abs(h2 - (-2.0 * gam) * zz)) < 1e-12
-
-
 def test_alignment_validation():
     with pytest.raises(DomainError):
         _params(alignment=1.5)
