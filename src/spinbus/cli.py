@@ -136,10 +136,10 @@ def transport_cmd(args):
     """Plan an adiabatic header translation and report the excitation numbers."""
     from . import transport
 
-    cfg = _cfg(args)
-    nu = args.nu_trap_hz if args.nu_trap_hz is not None else cfg.transport_nu_trap_hz
-    mass = args.mass_amu * ATOMIC_MASS if args.mass_amu is not None else cfg.transport_mass_kg
-    p_budget = args.budget if args.budget is not None else cfg.transport_p_budget
+    trap = _cfg(args).compile_params  # the header trap the compiler's moves use
+    nu = args.nu_trap_hz if args.nu_trap_hz is not None else trap.trap_frequency_hz
+    mass = args.mass_amu * ATOMIC_MASS if args.mass_amu is not None else trap.mass_kg
+    p_budget = args.budget if args.budget is not None else trap.p_budget
     _, result = transport.plan_transport(args.distance_m, 2.0 * math.pi * nu, mass, p_budget)
     _emit(_json_text(result.as_dict()), args.out)
 
@@ -227,9 +227,9 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = command("transport", transport_cmd)
     option(p, "--distance-m", type=float, default=traps.CO2_WAVELENGTH_M / 2.0, help="(default: %(default)s)")
-    option(p, "--nu-trap-hz", type=float, help="Header trap frequency (default: config).")
-    option(p, "--mass-amu", type=float)
-    option(p, "--budget", type=float, help="Excitation probability budget.")
+    option(p, "--nu-trap-hz", type=float, help="Header trap frequency, Hz (default: scheduler.trap_frequency_hz).")
+    option(p, "--mass-amu", type=float, help="Header mass (default: scheduler.mass_amu).")
+    option(p, "--budget", type=float, help="Excitation probability budget (default: scheduler.p_budget).")
     option(p, "--out")
 
     p = command("compile", compile_cmd)

@@ -4,9 +4,11 @@ Every section is optional; omitted keys take the architecture defaults
 (Rb register in the CO2 lattice, the reference interaction geometry).
 Section keys and their JSON types come from the dataclass each section
 builds, or from a map written out where a key carries a unit its field
-does not (``geometry``, ``scattering``, ``mc``, ``transport``).  Any
-unknown section or key, missing species key or value of the wrong JSON
-type fails every command, so typos cannot silently fall back to defaults.
+does not (``geometry``, ``scattering``, ``mc``).  Any unknown section or
+key, missing species key or value of the wrong JSON type fails every
+command, so typos cannot silently fall back to defaults.  The header trap
+is described once, in ``scheduler``: the compiler's moves and the
+``transport`` command both read it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
-from .jsonio import checked_fields, loads_finite
+from .jsonio import checked_fields, key_text, loads_finite
 from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec, ScatteringParams, TrapGeometry
 from .units import ATOMIC_MASS
 
@@ -28,8 +30,9 @@ class CompileParams:
     Couplings are the effective Ising strengths (Hz) at the swap and gate
     working separations; the defaults are the exchange strength at zero
     separation and the dipole-only coupling at 1000 a0 for the default
-    interaction geometry.  Trap frequency and mass describe the header's
-    blue-lattice confinement for transport planning.
+    interaction geometry.  Trap frequency, mass and excitation budget
+    describe the header's blue-lattice confinement for transport planning,
+    by the compiler's moves and by the ``transport`` command.
     """
 
     j_swap_hz: float = 4.7227e4
@@ -48,8 +51,13 @@ class CompileParams:
             raise DomainError(f"swap_primitive must be heisenberg|xors, got {self.swap_primitive!r}")
         if self.single_bit_mode not in ("direct", "mediated"):
             raise DomainError(f"single_bit_mode must be direct|mediated, got {self.single_bit_mode!r}")
-        if not self.gate_separation_a0 > 0:
-            raise DomainError(f"gate_separation_a0 must be positive, got {self.gate_separation_a0!r}")
+        for name in ("gate_separation_a0", "trap_frequency_hz", "mass_kg"):
+            if not getattr(self, name) > 0:
+                raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
+        if not 0.0 < self.p_budget < 1.0:
+            raise DomainError(f"p_budget must lie in (0, 1), got {self.p_budget!r}")
+        if self.max_move_duration_s is not None and not self.max_move_duration_s > 0:
+            raise DomainError(f"max_move_duration_s must be positive, got {self.max_move_duration_s!r}")
         if self.onebit_time_s < 0:
             raise DomainError(f"onebit_time_s must be >= 0, got {self.onebit_time_s!r}")
 
@@ -69,9 +77,6 @@ class Config:
     )
     mc_seed: int = 20260810
     mc_samples: int = 1_000_000
-    transport_nu_trap_hz: float = 982323.0
-    transport_mass_kg: float = 87.0 * ATOMIC_MASS
-    transport_p_budget: float = 1.0e-4
     compile_params: CompileParams = field(default_factory=CompileParams)
     rates_hz: dict[str, float] = field(
         default_factory=lambda: {"gamma_eff_blue": 0.6, "red_scattering": 1.0 / 120.0}
@@ -92,7 +97,6 @@ _SECTIONS = {
     "geometry": {"a_qr_a0": "float", "a_qz_a0": "float", "a_hr_a0": "float", "a_hz_a0": "float", "z0_a0": "float"},
     "scattering": {"a_t_a0": "float", "a_s_a0": "float", "mass_amu": "float", "nu_ref_hz": "float"},
     "mc": {"seed": "int", "samples": "int"},
-    "transport": {"nu_trap_hz": "float", "mass_amu": "float", "p_budget": "float"},
     "scheduler": {**_annotations(CompileParams, mass_kg="mass_amu"), "rates_hz": "dict[str, float]"},
 }
 
@@ -109,7 +113,7 @@ def load_config(path: str | Path | None) -> Config:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     doc = checked_fields(dict.fromkeys(["species", *_SECTIONS], "dict"), doc, "config")
     for name, body in doc.pop("species", {}).items():
-        body = checked_fields(_SPECIES, body, f"species.{name}", _SPECIES_REQUIRED)
+        body = checked_fields(_SPECIES, body, f"species.{key_text(name)}", _SPECIES_REQUIRED)
         cfg.species[name] = AtomSpecies(name=name, **body)
     _apply(cfg, {section: checked_fields(_SECTIONS[section], body, section) for section, body in doc.items()})
     return cfg
@@ -137,11 +141,6 @@ def _apply(cfg: Config, doc: dict):
     if "mc" in doc:
         cfg.mc_seed = doc["mc"].get("seed", cfg.mc_seed)
         cfg.mc_samples = doc["mc"].get("samples", cfg.mc_samples)
-    if "transport" in doc:
-        t = _kg(doc["transport"])
-        cfg.transport_nu_trap_hz = t.get("nu_trap_hz", cfg.transport_nu_trap_hz)
-        cfg.transport_mass_kg = t.get("mass_kg", cfg.transport_mass_kg)
-        cfg.transport_p_budget = t.get("p_budget", cfg.transport_p_budget)
     if "scheduler" in doc:
         s = _kg(doc["scheduler"])
         cfg.rates_hz = s.pop("rates_hz", cfg.rates_hz)

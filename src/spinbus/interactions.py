@@ -96,15 +96,6 @@ def exchange_strength(geom: TrapGeometry, scat: ScatteringParams) -> CouplingRes
     return CouplingResult(value_hz=value_hz, method="closed_form")
 
 
-def dipole_strength(r_a0: float, mode: str = "calibrated") -> CouplingResult:
-    """Bare electron dipole-dipole strength gamma_e(R) = gamma_e(a0) (a0/R)^3 in Hz."""
-    if r_a0 <= 0:
-        raise DomainError(f"separation must be positive, got {r_a0}")
-    return CouplingResult(
-        value_hz=_gamma_at_a0(mode) / r_a0**3, method="closed_form"
-    )
-
-
 def gamma_prefactor_hz_m3(mode: str = "calibrated") -> float:
     """gamma_e(R) * R^3 in Hz m^3; multiplies the dipolar average (m^-3)."""
     return _gamma_at_a0(mode) * BOHR_RADIUS**3
@@ -431,46 +422,6 @@ def dipolar_average_mc(
     )
 
 
-class _Parts(NamedTuple):
-    exchange_hz: float
-    dipolar_hz: float
-    stderr_hz: float | None
-    method: str
-
-
-def _coupling_parts(geom, scat, gamma_mode, include_exchange, include_dipole, mc_samples, seed) -> _Parts:
-    """The exchange and dipolar parts of J(z0) in Hz; the one evaluator
-    behind ``effective_J`` and ``scan_couplings``."""
-    ex = exchange_strength(geom, scat).value_hz if include_exchange else 0.0
-    if not include_dipole:
-        return _Parts(ex, 0.0, None, "closed_form")
-    pref = gamma_prefactor_hz_m3(gamma_mode)
-    if mc_samples is not None:
-        part = dipolar_average_mc(geom, mc_samples, seed)
-        return _Parts(ex, pref * part.value_hz, pref * part.stderr_hz, "monte_carlo")
-    return _Parts(ex, pref * dipolar_average(geom).value_hz, None, "quadrature")
-
-
-def effective_J(
-    geom: TrapGeometry,
-    scat: ScatteringParams,
-    gamma_mode: str = "calibrated",
-    include_exchange: bool = True,
-    include_dipole: bool = True,
-    mc_samples: int | None = None,
-    seed: int = 0,
-) -> CouplingResult:
-    """Effective Ising coupling J(z0) in Hz: exchange plus averaged dipole.
-
-    ``include_exchange=False`` models the two-different-species case, where
-    the contact exchange is strongly suppressed.  When ``mc_samples`` is given
-    the dipolar part uses the Monte Carlo estimator instead of quadrature
-    (stderr propagates to the result).
-    """
-    p = _coupling_parts(geom, scat, gamma_mode, include_exchange, include_dipole, mc_samples, seed)
-    return CouplingResult(value_hz=p.exchange_hz + p.dipolar_hz, method=p.method, stderr_hz=p.stderr_hz)
-
-
 # --- scan output (consumed by the CLI's coupling-scan command) -------------
 
 SCAN_FIELDS = ("z0_a0", "J_exchange_Hz", "J_dipolar_Hz", "J_total_Hz", "method", "stderr_Hz")
@@ -484,23 +435,30 @@ def scan_couplings(
     mc_samples: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
-    """Coupling components over a z0 scan; one dict per ``SCAN_FIELDS`` row.
+    """Effective Ising coupling J(z0) in Hz, exchange plus averaged dipole,
+    over a z0 scan; one dict per ``SCAN_FIELDS`` row.
 
     The dipolar part is Monte Carlo with ``mc_samples`` per point (point i
     seeded ``seed + i``) when ``mc_samples`` is given, quadrature otherwise.
     """
+    pref = gamma_prefactor_hz_m3(gamma_mode)
     rows = []
     for i, z0 in enumerate(z0_values_a0):
         g = TrapGeometry(geom.a_qr, geom.a_qz, geom.a_hr, geom.a_hz, float(z0))
-        p = _coupling_parts(g, scat, gamma_mode, True, True, mc_samples, seed + i)
+        ex = exchange_strength(g, scat).value_hz
+        if mc_samples is None:
+            dip, stderr, method = pref * dipolar_average(g).value_hz, None, "quadrature"
+        else:
+            part = dipolar_average_mc(g, mc_samples, seed + i)
+            dip, stderr, method = pref * part.value_hz, pref * part.stderr_hz, "monte_carlo"
         rows.append(
             {
                 "z0_a0": float(z0),
-                "J_exchange_Hz": p.exchange_hz,
-                "J_dipolar_Hz": p.dipolar_hz,
-                "J_total_Hz": p.exchange_hz + p.dipolar_hz,
-                "method": p.method,
-                "stderr_Hz": p.stderr_hz,
+                "J_exchange_Hz": ex,
+                "J_dipolar_Hz": dip,
+                "J_total_Hz": ex + dip,
+                "method": method,
+                "stderr_Hz": stderr,
             }
         )
     return rows

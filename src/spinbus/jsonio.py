@@ -29,6 +29,12 @@ def loads_finite(text: str):
     return json.loads(text, parse_constant=_reject, parse_float=_finite(float), parse_int=_finite(int))
 
 
+def key_text(key: str) -> str:
+    """``key`` escaped as inside a JSON string, so that a control character
+    in a key cannot split a one-line message."""
+    return json.dumps(key)[1:-1]
+
+
 def _number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)  # a bool is never a number
 
@@ -56,7 +62,7 @@ def checked_fields(types: dict[str, str | None], body, label: str, required=()) 
     if len(required) == len(types) and (unknown or missing):
         raise DomainError(f"{label} needs exactly the fields {sorted(types)}, got {sorted(body)}")
     if unknown:
-        raise DomainError(f"unknown keys in {label}: {', '.join(sorted(unknown))}")
+        raise DomainError(f"unknown keys in {label}: {', '.join(map(key_text, sorted(unknown)))}")
     if missing:
         raise DomainError(f"{label} is missing keys: {', '.join(sorted(missing))}")
     for key, value in body.items():

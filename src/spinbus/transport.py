@@ -10,12 +10,12 @@ component of the force at the trap frequency:
     p_first_order = |alpha|^2          p_exact = 1 - exp(-|alpha|^2)
 
 (the final state is a coherent state, so the exact result is available in
-closed form).  For the reference pulse F(t) = (F0 tau/w)/(tau^2 + t^2)
+closed form).  For the reference pulse F(t) = F0 tau/(tau^2 + t^2)
 the transform is analytic and the excitation scales as exp(-2 w_t tau):
 adiabaticity depends on w_t tau alone, not on the peak speed reached.
 
-Planning is pure ``math``; numpy is imported only when a sampled pulse or a
-Lorentzian evaluated on an array needs it.
+Every pulse here is that Lorentzian, so each quantity is a closed form in
+plain ``math``.
 """
 
 from __future__ import annotations
@@ -40,79 +40,31 @@ PHASE_INTEGRAL_K = 60.813979668791977646
 
 @dataclass(frozen=True)
 class LorentzianPulse:
-    """F(t) = (f0 * tau / omega_norm) / (tau^2 + (t - t_center)^2).
-
-    ``omega_norm`` is a dimensional normalizer (1/s) belonging to the pulse
-    definition; it is a free bookkeeping parameter, not a trap frequency.
-    """
+    """F(t) = f0 * tau / (tau^2 + t^2); ``f0_n`` is the impulse over pi, in N s."""
 
     f0_n: float
     tau_s: float
-    omega_norm: float = 1.0
-    t_center_s: float = 0.0
 
     def __post_init__(self):
-        if self.tau_s <= 0 or self.omega_norm <= 0:
-            raise DomainError("tau and omega_norm must be positive")
+        if self.tau_s <= 0:
+            raise DomainError("tau must be positive")
         if not math.isfinite(self.f0_n):
             raise DomainError("pulse amplitude must be finite")
 
-    def __call__(self, t):
-        import numpy as np
 
-        return (self.f0_n * self.tau_s / self.omega_norm) / (self.tau_s**2 + (np.asarray(t) - self.t_center_s) ** 2)
-
-
-@dataclass(frozen=True)
-class SampledPulse:
-    """Force samples on an increasing time grid; integrals use the trapezoid rule."""
-
-    times_s: tuple
-    forces_n: tuple
-
-    def __post_init__(self):
-        import numpy as np
-
-        t = np.asarray(self.times_s, dtype=float)
-        f = np.asarray(self.forces_n, dtype=float)
-        if t.ndim != 1 or t.shape != f.shape or t.size < 2:
-            raise DomainError("need matching 1-D time and force arrays with >= 2 samples")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(f))):
-            raise DomainError("sampled pulse contains non-finite values")
-        if np.any(np.diff(t) <= 0):
-            raise DomainError("sample times must be strictly increasing")
-
-    @classmethod
-    def from_arrays(cls, times, forces) -> "SampledPulse":
-        return cls(tuple(float(x) for x in times), tuple(float(x) for x in forces))
+def impulse(pulse: LorentzianPulse) -> float:
+    """Integral of F(t), pi f0, in kg m/s."""
+    return math.pi * pulse.f0_n
 
 
-PulseShape = LorentzianPulse | SampledPulse
-
-
-def impulse(pulse: PulseShape) -> float:
-    """Integral of F(t), kg m/s.  Analytic (pi f0/omega_norm) for the Lorentzian."""
-    if isinstance(pulse, LorentzianPulse):
-        return math.pi * pulse.f0_n / pulse.omega_norm
-    import numpy as np
-
-    return float(np.trapezoid(np.asarray(pulse.forces_n), np.asarray(pulse.times_s)))
-
-
-def fourier_magnitude(pulse: PulseShape, omega: float) -> float:
-    """|F~(omega)| = |Integral F(t) e^{i omega t} dt|, N s."""
+def fourier_magnitude(pulse: LorentzianPulse, omega: float) -> float:
+    """|F~(omega)| = |Integral F(t) e^{i omega t} dt| = pi |f0| exp(-omega tau), N s."""
     if omega <= 0:
         raise DomainError(f"omega must be positive, got {omega}")
-    if isinstance(pulse, LorentzianPulse):
-        return abs(math.pi * pulse.f0_n / pulse.omega_norm) * math.exp(-omega * pulse.tau_s)
-    import numpy as np
-
-    t = np.asarray(pulse.times_s)
-    f = np.asarray(pulse.forces_n)
-    return float(abs(np.trapezoid(f * np.exp(1j * omega * t), t)))
+    return abs(math.pi * pulse.f0_n) * math.exp(-omega * pulse.tau_s)
 
 
-def excitation_first_order(pulse: PulseShape, omega_t: float, mass_kg: float) -> float:
+def excitation_first_order(pulse: LorentzianPulse, omega_t: float, mass_kg: float) -> float:
     """First-order excitation probability |F~(w_t)|^2 / (2 M hbar w_t).
 
     For the Lorentzian this is [M (dv)^2 / (2 hbar w_t)] exp(-2 w_t tau):
@@ -123,7 +75,7 @@ def excitation_first_order(pulse: PulseShape, omega_t: float, mass_kg: float) ->
     return ft * ft / (2.0 * mass_kg * HBAR * omega_t)
 
 
-def excitation_exact(pulse: PulseShape, omega_t: float, mass_kg: float) -> float:
+def excitation_exact(pulse: LorentzianPulse, omega_t: float, mass_kg: float) -> float:
     """Exact excitation probability 1 - exp(-|alpha|^2), always in [0, 1]."""
     return -math.expm1(-excitation_first_order(pulse, omega_t, mass_kg))
 
@@ -167,7 +119,7 @@ def plan_transport(
     mass_kg: float,
     p_budget: float,
     max_duration_s: float | None = None,
-) -> tuple[PulseShape, TransportResult]:
+) -> tuple[LorentzianPulse, TransportResult]:
     """Choose a trap-center trajectory covering ``distance_m`` within budget.
 
     The velocity profile is Lorentzian, v(t) = (d tau/pi)/(tau^2 + t^2), so
@@ -213,7 +165,7 @@ def plan_transport(
 
 def _plan(
     distance_m: float, omega_t: float, mass_kg: float, p_budget: float
-) -> tuple[PulseShape, TransportResult]:
+) -> tuple[LorentzianPulse, TransportResult]:
     """The plan for validated inputs; arithmetic may overflow."""
     if distance_m == 0.0:
         null = LorentzianPulse(f0_n=0.0, tau_s=1.0 / omega_t)

@@ -25,6 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
+from .jsonio import key_text
 from .units import (
     ATOMIC_MASS,
     BOHR_RADIUS,
@@ -49,7 +50,7 @@ class AtomSpecies:
 
     def __post_init__(self):
         if min(self.mass_amu, self.alpha0_a03, self.lambda0_nm, self.linewidth_hz) <= 0:
-            raise DomainError(f"species {self.name}: all parameters must be positive")
+            raise DomainError(f"species {key_text(self.name)}: all parameters must be positive")
 
     @property
     def mass_kg(self) -> float:
@@ -77,7 +78,7 @@ def get_species(name: str, registry: dict[str, AtomSpecies] | None = None) -> At
     try:
         return reg[name]
     except KeyError:
-        raise DomainError(f"unknown species {name!r}; known: {', '.join(sorted(reg))}") from None
+        raise DomainError(f"unknown species {name!r}; known: {', '.join(map(key_text, sorted(reg)))}") from None
 
 
 @dataclass(frozen=True)
@@ -96,11 +97,6 @@ class RedLatticeSpec:
     def __post_init__(self):
         if self.wavelength_m <= 0 or self.intensity_w_cm2 <= 0 or self.depth_calibration_hz_per_a03 <= 0:
             raise DomainError("red lattice parameters must be positive")
-
-    @classmethod
-    def fitted_to(cls, species: AtomSpecies, v_max_hz: float, **kw) -> "RedLatticeSpec":
-        """Calibrate the depth constant so ``species`` gets exactly ``v_max_hz``."""
-        return cls(depth_calibration_hz_per_a03=v_max_hz / species.alpha0_a03, **kw)
 
     def first_principles_depth_hz(self, species: AtomSpecies) -> float:
         """alpha(0) E0^2 / 4 with E0 from I = eps0 c E0^2 / 2, as a frequency."""
@@ -196,25 +192,18 @@ def _derived(species: AtomSpecies, v_max_hz: float, lattice_wavelength_m: float)
     return er_lattice, er_res, nu, a
 
 
-def red_lattice_report(
-    species: AtomSpecies,
-    spec: RedLatticeSpec | None = None,
-    mode: str = "calibrated",
-) -> TrapReport:
-    """Trap report for a q atom in the CO2 lattice."""
+def red_lattice_report(species: AtomSpecies, spec: RedLatticeSpec | None = None) -> TrapReport:
+    """Trap report for a q atom in the CO2 lattice, at the calibrated depth;
+    the first-principles depth is reported as ``v_max_alt_hz``."""
     spec = spec or RedLatticeSpec()
-    if mode not in ("calibrated", "first_principles"):
-        raise DomainError(f"mode must be calibrated|first_principles, got {mode!r}")
     try:
-        v_cal = spec.depth_calibration_hz_per_a03 * species.alpha0_a03
-        v_fp = spec.first_principles_depth_hz(species)
-        v, v_alt = (v_cal, v_fp) if mode == "calibrated" else (v_fp, v_cal)
+        v = spec.depth_calibration_hz_per_a03 * species.alpha0_a03
         er_lat, er_res, nu, a = _derived(species, v, spec.wavelength_m)
         report = TrapReport(
             species=species.name,
             lattice="red",
             v_max_hz=v,
-            v_max_alt_hz=v_alt,
+            v_max_alt_hz=spec.first_principles_depth_hz(species),
             nu_osc_hz=nu,
             a_osc_m=a,
             recoil_lattice_hz=er_lat,
@@ -289,7 +278,8 @@ def reports_json(reports: list[TrapReport]) -> str:
 
 # --- inputs of the coupling model (spinbus.interactions) ---------------------
 
-#: gamma_e(a0) conventions for the dipole strength; see interactions.dipole_strength
+#: gamma_e(a0) conventions for the dipole strength; see
+#: interactions.gamma_prefactor_hz_m3
 GAMMA_MODES = ("calibrated", "first_principles")
 
 

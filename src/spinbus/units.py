@@ -26,11 +26,6 @@ def a0_to_m(length_a0: float) -> float:
     return length_a0 * BOHR_RADIUS
 
 
-def m_to_a0(length_m: float) -> float:
-    """Meters to Bohr radii."""
-    return length_m / BOHR_RADIUS
-
-
 def recoil_frequency(mass_kg: float, wavelength_m: float) -> float:
     """Photon-recoil energy h / (2 M lambda^2), returned as a frequency in Hz.
 
@@ -47,7 +42,8 @@ def ground_state_size(mass_kg: float, trap_frequency_hz: float) -> float:
     """Harmonic-oscillator ground-state size sqrt(hbar / (2 M omega)) in m.
 
     omega = 2*pi*nu.  With this convention the Lamb-Dicke identity
-    eta = k * a_osc = sqrt(E_R / nu) holds exactly (see ``lamb_dicke``),
+    eta = k * a_osc = sqrt(E_R / nu) holds exactly (``traps`` computes the
+    sqrt(E_R / nu) side),
     and <x^2> of the ground state equals a_osc^2, so the position density
     is a normal distribution with sigma = a_osc on each axis.
     """
@@ -55,7 +51,3 @@ def ground_state_size(mass_kg: float, trap_frequency_hz: float) -> float:
         raise DomainError(f"mass and trap frequency must be positive, got {mass_kg}, {trap_frequency_hz}")
     return math.sqrt(HBAR / (2.0 * mass_kg * 2.0 * math.pi * trap_frequency_hz))
 
-
-def lamb_dicke(wavelength_m: float, mass_kg: float, trap_frequency_hz: float) -> float:
-    """Lamb-Dicke parameter eta = (2 pi / lambda) * a_osc = sqrt(E_R / nu)."""
-    return 2.0 * math.pi / wavelength_m * ground_state_size(mass_kg, trap_frequency_hz)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spinbus
 from spinbus.cli import main
+from spinbus.traps import CO2_WAVELENGTH_M
 
 
 def run(capsys, *argv):
@@ -541,12 +542,43 @@ def _run_with_config(capsys, tmp_path, config, *argv):
      'scheduler.rates_hz must be a JSON object of numbers, got {"red_scattering": null}'),
     ({"blue_lattice": {"rabi_hz": True}}, "blue_lattice.rabi_hz must be a JSON number, got true"),
     ({"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8}}}, "species.Fr is missing keys: lambda0_nm"),
-    ({"transport": []}, "config.transport must be a JSON object, got []"),
-], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list"])
+    ({"mc": []}, "config.mc must be a JSON object, got []"),
+    # a key is escaped as in JSON, so the message stays on one line
+    ({"species": {"\n": None}}, "species.\\n must be a JSON object"),
+    ({"geometry": {"bad\nkey": 1}}, "unknown keys in geometry: bad\\nkey"),
+    ({"x\ny": {}}, "unknown keys in config: x\\ny"),
+    # the header trap is range-checked at load, whichever command uses it
+    ({"scheduler": {"p_budget": 2}}, "p_budget must lie in (0, 1), got 2"),
+    ({"scheduler": {"p_budget": 0}}, "p_budget must lie in (0, 1), got 0"),
+    ({"scheduler": {"trap_frequency_hz": -1}}, "trap_frequency_hz must be positive, got -1"),
+    ({"scheduler": {"mass_amu": 0}}, "mass_kg must be positive, got 0.0"),
+    ({"scheduler": {"max_move_duration_s": -1}}, "max_move_duration_s must be positive, got -1"),
+    # its keys moved into the scheduler section
+    ({"transport": {"nu_trap_hz": 982323.0}}, "unknown keys in config: transport"),
+], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list",
+        "species-name-newline", "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
+        "frequency-negative", "mass-zero", "move-cap-negative", "former-transport-section"])
 def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, config, message):
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\n")
     for argv in (["tables", "--lattice", "red"], ["transport"], ["compile", str(tmp_path / "circuit.txt")]):
         assert _run_with_config(capsys, tmp_path, config, *argv) == (1, "", f"error: {message}\n")
+
+
+def test_one_header_trap_drives_transport_and_the_compiler(capsys, tmp_path):
+    config = {"scheduler": {"trap_frequency_hz": 5e5, "p_budget": 1e-6}}
+    configured = _run_with_config(capsys, tmp_path, config, "transport")
+    assert configured == run(capsys, "transport", "--nu-trap-hz", "5e5", "--budget", "1e-6")
+    assert configured[0] == 0
+    # the header's first move of a lone XOR is from its parking spot, half a site
+    half_site = repr(CO2_WAVELENGTH_M / 4)
+    code, out, _ = _run_with_config(capsys, tmp_path, config, "transport", "--distance-m", half_site)
+    assert code == 0
+    (tmp_path / "circuit.txt").write_text("XOR q0 q1\n")
+    code, schedule, _ = _run_with_config(capsys, tmp_path, config, "compile", str(tmp_path / "circuit.txt"))
+    assert code == 0
+    first_move = next(p for p in json.loads(schedule)["primitives"] if p["kind"] == "move")
+    assert abs(first_move["to_pos"] - first_move["from_pos"]) == 0.5
+    assert json.loads(out)["tau"] == first_move["tau_s"]
 
 
 @pytest.mark.parametrize("scheduler, code, message", [

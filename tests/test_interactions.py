@@ -114,10 +114,15 @@ def test_exchange_against_delta_counting_monte_carlo():
 
 # --- bare dipole strength ---------------------------------------------------
 
+def dipole_strength_hz(r_a0, mode="calibrated"):
+    """gamma_e(R) = gamma_e(a0) (a0/R)^3 from the package prefactor, in Hz."""
+    return ia.gamma_prefactor_hz_m3(mode) / units.a0_to_m(r_a0) ** 3
+
+
 def test_dipole_strength_calibrated_values():
-    assert ia.dipole_strength(1.0).value_hz == pytest.approx(5e11, rel=1e-12)
-    assert ia.dipole_strength(1000.0).value_hz == pytest.approx(500.0, rel=1e-12)
-    assert ia.dipole_strength(10.0).value_hz == pytest.approx(5e8, rel=1e-12)
+    assert dipole_strength_hz(1.0) == pytest.approx(5e11, rel=1e-12)
+    assert dipole_strength_hz(1000.0) == pytest.approx(500.0, rel=1e-12)
+    assert dipole_strength_hz(10.0) == pytest.approx(5e8, rel=1e-12)
 
 
 def test_dipole_strength_first_principles():
@@ -125,7 +130,7 @@ def test_dipole_strength_first_principles():
         codata.mu_0 / (4 * math.pi) * codata.value("Bohr magneton") ** 2
         / (codata.h * codata.value("Bohr radius") ** 3)
     )
-    got = ia.dipole_strength(1.0, mode="first_principles").value_hz
+    got = dipole_strength_hz(1.0, mode="first_principles")
     assert got == pytest.approx(expected, rel=1e-6)
     # the calibrated constant sits a factor ~5.7 above first principles
     assert 5e11 / got == pytest.approx(5.71, rel=0.01)
@@ -133,9 +138,7 @@ def test_dipole_strength_first_principles():
 
 def test_dipole_strength_domain():
     with pytest.raises(DomainError):
-        ia.dipole_strength(0.0)
-    with pytest.raises(DomainError):
-        ia.dipole_strength(100.0, mode="nonsense")
+        ia.gamma_prefactor_hz_m3("nonsense")
 
 
 def test_erfc_matches_high_precision_reference():
@@ -397,49 +400,39 @@ def test_dipolar_mc_core_rejection_counted():
 
 # --- effective coupling -----------------------------------------------------
 
+def scan_row(z0, **kw):
+    """The ``scan_couplings`` row of REF_GEOM's traps at separation ``z0``."""
+    return ia.scan_couplings(REF_GEOM, RB_SCAT, [z0], **kw)[0]
+
+
 def test_effective_j_khz_scale_at_1000a0():
-    j = ia.effective_J(REF_GEOM, RB_SCAT, include_exchange=False)
-    assert 100.0 <= abs(j.value_hz) <= 10_000.0
-    assert j.value_hz < 0  # on-axis dipolar coupling is negative
+    dip = scan_row(1000.0)["J_dipolar_Hz"]
+    assert 100.0 <= abs(dip) <= 10_000.0
+    assert dip < 0  # on-axis dipolar coupling is negative
 
 
 def test_effective_j_composition():
-    full = ia.effective_J(REF_GEOM, RB_SCAT)
-    ex = ia.effective_J(REF_GEOM, RB_SCAT, include_dipole=False)
-    dip = ia.effective_J(REF_GEOM, RB_SCAT, include_exchange=False)
-    assert full.value_hz == pytest.approx(ex.value_hz + dip.value_hz, rel=1e-12)
-    assert ex.value_hz == pytest.approx(ia.exchange_strength(REF_GEOM, RB_SCAT).value_hz, rel=1e-12)
+    row = scan_row(REF_GEOM.z0)
+    assert row["J_total_Hz"] == pytest.approx(row["J_exchange_Hz"] + row["J_dipolar_Hz"], rel=1e-12)
+    assert row["J_exchange_Hz"] == pytest.approx(ia.exchange_strength(REF_GEOM, RB_SCAT).value_hz, rel=1e-12)
 
 
 def test_exchange_negligible_against_dipole_far_out():
-    geom = ia.TrapGeometry(400, 400, 100, 100, 4000.0)
-    ex = ia.effective_J(geom, RB_SCAT, include_dipole=False).value_hz
-    dip = ia.effective_J(geom, RB_SCAT, include_exchange=False).value_hz
-    assert abs(ex) < 1e-6 * abs(dip)
+    row = scan_row(4000.0)
+    assert abs(row["J_exchange_Hz"]) < 1e-6 * abs(row["J_dipolar_Hz"])
 
 
 def test_effective_j_mc_mode_propagates_stderr():
-    j = ia.effective_J(REF_GEOM, RB_SCAT, include_exchange=False, mc_samples=50_000, seed=7)
-    assert j.method == "monte_carlo"
-    assert j.stderr_hz is not None and j.stderr_hz > 0
-    quad = ia.effective_J(REF_GEOM, RB_SCAT, include_exchange=False)
-    assert abs(j.value_hz - quad.value_hz) <= 4.0 * j.stderr_hz
+    j = scan_row(REF_GEOM.z0, mc_samples=50_000, seed=7)
+    assert j["method"] == "monte_carlo"
+    assert j["stderr_Hz"] is not None and j["stderr_Hz"] > 0
+    quad = scan_row(REF_GEOM.z0)
+    assert abs(j["J_dipolar_Hz"] - quad["J_dipolar_Hz"]) <= 4.0 * j["stderr_Hz"]
 
 
 def test_effective_j_zero_mc_samples_is_refused_not_quadrature():
     with pytest.raises(DomainError, match="at least 1e4 samples"):
-        ia.effective_J(REF_GEOM, RB_SCAT, include_exchange=False, mc_samples=0)
-
-
-@pytest.mark.parametrize("mc_samples", [None, 20_000], ids=["quadrature", "monte_carlo"])
-def test_effective_j_equals_each_scan_row_total(mc_samples):
-    z0s = [300.0, 1000.0, 2400.0]
-    rows = ia.scan_couplings(REF_GEOM, RB_SCAT, z0s, mc_samples=mc_samples, seed=5)
-    for i, (z0, row) in enumerate(zip(z0s, rows)):
-        geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, z0)
-        j = ia.effective_J(geom, RB_SCAT, mc_samples=mc_samples, seed=5 + i)
-        assert j.value_hz == row["J_total_Hz"]
-        assert (j.method, j.stderr_hz) == (row["method"], row["stderr_Hz"])
+        scan_row(REF_GEOM.z0, mc_samples=0)
 
 
 @pytest.mark.parametrize("z0", [1e103, 1e200, sys.float_info.max])

@@ -95,13 +95,11 @@ def test_first_principles_depth_discrepancy_surfaced():
     r = traps.red_lattice_report(traps.SPECIES["Li"])
     # the stated intensity yields a ~24x shallower depth than the table
     assert r.v_max_hz / r.v_max_alt_hz == pytest.approx(24.3, rel=0.01)
-    fp = traps.red_lattice_report(traps.SPECIES["Li"], mode="first_principles")
-    assert fp.v_max_hz == pytest.approx(r.v_max_alt_hz, rel=1e-12)
-    assert fp.v_max_alt_hz == pytest.approx(r.v_max_hz, rel=1e-12)
+    assert r.v_max_alt_hz == traps.RedLatticeSpec().first_principles_depth_hz(traps.SPECIES["Li"])
 
 
 def test_fitted_calibration():
-    spec = traps.RedLatticeSpec.fitted_to(traps.SPECIES["Li"], 181e6)
+    spec = traps.RedLatticeSpec(depth_calibration_hz_per_a03=181e6 / traps.SPECIES["Li"].alpha0_a03)
     assert traps.red_lattice_report(traps.SPECIES["Li"], spec).v_max_hz == pytest.approx(181e6, rel=1e-12)
 
 
