@@ -27,6 +27,7 @@ from pathlib import Path
 from . import traps
 from .config import Config, load_config
 from .errors import DomainError, NumericalError, SpinBusError
+from .jsonio import key_text
 from .units import ATOMIC_MASS, BOHR_RADIUS
 
 EXIT_VALIDATION = 1
@@ -44,9 +45,9 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DomainError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise DomainError(f"{key_text(path)} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc.strerror}") from None
+        raise DomainError(f"cannot read {key_text(path)}: {exc.strerror}") from None
 
 
 def _json_text(obj) -> str:

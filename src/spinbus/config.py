@@ -139,8 +139,11 @@ def _apply(cfg: Config, doc: dict):
             s["omega_ref"] = 2.0 * math.pi * s.pop("nu_ref_hz")
         cfg.scattering = replace(cfg.scattering, **s)
     if "mc" in doc:
+        from .interactions import check_mc_args  # loaded only for a config that has an mc section
+
         cfg.mc_seed = doc["mc"].get("seed", cfg.mc_seed)
         cfg.mc_samples = doc["mc"].get("samples", cfg.mc_samples)
+        check_mc_args(cfg.mc_samples, cfg.mc_seed)
     if "scheduler" in doc:
         s = _kg(doc["scheduler"])
         cfg.rates_hz = s.pop("rates_hz", cfg.rates_hz)

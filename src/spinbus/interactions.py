@@ -266,6 +266,13 @@ def _axial_kernel(z: float, a_r: float) -> float:
 def dipolar_average(geom: TrapGeometry) -> CouplingResult:
     """Ground-state average of (1/R^3)(1 - 3 (z/R)^2), in m^-3.
 
+    The 1/R^3 core makes this average depend on the shape of the region
+    excluded around R = 0.  The package's convention is the slab principal
+    value, the one that integrating the transverse plane first gives: the
+    spherical principal value minus the contact term (8 pi/3) p_R(0), with
+    p_R(0) from ``contact_density_a0``.  This is a choice, not a property
+    of the model; the compiler's default ``j_gate_hz`` is quoted in it.
+
     Adaptive Gauss-Kronrod quadrature, on plain ``math`` floats, of the
     closed-form z-integral over u = z - z0 in +- 10 a_z (the Gaussian weight
     makes the excluded tails < 1e-20 of the result), split at the |z| kink
@@ -309,52 +316,71 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def check_mc_args(n_samples: int, seed) -> None:
+    """The sampler's checks on its sample count and seed, for callers that
+    check them before sampling."""
+    import numbers
+
+    if n_samples < 10**4:
+        raise DomainError(f"need at least 1e4 samples, got {n_samples}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"MC seed must be a non-negative integer, got {seed!r}")
+
+
 def _mc_chunk_sums(geom, n_samples, seed, cut2, chunks, buffers) -> list[tuple[float, float, int]]:
     """(sum f, sum f^2, kept) for each chunk in ``chunks``, in that order.
 
-    Works in the caller's ``buffers`` (q and h of shape (size, 3), r2 and
-    keep of shape (size,)) with in-place operations in the order of the
-    plain expression (1 - 3 z^2 / r2) / (r2 sqrt(r2)), so each chunk's sums
-    are bit-identical to evaluating that expression on fresh arrays.
+    Draws R = r_q - r_h - z0 zhat as one Gaussian with the combined widths:
+    one standard-normal fill of a (3, n) block whose rows are x, y, z.
+    Works in the caller's ``buffers`` (a float block of 3 * size and a bool
+    keep mask of size) with in-place ufuncs, which release the GIL, in the
+    order of the plain expressions r2 = x^2 + y^2 + z^2 and
+    (1 - 3 z^2 / r2) / (r2 sqrt(r2)), so each chunk's sums are bit-identical
+    to evaluating those on fresh arrays.
     """
     import numpy as np
 
-    q, h, r2, keep = buffers
-    sigma_q = np.array([geom.a_qr, geom.a_qr, geom.a_qz])
-    sigma_h = np.array([geom.a_hr, geom.a_hr, geom.a_hz])
+    block, keep = buffers
+    a_r, a_z, z0 = geom.a_r, geom.a_z, geom.z0
     sums = []
     for chunk in chunks:
         n = min(_MC_CHUNK, n_samples - chunk * _MC_CHUNK)
-        r, rh, rr2, kp = q[:n], h[:n], r2[:n], keep[:n]
-        rng = np.random.default_rng([seed, chunk])
-        rng.standard_normal(out=r)
-        rng.standard_normal(out=rh)
-        r *= sigma_q
-        rh *= sigma_h
-        r -= rh
-        r[:, 2] -= geom.z0
-        np.einsum("ij,ij->i", r, r, out=rr2)
-        np.greater(rr2, cut2, out=kp)
+        d, kp = block[:3 * n].reshape(3, n), keep[:n]
+        np.random.default_rng([seed, chunk]).standard_normal(out=d)
+        x, y, z = d
+        x *= a_r
+        y *= a_r
+        z *= a_z
+        z -= z0
+        # x becomes r2 and y becomes z^2; z is then spent
+        np.square(x, out=x)
+        np.square(y, out=y)
+        x += y
+        np.square(z, out=y)
+        x += y
+        np.greater(x, cut2, out=kp)
         m = int(np.count_nonzero(kp))
-        # h is spent: its storage holds the kept r2 and z, then f and f^2
-        flat = rh.reshape(-1)
-        f, tmp = flat[n:n + m], flat[2 * n:2 * n + m]
         if m == n:  # nothing rejected: no compress, whose index array each thread would allocate
-            x = rr2
-            np.copyto(f, r[:, 2])
+            r2, f, tmp = x, y, z
         else:
-            x = np.compress(kp, rr2, out=flat[:m])
-            np.compress(kp, r[:, 2], out=f)
-        np.square(f, out=f)
+            r2, f, tmp = z[:m], x[:m], y[:m]
+            np.compress(kp, x, out=r2)
+            np.compress(kp, y, out=f)
         f *= 3.0
-        f /= x
+        f /= r2
         np.subtract(1.0, f, out=f)
-        np.sqrt(x, out=tmp)
-        tmp *= x
+        np.sqrt(r2, out=tmp)
+        tmp *= r2
         f /= tmp
         np.square(f, out=tmp)
         sums.append((float(f.sum()), float(tmp.sum()), m))
     return sums
+
+
+def contact_density_a0(geom: TrapGeometry) -> float:
+    """p_R(0), the Gaussian density of R = r_q - r_h - z0 zhat at R = 0, in a0^-3."""
+    x = geom.z0 / geom.a_z
+    return math.exp(-0.5 * x * x) / ((2.0 * math.pi) ** 1.5 * geom.a_r * geom.a_r * geom.a_z)
 
 
 def dipolar_average_mc(
@@ -365,35 +391,35 @@ def dipolar_average_mc(
 ) -> CouplingResult:
     """Monte Carlo oracle for ``dipolar_average``, in m^-3.
 
-    Samples the two anisotropic Gaussian ground-state densities directly
-    and averages the dipolar kernel of R = r_q - r_h - z0 zhat.  Samples
-    with |R| below the core cutoff are rejected and counted: the 1/R^3
-    kernel has a divergent variance contribution from the measure-zero
-    overlap region (its mean contribution vanishes by the angular average).
+    Samples R = r_q - r_h - z0 zhat directly, as one anisotropic Gaussian
+    with the combined widths (a_r, a_r, a_z), and averages the dipolar
+    kernel over it.  Samples with |R| below the core cutoff are rejected
+    and counted: the 1/R^3 kernel has a divergent variance contribution
+    from the overlap region.  Excluding a small sphere makes the sample
+    mean the spherical principal value, whose core contributes nothing by
+    the angular average.  ``dipolar_average`` is the slab principal value,
+    so the spherical mean has the contact term (8 pi/3) p_R(0) subtracted
+    (``contact_density_a0``; Jackson, Classical Electrodynamics, 3rd ed.,
+    sec. 5.6), and both functions return the same slab average.  The
+    stderr is that of the sample mean.
 
     Deterministic for a fixed non-negative integer seed: samples are drawn
     in fixed-size chunks, each chunk's generator seeded by
     (seed, chunk_index).  The chunks run on a thread pool of one worker per
     usable CPU (at most one per chunk); worker w takes chunks w, w+k, ...
-    and reuses one set of buffers of about 7 MB, allocated here.  The
+    and reuses one set of buffers of about 3 MB, allocated here.  The
     per-chunk sums are added in chunk order, so the result is bit-identical
     whatever the number of workers.
     """
     import numpy as np
 
-    if n_samples < 10**4:
-        raise DomainError(f"need at least 1e4 samples, got {n_samples}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError(f"MC seed must be a non-negative integer, got {seed!r}")
+    check_mc_args(n_samples, seed)
     from concurrent.futures import ThreadPoolExecutor  # off the import path of every other command
 
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
     workers = min(n_chunks, _usable_cpus())
     size = min(_MC_CHUNK, n_samples)
-    buffers = [
-        (np.empty((size, 3)), np.empty((size, 3)), np.empty(size), np.empty(size, dtype=bool))
-        for _ in range(workers)
-    ]
+    buffers = [(np.empty(3 * size), np.empty(size, dtype=bool)) for _ in range(workers)]
 
     def work(w: int):
         return _mc_chunk_sums(geom, n_samples, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
@@ -415,7 +441,7 @@ def dipolar_average_mc(
     var = max(0.0, (total_sq - kept * mean * mean) / (kept - 1))
     stderr = math.sqrt(var / kept)
     return CouplingResult(
-        value_hz=mean / BOHR_RADIUS**3,
+        value_hz=(mean - 8.0 * math.pi / 3.0 * contact_density_a0(geom)) / BOHR_RADIUS**3,
         method="monte_carlo",
         stderr_hz=stderr / BOHR_RADIUS**3,
         n_rejected=n_samples - kept,

@@ -111,11 +111,12 @@ def test_criterion_coupling_vs_separation():
 
 
 def test_criterion_oracle_equivalence():
-    # The suite keeps z0 >= 5 a_z so the 1/R^3 core cannot dominate the
-    # sample variance (there the sample stderr is a valid 3-sigma yardstick;
-    # closer in, the estimator stays unbiased but its error distribution is
-    # heavy-tailed).  a_r is unconstrained, so strongly non-asymptotic
-    # transverse geometries are still exercised.
+    # The suite keeps z0 >= 5 a_z.  There the contact term (8 pi/3) p_R(0),
+    # by which the sampler's spherical mean differs from the quadrature's
+    # slab value, has fallen to exp(-12.5) = 4e-6 of its size at z0 = 0;
+    # closer in, an MC that did not subtract it was off by several stderr.
+    # a_r is unconstrained, so strongly non-asymptotic transverse
+    # geometries are still exercised.
     with Criterion("Oracle equivalence (quadrature vs MC, 20 geometries)", 60.0) as c:
         rng = np.random.default_rng(20260810)
         agree = 0

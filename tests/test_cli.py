@@ -476,6 +476,14 @@ def test_unreadable_input_exit_1(capsys, tmp_path, command):
     assert err.startswith(f"error: cannot read {tmp_path}")
 
 
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+def test_missing_input_with_newline_in_its_name_is_one_error_line(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, str(tmp_path / "no\nsuch.txt"))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1, err
+    assert err.endswith("no\\nsuch.txt: No such file or directory\n")
+
+
 def test_simulate_mismatch_reports_then_exits_2(capsys, tmp_path):
     doc = _compiled_schedule(capsys, tmp_path)
     doc["global_phase_rad"] += 0.3
@@ -553,11 +561,15 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     ({"scheduler": {"trap_frequency_hz": -1}}, "trap_frequency_hz must be positive, got -1"),
     ({"scheduler": {"mass_amu": 0}}, "mass_kg must be positive, got 0.0"),
     ({"scheduler": {"max_move_duration_s": -1}}, "max_move_duration_s must be positive, got -1"),
+    # so is the sampler's, with the sampler's own messages
+    ({"mc": {"samples": -1}}, "need at least 1e4 samples, got -1"),
+    ({"mc": {"seed": -1}}, "MC seed must be a non-negative integer, got -1"),
     # its keys moved into the scheduler section
     ({"transport": {"nu_trap_hz": 982323.0}}, "unknown keys in config: transport"),
 ], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list",
         "species-name-newline", "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
-        "frequency-negative", "mass-zero", "move-cap-negative", "former-transport-section"])
+        "frequency-negative", "mass-zero", "move-cap-negative", "mc-samples-negative", "mc-seed-negative",
+        "former-transport-section"])
 def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, config, message):
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\n")
     for argv in (["tables", "--lattice", "red"], ["transport"], ["compile", str(tmp_path / "circuit.txt")]):
@@ -654,6 +666,15 @@ _JSON_VALUES = _EXTREMES | st.recursive(
     max_leaves=4,
 )
 README_CONFIG = _readme_config()
+# the README example plus every key it leaves out, so that the fuzz reaches each of them
+FUZZ_CONFIG = functools.reduce(lambda doc, item: _replaced(doc, *item), [
+    (("species", "Fr", "linewidth_hz"), 1e7),
+    (("red_lattice", "wavelength_m"), 10.6e-6),
+    (("scheduler", "gate_separation_a0"), 1000.0),
+    (("scheduler", "onebit_time_s"), 1e-5),
+    (("scheduler", "swap_primitive"), "heisenberg"),
+    (("scheduler", "max_move_duration_s"), 1e-3),
+], README_CONFIG)
 _FUZZ_COMMANDS = (
     ["tables", "--lattice", "red"],
     ["tables", "--lattice", "blue"],
@@ -670,21 +691,29 @@ def _assert_clean_exit(code, out, err):
     assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), out
 
 
-def test_readme_config_runs_every_command(capsys, tmp_path):
+def _assert_config_runs_every_command(capsys, tmp_path, config):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(README_CONFIG))
+    cfg.write_text(json.dumps(config))
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\nH q0\n")
     for argv in (*_FUZZ_COMMANDS, ["compile", str(tmp_path / "circuit.txt")]):
         code, out, err = run(capsys, "--config", str(cfg), *argv)
         assert (code, err) == (0, ""), argv
 
 
+def test_readme_config_runs_every_command(capsys, tmp_path):
+    _assert_config_runs_every_command(capsys, tmp_path, README_CONFIG)
+
+
+def test_fuzzed_document_runs_every_command_unchanged(capsys, tmp_path):
+    _assert_config_runs_every_command(capsys, tmp_path, FUZZ_CONFIG)
+
+
 @settings(derandomize=True, max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(path=st.sampled_from(list(_paths(README_CONFIG))), value=_JSON_VALUES)
+@given(path=st.sampled_from(list(_paths(FUZZ_CONFIG))), value=_JSON_VALUES)
 def test_fuzzed_config_exits_cleanly_from_every_command(capsys, tmp_path, path, value):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(_replaced(README_CONFIG, path, value)))
+    cfg.write_text(json.dumps(_replaced(FUZZ_CONFIG, path, value)))
     circuit = tmp_path / "circuit.txt"
     circuit.write_text("XOR q0 q1\nH q0\n")
     for argv in (*_FUZZ_COMMANDS, ["compile", str(circuit)]):

@@ -313,6 +313,30 @@ def test_dipolar_mc_agrees_with_quadrature_anisotropic():
     assert mc.stderr_hz < 0.1 * abs(quad.value_hz)
 
 
+def test_dipolar_quadrature_at_zero_separation_is_minus_the_contact_term():
+    # for isotropic combined widths the spherical principal value vanishes at
+    # z0 = 0, so the slab value the quadrature computes is -(8 pi/3) p_R(0)
+    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, 0.0)
+    quad = ia.dipolar_average(geom).value_hz
+    assert quad == pytest.approx(-8 * math.pi / 3 * overlap_density_m3(geom), rel=1e-8)
+    assert quad * units.BOHR_RADIUS**3 == pytest.approx(-7.5888e-9, rel=1e-4)
+
+
+def test_contact_density_is_the_gaussian_density_at_zero_separation():
+    for geom in (REF_GEOM, ia.TrapGeometry(300, 150, 120, 80, 0.0), ia.TrapGeometry(300, 150, 120, 80, 600.0)):
+        assert ia.contact_density_a0(geom) == pytest.approx(overlap_density_m3(geom) * units.BOHR_RADIUS**3, rel=1e-12)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.5, 2.2])
+def test_dipolar_mc_agrees_with_quadrature_where_the_contact_term_matters(ratio):
+    # within a few a_z the sampler's spherical mean and the quadrature's slab
+    # value differ by (8 pi/3) p_R(0), several stderr at 1e6 samples
+    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, ratio * REF_GEOM.a_z)
+    mc = ia.dipolar_average_mc(geom, 1_000_000, seed=2)
+    quad = ia.dipolar_average(geom)
+    assert abs(mc.value_hz - quad.value_hz) <= 3.0 * mc.stderr_hz
+
+
 def test_dipolar_mc_point_trap_limit():
     geom = ia.TrapGeometry(0.5, 0.5, 0.5, 0.5, 700.0)
     mc = ia.dipolar_average_mc(geom, 50_000, seed=5)
@@ -323,27 +347,27 @@ def test_dipolar_mc_point_trap_limit():
 def serial_mc_reference(geom: ia.TrapGeometry, n_samples: int, seed: int, core_cutoff_a0: float = 0.1):
     """(value_hz, stderr_hz, n_rejected) of the Monte Carlo oracle, computed
     one chunk after another on fresh arrays: the seeded stream that
-    ``dipolar_average_mc`` must reproduce bit for bit."""
+    ``dipolar_average_mc`` must reproduce bit for bit.  Each chunk draws
+    R = r_q - r_h - z0 zhat as one (3, n) Gaussian block; the spherical mean
+    then loses the contact term (8 pi/3) p_R(0)."""
     chunk_size = 1 << 17
-    sigma_q = np.array([geom.a_qr, geom.a_qr, geom.a_qz])
-    sigma_h = np.array([geom.a_hr, geom.a_hr, geom.a_hz])
     total, total_sq, kept, rejected = 0.0, 0.0, 0, 0
     for chunk in range((n_samples + chunk_size - 1) // chunk_size):
         n = min(chunk_size, n_samples - chunk * chunk_size)
-        rng = np.random.default_rng([seed, chunk])
-        r = rng.standard_normal((n, 3)) * sigma_q - rng.standard_normal((n, 3)) * sigma_h
-        r[:, 2] -= geom.z0
-        r2 = np.einsum("ij,ij->i", r, r)
+        x, y, z = np.random.default_rng([seed, chunk]).standard_normal((3, n))
+        x, y, z = x * geom.a_r, y * geom.a_r, z * geom.a_z - geom.z0
+        r2 = x * x + y * y + z * z
         keep = r2 > core_cutoff_a0**2
         rejected += int(n - keep.sum())
         r2 = r2[keep]
-        f = (1.0 - 3.0 * r[keep, 2] ** 2 / r2) / (r2 * np.sqrt(r2))
+        f = (1.0 - 3.0 * z[keep] ** 2 / r2) / (r2 * np.sqrt(r2))
         total += float(f.sum())
         total_sq += float((f * f).sum())
         kept += int(keep.sum())
     mean = total / kept
     var = max(0.0, (total_sq - kept * mean * mean) / (kept - 1))
-    return mean / units.BOHR_RADIUS**3, math.sqrt(var / kept) / units.BOHR_RADIUS**3, rejected
+    value = mean - 8.0 * math.pi / 3.0 * ia.contact_density_a0(geom)
+    return value / units.BOHR_RADIUS**3, math.sqrt(var / kept) / units.BOHR_RADIUS**3, rejected
 
 
 def _mc_triple(result: ia.CouplingResult):
@@ -364,6 +388,7 @@ MC_STREAM_CASES = {
     "z0=2100": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0, 2100.0), 0.1),
     "cutoff=1": (ia.TrapGeometry(1.0, 1.0, 1.0, 1.0, 0.0), 1.0),
     "cutoff=50": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0, 0.0), 50.0),
+    "anisotropic": (ia.TrapGeometry(300.0, 150.0, 120.0, 80.0, 600.0), 0.1),
 }
 
 
