@@ -182,13 +182,13 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
-def _parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The command-line parser, and the option strings that take a value:
-    ``scopes[None]`` before the command, ``scopes[name]`` after it."""
-    valued = {}  # parser -> its option strings that take a value
+def _parser() -> tuple[argparse.ArgumentParser, set]:
+    """The command-line parser, and the option strings that take a value (under
+    every command that has them, so one set serves before and after the command)."""
+    valued = set()
 
     def option(p, name, **kw):
-        valued.setdefault(p, set()).add(name)
+        valued.add(name)
         p.add_argument(name, **kw)
 
     parser = _Parser(
@@ -241,12 +241,10 @@ def _parser() -> tuple[argparse.ArgumentParser, dict]:
     p = command("simulate", simulate_cmd)
     p.add_argument("schedule_file")
     option(p, "--out")
-    scopes = {name: valued[sub] for name, sub in commands.choices.items()}
-    scopes[None] = valued[parser]
-    return parser, scopes
+    return parser, valued
 
 
-def _attach_values(argv: list[str], scopes: dict) -> list[str]:
+def _attach_values(argv: list[str], valued: set) -> list[str]:
     """Join each ``--option value`` pair into ``--option=value``.
 
     An option's value is the next token whatever it looks like, as in
@@ -254,25 +252,22 @@ def _attach_values(argv: list[str], scopes: dict) -> list[str]:
     tokens as option strings, because its negative-number pattern has no
     exponent and no ``inf``.
     """
-    out, scope = [], scopes[None]
+    out = []
     tokens = iter(argv)
     for token in tokens:
-        if token in scope:
+        if token in valued:
             value = next(tokens, None)
-            out.append(token if value is None else f"{token}={value}")
-            continue
-        if scope is scopes[None] and token in scopes:  # the command name
-            scope = scopes[token]
+            token = token if value is None else f"{token}={value}"
         out.append(token)
     return out
 
 
 def main(argv=None) -> int:
-    parser, scopes = _parser()
+    parser, valued = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         try:
-            args = parser.parse_args(_attach_values(argv, scopes))
+            args = parser.parse_args(_attach_values(argv, valued))
         except SystemExit as exc:  # --help prints the usage, then argparse exits
             return exc.code
         args.func(args)

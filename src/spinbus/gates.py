@@ -29,6 +29,7 @@ CNOT = np.array(
     [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
 )
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+STEP_DOUBLING_TOL = 1e-4  # the largest step-doubling distance rwa_fidelity accepts
 
 _S1Z = ops.pauli("z", 0, 2)
 _S2Z = ops.pauli("z", 1, 2)
@@ -158,18 +159,13 @@ def effective_hamiltonian(p: StirringParams) -> np.ndarray:
     )
 
 
-def rwa_fidelity(
-    p: StirringParams,
-    duration_s: float,
-    steps: int,
-    convergence_tol: float = 1e-4,
-) -> GateReport:
+def rwa_fidelity(p: StirringParams, duration_s: float, steps: int) -> GateReport:
     """Exact driven evolution vs the effective model, in the rotating frame.
 
     Evolves the full Hamiltonian over [0, duration], applies the frame
     rotation e^{+i w_s T s2z}, and compares against exp(-i H_eff T).
     A step-doubling check guards the time discretization: the half-step
-    propagator must agree with the full-step one within ``convergence_tol``;
+    propagator must agree with the full-step one within ``STEP_DOUBLING_TOL``;
     their distance is reported as ``step_doubling_distance``.  ``steps``
     must be at least 2, so that the half-step run is a different one.
     """
@@ -179,7 +175,7 @@ def rwa_fidelity(
     u_exact = ops.evolve_td(h0, generator, 0.0, duration_s, steps)
     u_half = ops.evolve_td(h0, generator, 0.0, duration_s, steps // 2)
     conv = ops.operator_distance(u_half, u_exact)
-    if conv > convergence_tol:
+    if conv > STEP_DOUBLING_TOL:
         raise NumericalError(
             f"evolution not converged at {steps} steps: step-doubling distance {conv:.2e}"
         )
@@ -240,22 +236,18 @@ RWA_SCAN_DURATION_S = 1.87e-4
 RWA_SCAN_STEPS = 16384
 
 
-def rwa_scan(
-    multipliers=RWA_SCAN_MULTIPLIERS,
-    duration_s: float = RWA_SCAN_DURATION_S,
-    steps: int = RWA_SCAN_STEPS,
-) -> list[dict]:
+def rwa_scan() -> list[dict]:
     """Fidelity of the effective model as the stirring frequency is lowered.
 
-    ``multipliers`` are ratios of omega_s to the largest other frequency
-    scale in the model.
+    ``RWA_SCAN_MULTIPLIERS`` are ratios of omega_s to the largest other
+    frequency scale in the model.
     """
     base = RWA_SCAN_BASE
     scale = max(base["omega1"], base["omega2"], base["rabi"], 2.0 * math.pi * base["gamma_e_hz"])
     rows = []
-    for mult in multipliers:
+    for mult in RWA_SCAN_MULTIPLIERS:
         p = StirringParams(omega_s=mult * scale, **base)
-        rep = rwa_fidelity(p, duration_s, steps)
+        rep = rwa_fidelity(p, RWA_SCAN_DURATION_S, RWA_SCAN_STEPS)
         rows.append({
             "omega_s_over_scale": float(mult),
             "fidelity": rep.fidelity,

@@ -37,9 +37,13 @@ from .traps import CO2_WAVELENGTH_M
 from .units import BOHR_RADIUS
 
 SIMULATION_QUBIT_CAP = 8  # plus the header: 9 sites, a dense 512x512 unitary
+BUDGET_FLAG_RATIO = 0.1  # a schedule longer than this share of the coherence time is flagged
 
-SINGLE_QUBIT_GATES = ("X", "Z", "H", "PHASE1")
-TWO_QUBIT_GATES = ("XOR", "SWAP", "PHASE")
+# logical gate -> (qubit count, takes an angle)
+GATES = {"X": (1, False), "Z": (1, False), "H": (1, False), "PHASE1": (1, True),
+         "XOR": (2, False), "SWAP": (2, False), "PHASE": (2, False)}
+TWO_QUBIT_GATES = tuple(name for name, (n_qubits, _) in GATES.items() if n_qubits == 2)
+ONEBIT_GATES = ("X", "Z", "H", "S", "PHASE")  # gates of a one-bit primitive; only PHASE takes an angle
 
 
 @dataclass(frozen=True)
@@ -67,8 +71,8 @@ def parse_circuit(text: str) -> list[LogicalGate]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        name = tokens[0].upper()
+        name, *args = line.split()
+        name = name.upper()
 
         def fail(why: str):
             raise CircuitParseError(f"line {lineno}: {why}: {raw.strip()!r}")
@@ -78,29 +82,24 @@ def parse_circuit(text: str) -> list[LogicalGate]:
                 fail(f"expected a qubit like q0, got {tok!r}")
             return int(tok[1:])
 
-        if name in ("X", "Z", "H"):
-            if len(tokens) != 2:
-                fail(f"{name} takes one qubit")
-            out.append(LogicalGate(name, (qubit(tokens[1]),)))
-        elif name == "PHASE1":
-            if len(tokens) != 3:
-                fail("PHASE1 takes a qubit and an angle")
+        if name not in GATES:
+            fail(f"unknown gate {name!r}; valid: {', '.join(GATES)}")
+        n_qubits, takes_angle = GATES[name]
+        if len(args) != n_qubits + takes_angle:
+            takes = "a qubit and an angle" if takes_angle else "one qubit" if n_qubits == 1 else "two qubits"
+            fail(f"{name} takes {takes}")
+        angle = None
+        if takes_angle:
             try:
-                angle = float(tokens[2])
+                angle = float(args[-1])
             except ValueError:
-                fail(f"bad angle {tokens[2]!r}")
+                fail(f"bad angle {args[-1]!r}")
             if not math.isfinite(angle):
-                fail(f"angle must be finite, got {tokens[2]!r}")
-            out.append(LogicalGate(name, (qubit(tokens[1]),), angle))
-        elif name in TWO_QUBIT_GATES:
-            if len(tokens) != 3:
-                fail(f"{name} takes two qubits")
-            a, b = qubit(tokens[1]), qubit(tokens[2])
-            if a == b:
-                fail("two-qubit gate needs distinct qubits")
-            out.append(LogicalGate(name, (a, b)))
-        else:
-            fail(f"unknown gate {name!r}; valid: {', '.join(SINGLE_QUBIT_GATES + TWO_QUBIT_GATES)}")
+                fail(f"angle must be finite, got {args[-1]!r}")
+        qubits = tuple(qubit(tok) for tok in args[:n_qubits])
+        if len(set(qubits)) != n_qubits:
+            fail("two-qubit gate needs distinct qubits")
+        out.append(LogicalGate(name, qubits, angle))
     return out
 
 
@@ -158,7 +157,7 @@ class IsingPulse:
 @dataclass(frozen=True)
 class OneBit:
     atom: str
-    gate: str             # X | Z | H | S | PHASE
+    gate: str             # one of ONEBIT_GATES
     param: float | None
     start_s: float
     duration_s: float
@@ -292,10 +291,8 @@ class _Compiler:
         self.move_to(park)
 
     def run(self, circuit: list[LogicalGate]) -> Schedule:
+        _check_in_register(circuit, self.register)
         for gate in circuit:
-            for q in gate.qubits:
-                if not (0 <= q < self.register.n_qubits):
-                    raise DomainError(f"gate {gate.text()} addresses an unreachable site q{q}")
             if gate.name == "SWAP":
                 a, b = gate.qubits
                 for ctrl, tgt in ((a, b), (b, a), (a, b)):
@@ -343,6 +340,14 @@ class _Compiler:
         return phase
 
 
+def _check_in_register(circuit, register: Register):
+    """Every qubit a gate of ``circuit`` addresses is a site of ``register``."""
+    for gate in circuit:
+        for q in gate.qubits:
+            if not (0 <= q < register.n_qubits):
+                raise DomainError(f"gate {gate.text()} addresses an unreachable site q{q}")
+
+
 def compile_circuit(
     circuit: list[LogicalGate],
     register: Register,
@@ -372,13 +377,8 @@ def _onebit_matrix(gate: str, param: float | None) -> np.ndarray:
     import numpy as np
 
     if gate == "PHASE":
-        if param is None:
-            raise DomainError("PHASE one-bit primitive needs an angle")
         return np.diag([1.0 + 0j, np.exp(1j * param)])
-    try:
-        return _onebit_matrices()[gate]
-    except KeyError:
-        raise DomainError(f"unknown one-bit gate {gate!r}") from None
+    return _onebit_matrices()[gate]
 
 
 def _atom_site(atom: str, register: Register) -> int:
@@ -405,10 +405,12 @@ def _product(steps, n_sites: int) -> np.ndarray:
 def simulate_schedule(schedule: Schedule) -> np.ndarray:
     """Compose the ideal primitive unitaries on the q-register + header.
 
-    Transport acts trivially on spin (spin and motion factorize), so MOVE
-    primitives contribute identity; the returned matrix includes every
-    primitive's intrinsic phase and therefore matches the logical unitary
-    times exp(i * global_phase_rad) exactly.
+    The schedule comes from ``compile_circuit`` or ``schedule_from_json``,
+    which check its content; only the qubit cap is checked here.  Transport
+    acts trivially on spin (spin and motion factorize), so MOVE primitives
+    contribute identity; the returned matrix includes every primitive's
+    intrinsic phase and therefore matches the logical unitary times
+    exp(i * global_phase_rad) exactly.
     """
     import numpy as np
 
@@ -427,8 +429,6 @@ def simulate_schedule(schedule: Schedule) -> np.ndarray:
             steps.append((np.diag(np.exp(1j * prim.phase_rad * zz)), prim.atoms))
         elif isinstance(prim, OneBit):
             steps.append((_onebit_matrix(prim.gate, prim.param), (prim.atom,)))
-        elif not isinstance(prim, Move):
-            raise DomainError(f"unknown primitive {prim!r}")
     return _product([(m, [_atom_site(a, reg) for a in atoms]) for m, atoms in steps], reg.n_qubits + 1)
 
 
@@ -494,7 +494,7 @@ class BudgetReport:
         }
 
 
-def budget(schedule: Schedule, rates_hz: dict[str, float], flag_threshold: float = 0.1) -> BudgetReport:
+def budget(schedule: Schedule, rates_hz: dict[str, float]) -> BudgetReport:
     """Time accounting against the worst decoherence rate.
 
     ``rates_hz`` maps source names (e.g. blue-lattice scattering, CO2
@@ -516,7 +516,7 @@ def budget(schedule: Schedule, rates_hz: dict[str, float], flag_threshold: float
         }
         for p in schedule.primitives
     )
-    return BudgetReport(gate, transport, coherence, ratio, ratio > flag_threshold, per)
+    return BudgetReport(gate, transport, coherence, ratio, ratio > BUDGET_FLAG_RATIO, per)
 
 
 # --- serialization ----------------------------------------------------------
@@ -560,17 +560,27 @@ def _primitive_from_json(body, index: int, register: Register) -> Primitive:
         raise DomainError(f"{what}: unknown kind {kind!r}; valid: {', '.join(_PRIMITIVE_TYPES)}")
     body = _checked_fields(cls, body, what)
     if "atoms" in body:
-        if not (isinstance(body["atoms"], list) and len(body["atoms"]) == 2):
-            raise DomainError(f"{what}: atoms must be a pair of atom names")
-        body["atoms"] = tuple(body["atoms"])
+        atoms = body["atoms"]
+        if not (isinstance(atoms, list) and len(atoms) == 2 and atoms[0] != atoms[1]):
+            raise DomainError(f"{what}: atoms must be a pair of distinct atom names, got {json.dumps(atoms)}")
+        body["atoms"] = tuple(atoms)
     for atom in body.get("atoms", (body.get("atom"),)):
         _atom_site(atom, register)
+    if cls is Move and body["atom"] != "h0":
+        raise DomainError(f"{what}: only the header h0 moves, got {body['atom']!r}")
+    if cls is OneBit and body["gate"] not in ONEBIT_GATES:
+        raise DomainError(f"{what}: unknown one-bit gate {body['gate']!r}; valid: {', '.join(ONEBIT_GATES)}")
+    if cls is OneBit and (body["gate"] == "PHASE") != (body["param"] is not None):
+        takes = "a number" if body["gate"] == "PHASE" else "no"
+        raise DomainError(f"{what}: gate {body['gate']} takes {takes} param, got {json.dumps(body['param'])}")
     return cls(**body)
 
 
 def schedule_from_json(text: str) -> Schedule:
     """Read a ``schedule_to_json`` document; the ``budget`` block that
-    ``compile`` adds is ignored.  Malformed input raises DomainError."""
+    ``compile`` adds is ignored.  This is the one check of a schedule's
+    content, which the simulator then trusts: malformed input raises
+    DomainError."""
     try:
         doc = loads_finite(text)
     except ValueError as exc:
@@ -588,13 +598,10 @@ def schedule_from_json(text: str) -> Schedule:
         raise DomainError("schedule primitives must be a list")
     primitives = tuple(_primitive_from_json(p, i, register) for i, p in enumerate(prims))
     _check_timing(primitives, body["total_time_s"])
-    return Schedule(**{
-        **body,
-        "register": register,
-        "params": CompileParams(**_checked_fields(CompileParams, body["params"], "params")),
-        "circuit": tuple(parse_circuit("\n".join(lines))),
-        "primitives": primitives,
-    })
+    params = CompileParams(**_checked_fields(CompileParams, body["params"], "params"))
+    circuit = tuple(parse_circuit("\n".join(lines)))
+    _check_in_register(circuit, register)
+    return Schedule(**{**body, "register": register, "params": params, "circuit": circuit, "primitives": primitives})
 
 
 def _check_timing(primitives, total_time_s: float):

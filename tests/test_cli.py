@@ -398,6 +398,12 @@ def _first_primitive(doc, prim):
     return json.dumps({**doc, "primitives": [prim, *doc["primitives"][1:]]})
 
 
+def _edited(doc, index, **fields):
+    prims = [dict(p) for p in doc["primitives"]]
+    prims[index].update(fields)
+    return json.dumps({**doc, "primitives": prims})
+
+
 def _bare_total_time(token):
     return lambda doc: json.dumps({**doc, "total_time_s": "@"}).replace('"@"', token)
 
@@ -421,15 +427,21 @@ SCHEDULE_DEFECTS = {
     "late-first-start": (
         lambda doc: _first_primitive(doc, {**doc["primitives"][0], "start_s": 1e-9}), "primitive 0: start_s"
     ),
-    "broken-chain": (lambda doc: _shift_start(doc, 1, 1e-6), "primitive 1: start_s"),
+    "broken-chain": (
+        lambda doc: _edited(doc, 1, start_s=doc["primitives"][1]["start_s"] + 1e-6), "primitive 1: start_s"
+    ),
     "total-time": (lambda doc: json.dumps({**doc, "total_time_s": 123.0}), "total_time_s 123.0"),
+    # primitive 10 is the one-bit H on q0, 1 the first swap, 4 the Ising pulse, 0 the first move
+    "onebit-angle-dropped": (lambda doc: _edited(doc, 10, param=0.7), "primitive 10: gate H takes no param, got 0.7"),
+    "phase-without-angle": (lambda doc: _edited(doc, 10, gate="PHASE"), "primitive 10: gate PHASE takes a number"),
+    "unknown-onebit-gate": (lambda doc: _edited(doc, 10, gate="Q"), "primitive 10: unknown one-bit gate 'Q'"),
+    "swap-same-atoms": (lambda doc: _edited(doc, 1, atoms=["q0", "q0"]), "primitive 1: atoms must be a pair of dist"),
+    "ising-same-atoms": (lambda doc: _edited(doc, 4, atoms=["h0", "h0"]), "primitive 4: atoms must be a pair of dist"),
+    "qubit-moves": (lambda doc: _edited(doc, 0, atom="q0"), "primitive 0: only the header h0 moves"),
+    "circuit-off-register": (
+        lambda doc: json.dumps({**doc, "circuit": ["XOR q0 q1", "X q7"]}), "gate X q7 addresses an unreachable site q7"
+    ),
 }
-
-
-def _shift_start(doc, index, by):
-    prims = [dict(p) for p in doc["primitives"]]
-    prims[index]["start_s"] += by
-    return json.dumps({**doc, "primitives": prims})
 
 
 @pytest.mark.parametrize("defect", list(SCHEDULE_DEFECTS))
@@ -440,7 +452,7 @@ def test_simulate_malformed_schedule_exit_1(capsys, tmp_path, defect):
     code, out, err = run(capsys, "simulate", str(bad))
     assert code == 1
     assert out == ""
-    assert err.startswith("error: ") and fragment in err
+    assert err.startswith("error: ") and fragment in err and err.count("\n") == 1, err
 
 
 def test_simulate_refuses_edited_timing(capsys, tmp_path):
@@ -720,6 +732,29 @@ def test_fuzzed_config_exits_cleanly_from_every_command(capsys, tmp_path, path, 
         _assert_clean_exit(*run(capsys, "--config", str(cfg), *argv))
 
 
+# every object of the fuzzed config, the top level included; a key inserted
+# into one is named in an error message, or is a species or rate source name
+_CONFIG_OBJECTS = [
+    path for path in [(), *_paths(FUZZ_CONFIG)]
+    if isinstance(functools.reduce(lambda node, key: node[key], path, FUZZ_CONFIG), dict)
+]
+_CONTROL_KEYS = st.text(st.sampled_from("k\n\r\t\x00\x1b\x85"), min_size=1, max_size=3).filter(
+    lambda key: not key.isprintable()
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(section=st.sampled_from(_CONFIG_OBJECTS), key=_CONTROL_KEYS, value=_JSON_VALUES)
+def test_fuzzed_config_key_exits_cleanly_from_every_command(capsys, tmp_path, section, key, value):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_replaced(FUZZ_CONFIG, (*section, key), value)))
+    circuit = tmp_path / "circuit.txt"
+    circuit.write_text("XOR q0 q1\nH q0\n")
+    for argv in (*_FUZZ_COMMANDS, ["compile", str(circuit)]):
+        _assert_clean_exit(*run(capsys, "--config", str(cfg), *argv))
+
+
 @functools.cache
 def _compiled_schedule_doc() -> dict:
     from spinbus import scheduler as sch
@@ -737,3 +772,28 @@ def test_fuzzed_schedule_exits_cleanly_from_simulate(capsys, tmp_path, data):
     schedule = tmp_path / "schedule.json"
     schedule.write_text(json.dumps(_replaced(doc, path, data.draw(_JSON_VALUES))))
     _assert_clean_exit(*run(capsys, "simulate", str(schedule)))
+
+
+@functools.cache
+def _one_bit_schedule_doc() -> dict:
+    """A compiled schedule with one-bit H, S and PHASE primitives."""
+    from spinbus import scheduler as sch
+
+    circuit = sch.parse_circuit("XOR q0 q1\nH q0\nPHASE1 q1 0.3\n")
+    return json.loads(sch.schedule_to_json(sch.compile_circuit(circuit, sch.Register(n_qubits=2))))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_schedule_the_loader_accepts_simulates_without_error(data):
+    from spinbus import scheduler as sch
+    from spinbus.errors import SpinBusError
+
+    doc = _one_bit_schedule_doc()
+    path = data.draw(st.sampled_from([("primitives", *path) for path in _paths(doc["primitives"])]))
+    names = st.sampled_from(["X", "Z", "H", "S", "PHASE", "PHASE1", "XOR", "SWAP", "h0", "q0", "q1", "q7"])
+    try:
+        schedule = sch.schedule_from_json(json.dumps(_replaced(doc, path, data.draw(_JSON_VALUES | names))))
+    except SpinBusError:
+        return
+    sch.simulate_schedule(schedule)  # two qubits, under the simulator's cap: nothing may raise
