@@ -1,13 +1,15 @@
 """Command-line entry point.
 
 Commands: ``tables``, ``scan``, ``gatecheck``, ``transport``, ``compile``,
-``simulate``; the global ``--config`` goes before the command.  All commands
-are deterministic given the config file and seed, and write byte-identical
-output on repeated runs.  Exit codes: 0 success (``--help`` included),
-1 validation failure, 2 numerical failure.  A failure writes one line to
-stderr: ``error: ...`` for exit 1, ``numerical failure: ...`` for exit 2; a
-usage error (unknown command or option, missing or malformed value) is a
-validation failure.
+``simulate``; the global ``--config`` goes before the command and is loaded,
+and so checked, before any command runs.  The computing modules return data;
+this module writes every output, JSON through ``jsonio.dumps`` and CSV
+through ``_csv_text``.  All commands are deterministic given the config file
+and seed, and write byte-identical output on repeated runs.  Exit codes:
+0 success (``--help`` included), 1 validation failure, 2 numerical failure.
+A failure writes one line to stderr: ``error: ...`` for exit 1,
+``numerical failure: ...`` for exit 2; a usage error (unknown command or
+option, missing or malformed value) is a validation failure.
 
 The front end is the standard library's ``argparse``.  Each command imports
 the modules it uses when it runs.  Only ``scan --mode mc``, ``gatecheck``
@@ -19,7 +21,8 @@ without it, and only ``compile`` and ``simulate`` load the scheduler.
 from __future__ import annotations
 
 import argparse
-import json
+import csv
+import io
 import math
 import sys
 from pathlib import Path
@@ -27,7 +30,7 @@ from pathlib import Path
 from . import traps
 from .config import Config, load_config
 from .errors import DomainError, NumericalError, SpinBusError
-from .jsonio import key_text
+from .jsonio import dumps, key_text
 from .units import ATOMIC_MASS, BOHR_RADIUS
 
 EXIT_VALIDATION = 1
@@ -41,6 +44,17 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _csv_text(fields, rows: list[dict]) -> str:
+    """A ``fields`` header, then each row's values in that order: floats as
+    ``repr``, None as an empty field."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in map(row.get, fields)])
+    return buf.getvalue()
+
+
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -50,22 +64,15 @@ def _read_text(path: str) -> str:
         raise DomainError(f"cannot read {key_text(path)}: {exc.strerror}") from None
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
-
-
-def _cfg(args) -> Config:
-    return load_config(args.config)
-
-
-def tables(args):
+def tables(args, cfg: Config):
     """Per-species trap parameter table for one lattice."""
-    cfg = _cfg(args)
     names = [s.strip() for s in args.species.split(",")] if args.species else None
     reports = traps.lattice_reports(
         args.lattice, names, registry=cfg.species, red_spec=cfg.red_lattice, blue_spec=cfg.blue_lattice
     )
-    _emit(traps.reports_csv(reports) if args.format == "csv" else traps.reports_json(reports), args.out)
+    rows = [r.as_table_row() for r in reports]
+    text = _csv_text(list(rows[0]), rows) if args.format == "csv" else dumps({r["species"]: r for r in rows})
+    _emit(text, args.out)
 
 
 def _point_dipole_hz(pref: float, z0_a0: float) -> float:
@@ -80,7 +87,10 @@ def _point_dipole_hz(pref: float, z0_a0: float) -> float:
     return value
 
 
-def scan(args):
+SCAN_COLUMNS = ("z0_a0", "J_exchange_Hz", "J_dipolar_Hz", "J_total_Hz", "method", "stderr_Hz", "J_pointdipole_Hz")
+
+
+def scan(args, cfg: Config):
     """Coupling-strength scan over the trap separation.
 
     Columns: exchange, Gaussian-averaged dipolar, total, plus the point
@@ -88,7 +98,6 @@ def scan(args):
     """
     from . import interactions
 
-    cfg = _cfg(args)
     z0_min, z0_max, points = args.z0_min, args.z0_max, args.points
     if points < 2:
         raise DomainError("need points >= 2")
@@ -110,10 +119,10 @@ def scan(args):
     )
     for row, value in zip(rows, point_dipole):
         row["J_pointdipole_Hz"] = value
-    _emit(interactions.scan_csv(rows, extra_fields=("J_pointdipole_Hz",)), args.out)
+    _emit(_csv_text(SCAN_COLUMNS, rows), args.out)
 
 
-def gatecheck(args):
+def gatecheck(args, cfg: Config):
     """Gate identity checks plus the stirring/RWA validity scan; fails nonzero
     if any identity fidelity drops below the threshold."""
     from . import gates as gatelib
@@ -128,29 +137,28 @@ def gatecheck(args):
     }
     ok = all(r["fidelity"] >= args.tolerance for r in reports) and scan_rows[0]["fidelity"] >= args.rwa_threshold
     doc["pass"] = ok
-    _emit(_json_text(doc), args.out)
+    _emit(dumps(doc), args.out)
     if not ok:
         raise NumericalError("gate check failed the fidelity threshold")
 
 
-def transport_cmd(args):
+def transport_cmd(args, cfg: Config):
     """Plan an adiabatic header translation and report the excitation numbers."""
     from . import transport
 
-    trap = _cfg(args).compile_params  # the header trap the compiler's moves use
+    trap = cfg.compile_params  # the header trap the compiler's moves use
     nu = args.nu_trap_hz if args.nu_trap_hz is not None else trap.trap_frequency_hz
     mass = args.mass_amu * ATOMIC_MASS if args.mass_amu is not None else trap.mass_kg
     p_budget = args.budget if args.budget is not None else trap.p_budget
-    _, result = transport.plan_transport(args.distance_m, 2.0 * math.pi * nu, mass, p_budget)
-    _emit(_json_text(result.as_dict()), args.out)
+    result = transport.plan_transport(args.distance_m, 2.0 * math.pi * nu, mass, p_budget)
+    _emit(dumps(result.as_dict()), args.out)
 
 
-def compile_cmd(args):
+def compile_cmd(args, cfg: Config):
     """Compile a circuit file into a timed schedule (JSON), with the
     decoherence budget attached."""
     from . import scheduler
 
-    cfg = _cfg(args)
     circuit = scheduler.parse_circuit(_read_text(args.circuit_file))
     qubits = args.qubits
     if qubits is None:
@@ -158,19 +166,17 @@ def compile_cmd(args):
     register = scheduler.Register(n_qubits=qubits)
     schedule = scheduler.compile_circuit(circuit, register, cfg.compile_params)
     budget = scheduler.budget(schedule, cfg.rates_hz)
-    doc = json.loads(scheduler.schedule_to_json(schedule))
-    doc["budget"] = budget.as_dict()
-    _emit(_json_text(doc), args.out)
+    _emit(dumps({**scheduler.schedule_doc(schedule), "budget": budget.as_dict()}), args.out)
 
 
-def simulate_cmd(args):
+def simulate_cmd(args, cfg: Config):
     """Re-simulate a compiled schedule and report fidelity to the logical
     circuit; exits 2 after writing the report if they do not match."""
     from . import scheduler
 
     schedule = scheduler.schedule_from_json(_read_text(args.schedule_file))
     report = scheduler.verify_schedule(schedule)
-    _emit(_json_text(report), args.out)
+    _emit(dumps(report), args.out)
     if not report["matches"]:
         raise NumericalError(f"schedule differs from the logical circuit by {report['max_norm_error']:.3e}")
 
@@ -270,7 +276,7 @@ def main(argv=None) -> int:
             args = parser.parse_args(_attach_values(argv, valued))
         except SystemExit as exc:  # --help prints the usage, then argparse exits
             return exc.code
-        args.func(args)
+        args.func(args, load_config(args.config))
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return EXIT_VALIDATION

@@ -17,8 +17,6 @@ says otherwise; returned couplings are in Hz.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
 import sys
@@ -51,13 +49,10 @@ _MC_CHUNK = 1 << 17
 @dataclass(frozen=True)
 class CouplingResult:
     value_hz: float
-    method: str  # quadrature | monte_carlo | closed_form
-    stderr_hz: float | None = None
+    stderr_hz: float | None = None  # Monte Carlo only
     n_rejected: int = 0
 
     def __post_init__(self):
-        if (self.method == "monte_carlo") != (self.stderr_hz is not None):
-            raise DomainError("stderr is present exactly when method is monte_carlo")
         if not math.isfinite(self.value_hz):
             raise DomainError("coupling value must be finite")
 
@@ -93,7 +88,7 @@ def exchange_strength(geom: TrapGeometry, scat: ScatteringParams) -> CouplingRes
     if not math.isfinite(value_hz):
         # a width whose square leaves float range
         raise NumericalError(f"exchange coupling cannot evaluate trap widths a_r={geom.a_r} a0, a_z={geom.a_z} a0")
-    return CouplingResult(value_hz=value_hz, method="closed_form")
+    return CouplingResult(value_hz=value_hz)
 
 
 def gamma_prefactor_hz_m3(mode: str = "calibrated") -> float:
@@ -305,7 +300,7 @@ def dipolar_average(geom: TrapGeometry) -> CouplingResult:
             f"dipolar quadrature did not converge: value={value_a0} a0^-3, "
             f"abserr={pref * quad.abserr}, subintervals={quad.subintervals}"
         )
-    return CouplingResult(value_hz=value_a0 / BOHR_RADIUS**3, method="quadrature")
+    return CouplingResult(value_hz=value_a0 / BOHR_RADIUS**3)
 
 
 def _usable_cpus() -> int:
@@ -442,15 +437,9 @@ def dipolar_average_mc(
     stderr = math.sqrt(var / kept)
     return CouplingResult(
         value_hz=(mean - 8.0 * math.pi / 3.0 * contact_density_a0(geom)) / BOHR_RADIUS**3,
-        method="monte_carlo",
         stderr_hz=stderr / BOHR_RADIUS**3,
         n_rejected=n_samples - kept,
     )
-
-
-# --- scan output (consumed by the CLI's coupling-scan command) -------------
-
-SCAN_FIELDS = ("z0_a0", "J_exchange_Hz", "J_dipolar_Hz", "J_total_Hz", "method", "stderr_Hz")
 
 
 def scan_couplings(
@@ -462,7 +451,8 @@ def scan_couplings(
     seed: int = 0,
 ) -> list[dict]:
     """Effective Ising coupling J(z0) in Hz, exchange plus averaged dipole,
-    over a z0 scan; one dict per ``SCAN_FIELDS`` row.
+    over a z0 scan; one row dict per z0, whose ``stderr_Hz`` is None for
+    quadrature.
 
     The dipolar part is Monte Carlo with ``mc_samples`` per point (point i
     seeded ``seed + i``) when ``mc_samples`` is given, quadrature otherwise.
@@ -488,14 +478,3 @@ def scan_couplings(
             }
         )
     return rows
-
-
-def scan_csv(rows: list[dict], extra_fields: tuple = ()) -> str:
-    """Render scan rows as CSV text with the documented column order."""
-    fields = SCAN_FIELDS + tuple(extra_fields)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow(["" if row.get(f) is None else repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
-    return buf.getvalue()

@@ -1,6 +1,7 @@
-"""Strict JSON reading shared by the config and schedule loaders: finite
-numbers only, and objects checked field by field against dataclass
-annotations."""
+"""JSON text in and out.  Reading, shared by the config and schedule
+loaders, is strict: finite numbers only, and objects checked field by field
+against dataclass annotations.  Every JSON document spinbus writes goes
+through ``dumps``."""
 
 from __future__ import annotations
 
@@ -27,6 +28,11 @@ def loads_finite(text: str):
     """``json.loads`` that raises ValueError on NaN, Infinity and on numbers
     too large for a float (``1e999``), so no non-finite value gets in."""
     return json.loads(text, parse_constant=_reject, parse_float=_finite(float), parse_int=_finite(int))
+
+
+def dumps(doc) -> str:
+    """``doc`` as JSON text: indent 2, sorted keys, a final newline."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def key_text(key: str) -> str:

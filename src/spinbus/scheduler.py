@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .config import CompileParams
 from .errors import CircuitParseError, DomainError, NumericalError
-from .jsonio import checked_fields, loads_finite
+from .jsonio import checked_fields, dumps, loads_finite
 from .transport import plan_transport
 from .traps import CO2_WAVELENGTH_M
 from .units import BOHR_RADIUS
@@ -211,7 +211,7 @@ class _Compiler:
         if target == self.pos:
             return
         distance = abs(target - self.pos) * self.register.site_spacing_m
-        _, plan = plan_transport(
+        plan = plan_transport(
             distance,
             2.0 * math.pi * self.params.trap_frequency_hz,
             self.params.mass_kg,
@@ -524,8 +524,9 @@ def budget(schedule: Schedule, rates_hz: dict[str, float]) -> BudgetReport:
 SCHEDULE_FORMAT = "spinbus-schedule/2"
 
 
-def schedule_to_json(schedule: Schedule) -> str:
-    doc = {
+def schedule_doc(schedule: Schedule) -> dict:
+    """The JSON document of ``schedule``, which ``schedule_from_json`` reads."""
+    return {
         "format": SCHEDULE_FORMAT,
         "register": asdict(schedule.register),
         "params": asdict(schedule.params),
@@ -536,7 +537,10 @@ def schedule_to_json(schedule: Schedule) -> str:
         "idle_infidelity_estimate": schedule.idle_infidelity_estimate,
         "primitives": [asdict(p) for p in schedule.primitives],
     }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def schedule_to_json(schedule: Schedule) -> str:
+    return dumps(schedule_doc(schedule))
 
 
 _PRIMITIVE_TYPES = {"move": Move, "swap": SwapStep, "ising": IsingPulse, "onebit": OneBit}
@@ -565,7 +569,10 @@ def _primitive_from_json(body, index: int, register: Register) -> Primitive:
             raise DomainError(f"{what}: atoms must be a pair of distinct atom names, got {json.dumps(atoms)}")
         body["atoms"] = tuple(atoms)
     for atom in body.get("atoms", (body.get("atom"),)):
-        _atom_site(atom, register)
+        try:
+            _atom_site(atom, register)
+        except DomainError as exc:
+            raise DomainError(f"{what}: {exc}") from None
     if cls is Move and body["atom"] != "h0":
         raise DomainError(f"{what}: only the header h0 moves, got {body['atom']!r}")
     if cls is OneBit and body["gate"] not in ONEBIT_GATES:

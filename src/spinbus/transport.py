@@ -119,16 +119,17 @@ def plan_transport(
     mass_kg: float,
     p_budget: float,
     max_duration_s: float | None = None,
-) -> tuple[LorentzianPulse, TransportResult]:
+) -> TransportResult:
     """Choose a trap-center trajectory covering ``distance_m`` within budget.
 
     The velocity profile is Lorentzian, v(t) = (d tau/pi)/(tau^2 + t^2), so
     the co-moving excitation is n0 exp(-2 w_t tau) with n0 = M w_t d^2 /
-    (2 hbar); tau is solved from the budget.  The returned pulse is the
-    equivalent oscillator force F(t) = M w_t v(t), whose standard excitation
-    formulas reproduce the co-moving result exactly.  Note the budget fixes
-    w_t tau only -- the peak speed d/(pi tau) is unconstrained, which is the
-    point: fast transport stays adiabatic if it is smooth.
+    (2 hbar); tau is solved from the budget.  The result's impulse and
+    excitation are those of the equivalent oscillator force F(t) = M w_t v(t),
+    whose standard excitation formulas reproduce the co-moving result
+    exactly.  Note the budget fixes w_t tau only -- the peak speed d/(pi tau)
+    is unconstrained, which is the point: fast transport stays adiabatic if
+    it is smooth.
 
     The plan meets the budget exactly (``p_exact <= p_budget``).  Inputs
     whose plan overflows a float raise DomainError.
@@ -147,7 +148,7 @@ def plan_transport(
     if distance_m < 0:
         raise DomainError("distance must be >= 0")
     try:
-        pulse, result = _plan(distance_m, omega_t, mass_kg, p_budget)
+        result = _plan(distance_m, omega_t, mass_kg, p_budget)
     except (OverflowError, ZeroDivisionError):
         result = None
     if result is None or not all(map(math.isfinite, result.as_dict().values())):
@@ -160,16 +161,13 @@ def plan_transport(
             f"budget {p_budget} needs a {result.transit_time_s:.3e} s transit window, "
             f"over the {max_duration_s:.3e} s cap"
         )
-    return pulse, result
+    return result
 
 
-def _plan(
-    distance_m: float, omega_t: float, mass_kg: float, p_budget: float
-) -> tuple[LorentzianPulse, TransportResult]:
+def _plan(distance_m: float, omega_t: float, mass_kg: float, p_budget: float) -> TransportResult:
     """The plan for validated inputs; arithmetic may overflow."""
     if distance_m == 0.0:
-        null = LorentzianPulse(f0_n=0.0, tau_s=1.0 / omega_t)
-        return null, TransportResult(0.0, null.tau_s, 0.0, 0.0, 0.0, 0.0, 0.0, True, 0.0, 0.0)
+        return TransportResult(0.0, 1.0 / omega_t, 0.0, 0.0, 0.0, 0.0, 0.0, True, 0.0, 0.0)
     n_target = -math.log1p(-p_budget)  # p_exact <= budget <=> |alpha|^2 <= this
     n0 = mass_kg * omega_t * distance_m**2 / (2.0 * HBAR)
     # max(.., 1) sends n0 <= n_target, and an n0 underflowed to 0, to the floor
@@ -203,4 +201,4 @@ def _plan(
         peak_speed_m_s=distance_m / (math.pi * tau),
         phase_rad=phase,
     )
-    return pulse, result
+    return result

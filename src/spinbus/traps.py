@@ -18,9 +18,6 @@ Caption identities used throughout (all energies as frequencies in Hz):
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -259,21 +256,6 @@ def lattice_reports(
     if lattice == "blue":
         return [blue_lattice_report(get_species(n, reg), blue_spec) for n in names]
     raise DomainError(f"lattice must be red|blue, got {lattice!r}")
-
-
-def reports_csv(reports: list[TrapReport]) -> str:
-    rows = [r.as_table_row() for r in reports]
-    fields = list(rows[0]) if rows else []
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row.values()])
-    return buf.getvalue()
-
-
-def reports_json(reports: list[TrapReport]) -> str:
-    return json.dumps({r.species: r.as_table_row() for r in reports}, indent=2, sort_keys=True) + "\n"
 
 
 # --- inputs of the coupling model (spinbus.interactions) ---------------------

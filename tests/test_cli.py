@@ -416,7 +416,9 @@ SCHEDULE_DEFECTS = {
     "unknown-kind": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "kind": "warp"}), "'warp'"),
     "extra-field": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "colour": 1}), "primitive 0"),
     "missing-field": (lambda doc: _first_primitive(doc, _without(doc["primitives"][0], "start_s")), "primitive 0"),
-    "unknown-atom": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "atom": "h1"}), "'h1'"),
+    "unknown-header": (
+        lambda doc: _first_primitive(doc, {**doc["primitives"][0], "atom": "h1"}), "primitive 0: unknown atom 'h1'"
+    ),
     "nan": (_bare_total_time("NaN"), "non-finite number NaN"),
     "infinity": (_bare_total_time("-Infinity"), "non-finite number -Infinity"),
     "overflow": (_bare_total_time("1e999"), "1e999 overflows"),
@@ -438,6 +440,7 @@ SCHEDULE_DEFECTS = {
     "swap-same-atoms": (lambda doc: _edited(doc, 1, atoms=["q0", "q0"]), "primitive 1: atoms must be a pair of dist"),
     "ising-same-atoms": (lambda doc: _edited(doc, 4, atoms=["h0", "h0"]), "primitive 4: atoms must be a pair of dist"),
     "qubit-moves": (lambda doc: _edited(doc, 0, atom="q0"), "primitive 0: only the header h0 moves"),
+    "unknown-atom": (lambda doc: _edited(doc, 10, atom="q9"), "primitive 10: unknown atom 'q9'"),
     "circuit-off-register": (
         lambda doc: json.dumps({**doc, "circuit": ["XOR q0 q1", "X q7"]}), "gate X q7 addresses an unreachable site q7"
     ),
@@ -578,14 +581,19 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     ({"mc": {"seed": -1}}, "MC seed must be a non-negative integer, got -1"),
     # its keys moved into the scheduler section
     ({"transport": {"nu_trap_hz": 982323.0}}, "unknown keys in config: transport"),
+    (None, "cannot read config: [Errno 2] No such file or directory: 'cfg.json'"),
 ], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list",
         "species-name-newline", "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
         "frequency-negative", "mass-zero", "move-cap-negative", "mc-samples-negative", "mc-seed-negative",
-        "former-transport-section"])
-def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, config, message):
+        "former-transport-section", "missing-file"])
+def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, monkeypatch, config, message):
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\n")
-    for argv in (["tables", "--lattice", "red"], ["transport"], ["compile", str(tmp_path / "circuit.txt")]):
-        assert _run_with_config(capsys, tmp_path, config, *argv) == (1, "", f"error: {message}\n")
+    assert run(capsys, "compile", "circuit.txt", "--out", "schedule.json")[0] == 0  # for simulate
+    if config is not None:  # None: no config file at all
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    for argv in EVERY_COMMAND:
+        assert run(capsys, "--config", "cfg.json", *argv) == (1, "", f"error: {message}\n"), argv
 
 
 def test_one_header_trap_drives_transport_and_the_compiler(capsys, tmp_path):

@@ -9,6 +9,7 @@ from scipy import constants as codata
 
 from spinbus import interactions as ia
 from spinbus import units
+from spinbus.cli import main
 from spinbus.errors import DomainError, NumericalError
 
 REF_GEOM = ia.TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0, z0=1000.0)
@@ -486,18 +487,16 @@ def test_coupling_inputs_are_the_trap_module_definitions():
 
 def test_coupling_result_invariants():
     with pytest.raises(DomainError):
-        ia.CouplingResult(value_hz=1.0, method="quadrature", stderr_hz=0.5)
-    with pytest.raises(DomainError):
-        ia.CouplingResult(value_hz=math.nan, method="closed_form")
+        ia.CouplingResult(value_hz=math.nan)
 
 
-def test_scan_rows_and_csv():
+def test_scan_rows_and_csv(capsys):
     rows = ia.scan_couplings(REF_GEOM, RB_SCAT, [500.0, 1000.0])
     assert [r["z0_a0"] for r in rows] == [500.0, 1000.0]
     for r in rows:
         assert r["J_total_Hz"] == pytest.approx(r["J_exchange_Hz"] + r["J_dipolar_Hz"], rel=1e-12)
         assert r["method"] == "quadrature"
-    text = ia.scan_csv(rows)
-    lines = text.strip().split("\n")
-    assert lines[0] == "z0_a0,J_exchange_Hz,J_dipolar_Hz,J_total_Hz,method,stderr_Hz"
+    assert main(["scan", "--z0-min", "500", "--z0-max", "1000", "--points", "2"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert lines[0] == "z0_a0,J_exchange_Hz,J_dipolar_Hz,J_total_Hz,method,stderr_Hz,J_pointdipole_Hz"
     assert len(lines) == 3

@@ -118,14 +118,14 @@ def test_pulse_validation():
 
 
 def test_plan_zero_distance():
-    pulse, result = tr.plan_transport(0.0, OMEGA_T, MASS, 1e-4)
+    result = tr.plan_transport(0.0, OMEGA_T, MASS, 1e-4)
     assert result.p_exact == 0.0 and result.adiabatic
-    assert tr.impulse(pulse) == 0.0
+    assert result.impulse_kg_m_s == 0.0
 
 
 def test_plan_meets_budget_with_few_trap_periods():
     distance = 5.3e-6  # one lattice site
-    pulse, result = tr.plan_transport(distance, OMEGA_T, MASS, 1e-4)
+    result = tr.plan_transport(distance, OMEGA_T, MASS, 1e-4)
     assert result.p_exact <= 1e-4 * (1 + 1e-9)
     assert result.adiabatic
     # tau is a couple of trap periods, not thousands
@@ -140,15 +140,15 @@ def test_plan_meets_budget_with_few_trap_periods():
 
 
 def test_plan_budget_halving_shifts_tau_by_log2_over_2w():
-    _, a = tr.plan_transport(5.3e-6, OMEGA_T, MASS, 1e-4)
-    _, b = tr.plan_transport(5.3e-6, OMEGA_T, MASS, 5e-5)
+    a = tr.plan_transport(5.3e-6, OMEGA_T, MASS, 1e-4)
+    b = tr.plan_transport(5.3e-6, OMEGA_T, MASS, 5e-5)
     assert b.tau_s - a.tau_s == pytest.approx(math.log(2) / (2 * OMEGA_T), rel=1e-2)
 
 
 def test_plan_speed_independence():
     # the budget pins w_t * tau; the peak speed is free to grow with distance
-    _, far = tr.plan_transport(53e-6, OMEGA_T, MASS, 1e-4)
-    _, near = tr.plan_transport(5.3e-6, OMEGA_T, MASS, 1e-4)
+    far = tr.plan_transport(53e-6, OMEGA_T, MASS, 1e-4)
+    near = tr.plan_transport(5.3e-6, OMEGA_T, MASS, 1e-4)
     assert far.peak_speed_m_s > 5 * near.peak_speed_m_s
     assert far.p_exact <= 1e-4 * (1 + 1e-9)
 
@@ -180,7 +180,7 @@ def test_plan_rejects_non_finite_inputs(arg, bad):
 
 def _transit_or_none(distance, omega_t, p_budget):
     try:
-        _, result = tr.plan_transport(distance, omega_t, MASS, p_budget)
+        result = tr.plan_transport(distance, omega_t, MASS, p_budget)
     except DomainError:
         return None
     assert all(map(math.isfinite, result.as_dict().values()))
@@ -219,7 +219,7 @@ def test_plan_out_of_float_range_is_a_domain_error():
         with pytest.raises(DomainError, match="out of float range"):
             tr.plan_transport(*args, MASS, 1e-4)
     # a sub-femtometre move underflows n0 to 0 and takes the 0.1/w_t floor
-    _, result = tr.plan_transport(5e-324, OMEGA_T, MASS, 1e-4)
+    result = tr.plan_transport(5e-324, OMEGA_T, MASS, 1e-4)
     assert result.tau_s == 0.1 / OMEGA_T and result.p_exact == 0.0
 
 
@@ -232,7 +232,7 @@ def test_phase_integral_constant_matches_mpmath():
 
 @pytest.mark.parametrize("distance", [5.3e-7, 5.3e-6, 53e-6])
 def test_plan_phase_matches_mpmath_integral(distance):
-    _, result = tr.plan_transport(distance, OMEGA_T, MASS, 1e-4)
+    result = tr.plan_transport(distance, OMEGA_T, MASS, 1e-4)
     with mpmath.workdps(30):
         tau = mpmath.mpf(result.tau_s)
         half = mpmath.mpf(result.transit_time_s) / 2
@@ -246,7 +246,7 @@ def test_plan_phase_matches_mpmath_integral(distance):
 
 
 def test_result_dict_fields():
-    _, result = tr.plan_transport(5.3e-6, OMEGA_T, MASS, 1e-4)
+    result = tr.plan_transport(5.3e-6, OMEGA_T, MASS, 1e-4)
     d = result.as_dict()
     for key in ("distance", "tau", "transit_time", "p_first_order", "p_exact", "phase"):
         assert key in d

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from spinbus import traps
+from spinbus.cli import main
 from spinbus.errors import DomainError
 
 # Printed reference rows.  Resolutions record the last printed digit so the
@@ -125,14 +126,14 @@ def test_custom_registry():
     assert reports[0].recoil_resonance_hz < traps.red_lattice_report(traps.SPECIES["Cs"]).recoil_resonance_hz
 
 
-def test_csv_and_json_emission():
-    reports = traps.lattice_reports("blue")
-    text = traps.reports_csv(reports)
-    lines = text.strip().split("\n")
+def test_csv_and_json_emission(capsys):
+    assert main(["tables", "--lattice", "blue"]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
     assert len(lines) == 6
     assert lines[0].startswith("species,lattice,V_max_MHz")
     assert "gamma_eff_Hz" in lines[0]
-    doc = traps.reports_json(reports)
+    assert main(["tables", "--lattice", "blue", "--format", "json"]) == 0
+    doc = capsys.readouterr().out
     assert '"Rb"' in doc and doc.endswith("\n")
 
 
