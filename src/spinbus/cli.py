@@ -38,10 +38,13 @@ EXIT_NUMERICAL = 2
 
 
 def _emit(text: str, out: str | None):
-    if out:
-        Path(out).write_text(text)
-    else:
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise DomainError(f"cannot write {key_text(out)}: {exc.strerror}") from None
 
 
 def _csv_text(fields, rows: list[dict]) -> str:

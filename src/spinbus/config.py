@@ -4,17 +4,18 @@ Every section is optional; omitted keys take the architecture defaults
 (Rb register in the CO2 lattice, the reference interaction geometry).
 Section keys and their JSON types come from the dataclass each section
 builds, or from a map written out where a key carries a unit its field
-does not (``geometry``, ``scattering``, ``mc``).  Any unknown section or
-key, missing species key or value of the wrong JSON type fails every
-command, so typos cannot silently fall back to defaults.  The header trap
-is described once, in ``scheduler``: the compiler's moves and the
-``transport`` command both read it.
+does not (``geometry``, ``scattering``, ``mc``); ``geometry`` holds the
+four trap widths only, since ``scan`` takes the separation z0 from its
+grid.  Any unknown section or key, missing species key or value of the
+wrong JSON type fails every command, so typos cannot silently fall back to
+defaults, and every key that is accepted is read by some command.  The
+header trap is described once, in ``scheduler``: the compiler's moves and
+the ``transport`` command both read it.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
@@ -67,13 +68,12 @@ class Config:
     species: dict[str, AtomSpecies] = field(default_factory=lambda: dict(SPECIES))
     red_lattice: RedLatticeSpec = field(default_factory=RedLatticeSpec)
     blue_lattice: BlueLatticeSpec = field(default_factory=BlueLatticeSpec)
+    # the trap widths; ``scan`` takes each z0 from its grid
     geometry: TrapGeometry = field(
         default_factory=lambda: TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0, z0=1000.0)
     )
     scattering: ScatteringParams = field(
-        default_factory=lambda: ScatteringParams(
-            a_t_a0=110.0, a_s_a0=10.0, mass_kg=87.0 * ATOMIC_MASS, omega_ref=2.0 * math.pi * 172128.0
-        )
+        default_factory=lambda: ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=87.0 * ATOMIC_MASS)
     )
     mc_seed: int = 20260810
     mc_samples: int = 1_000_000
@@ -89,13 +89,12 @@ def _annotations(cls, **renamed) -> dict[str, str]:
     return {renamed.get(f.name, f.name): f.type for f in fields(cls)}
 
 
-_SPECIES = {k: v for k, v in _annotations(AtomSpecies).items() if k != "name"}
-_SPECIES_REQUIRED = [f.name for f in fields(AtomSpecies) if f.default is MISSING and f.name != "name"]
+_SPECIES = {k: v for k, v in _annotations(AtomSpecies).items() if k != "name"}  # each one required
 _SECTIONS = {
     "red_lattice": _annotations(RedLatticeSpec),
     "blue_lattice": _annotations(BlueLatticeSpec),
-    "geometry": {"a_qr_a0": "float", "a_qz_a0": "float", "a_hr_a0": "float", "a_hz_a0": "float", "z0_a0": "float"},
-    "scattering": {"a_t_a0": "float", "a_s_a0": "float", "mass_amu": "float", "nu_ref_hz": "float"},
+    "geometry": {"a_qr_a0": "float", "a_qz_a0": "float", "a_hr_a0": "float", "a_hz_a0": "float"},
+    "scattering": {"a_t_a0": "float", "a_s_a0": "float", "mass_amu": "float"},
     "mc": {"seed": "int", "samples": "int"},
     "scheduler": {**_annotations(CompileParams, mass_kg="mass_amu"), "rates_hz": "dict[str, float]"},
 }
@@ -113,7 +112,7 @@ def load_config(path: str | Path | None) -> Config:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     doc = checked_fields(dict.fromkeys(["species", *_SECTIONS], "dict"), doc, "config")
     for name, body in doc.pop("species", {}).items():
-        body = checked_fields(_SPECIES, body, f"species.{key_text(name)}", _SPECIES_REQUIRED)
+        body = checked_fields(_SPECIES, body, f"species.{key_text(name)}", _SPECIES)
         cfg.species[name] = AtomSpecies(name=name, **body)
     _apply(cfg, {section: checked_fields(_SECTIONS[section], body, section) for section, body in doc.items()})
     return cfg
@@ -134,10 +133,7 @@ def _apply(cfg: Config, doc: dict):
     if "geometry" in doc:
         cfg.geometry = replace(cfg.geometry, **{k.removesuffix("_a0"): v for k, v in doc["geometry"].items()})
     if "scattering" in doc:
-        s = _kg(doc["scattering"])
-        if "nu_ref_hz" in s:
-            s["omega_ref"] = 2.0 * math.pi * s.pop("nu_ref_hz")
-        cfg.scattering = replace(cfg.scattering, **s)
+        cfg.scattering = replace(cfg.scattering, **_kg(doc["scattering"]))
     if "mc" in doc:
         from .interactions import check_mc_args  # loaded only for a config that has an mc section
 

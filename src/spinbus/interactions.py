@@ -60,34 +60,21 @@ class CouplingResult:
 def exchange_strength(geom: TrapGeometry, scat: ScatteringParams) -> CouplingResult:
     """Contact exchange coupling in Hz.
 
-    J_ex = (4/sqrt(2 pi)) (a_T - a_S) (a^2/a_r^2) (hbar omega / a_z)
-           * exp(-z0^2 / (2 a_z^2)) / h
+    J_ex = (4 pi hbar^2 / M)(a_T - a_S) p_R(0) / h
 
-    Equivalently (4 pi hbar^2 / M)(a_T - a_S) times the Gaussian density of
-    r_q - r_h evaluated at the trap displacement; the two forms agree to
-    machine precision.  The sign follows sign(a_T - a_S).
+    the pseudo-potential times p_R(0), the Gaussian density of r_q - r_h at
+    the trap displacement (``contact_density_a0``, taken in m^-3 before it
+    multiplies).  It is formed as an energy and then divided by h, so it
+    reads 0.0 where that energy underflows, below about 7e-291 Hz.  The
+    reference-trap form (4/sqrt(2 pi))(a_T - a_S)(a^2/a_r^2)(hbar omega/a_z)
+    exp(-z0^2/(2 a_z^2)) / h, with a^2 = hbar/(2 M omega), is the same
+    number: omega cancels, since a^2 hbar omega = hbar^2 / 2M.  The sign
+    follows sign(a_T - a_S).
     """
-    a_r, a_z = a0_to_m(geom.a_r), a0_to_m(geom.a_z)
-    d_scat = a0_to_m(scat.a_t_a0 - scat.a_s_a0)
-    a_ref = scat.a_ref_m
-    z0 = a0_to_m(geom.z0)
-    try:
-        # the Gaussian factor is 0.0 beyond 38.6 a_z; testing that first
-        # keeps z0**2 from overflowing
-        overlap = math.exp(-(z0**2) / (2.0 * a_z**2)) if abs(z0) < 40.0 * a_z else 0.0
-        energy = (
-            4.0 / math.sqrt(2.0 * math.pi)
-            * d_scat
-            * (a_ref**2 / a_r**2)
-            * (HBAR * scat.omega_ref / a_z)
-            * overlap
-        )
-        value_hz = energy / H_PLANCK
-    except (OverflowError, ZeroDivisionError):
-        value_hz = math.inf
-    if not math.isfinite(value_hz):
-        # a width whose square leaves float range
-        raise NumericalError(f"exchange coupling cannot evaluate trap widths a_r={geom.a_r} a0, a_z={geom.a_z} a0")
+    density_m3 = contact_density_a0(geom) / BOHR_RADIUS**3
+    value_hz = 4.0 * math.pi * HBAR**2 / scat.mass_kg * a0_to_m(scat.a_t_a0 - scat.a_s_a0) * density_m3 / H_PLANCK
+    if not math.isfinite(value_hz):  # a scattering length or mass at the ends of the float range
+        raise NumericalError(f"exchange coupling is not a finite float for {scat!r}")
     return CouplingResult(value_hz=value_hz)
 
 
@@ -373,9 +360,21 @@ def _mc_chunk_sums(geom, n_samples, seed, cut2, chunks, buffers) -> list[tuple[f
 
 
 def contact_density_a0(geom: TrapGeometry) -> float:
-    """p_R(0), the Gaussian density of R = r_q - r_h - z0 zhat at R = 0, in a0^-3."""
+    """p_R(0), the Gaussian density of R = r_q - r_h - z0 zhat at R = 0, in a0^-3.
+
+    Exactly 0.0 once |z0| > 38.6 a_z, where the Gaussian factor
+    underflows.  Its users take it in m^-3; a NumericalError names the
+    widths where it is not a finite float there, as where a_r^2 a_z leaves
+    float range.
+    """
     x = geom.z0 / geom.a_z
-    return math.exp(-0.5 * x * x) / ((2.0 * math.pi) ** 1.5 * geom.a_r * geom.a_r * geom.a_z)
+    try:
+        density = math.exp(-0.5 * x * x) / ((2.0 * math.pi) ** 1.5 * geom.a_r * geom.a_r * geom.a_z)
+    except ZeroDivisionError:
+        density = math.inf
+    if not math.isfinite(density / BOHR_RADIUS**3):
+        raise NumericalError(f"contact density cannot evaluate trap widths a_r={geom.a_r} a0, a_z={geom.a_z} a0")
+    return density
 
 
 def dipolar_average_mc(
@@ -417,7 +416,8 @@ def dipolar_average_mc(
     buffers = [(np.empty(3 * size), np.empty(size, dtype=bool)) for _ in range(workers)]
 
     def work(w: int):
-        return _mc_chunk_sums(geom, n_samples, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
+        with np.errstate(over="ignore", invalid="ignore"):  # a width out of float range is refused below
+            return _mc_chunk_sums(geom, n_samples, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
 
     with ThreadPoolExecutor(workers) as pool:
         per_worker = list(pool.map(work, range(workers)))
@@ -430,6 +430,8 @@ def dipolar_average_mc(
         total += s
         total_sq += s2
         kept += m
+    if not math.isfinite(total_sq):  # a width whose square leaves float range
+        raise NumericalError(f"Monte Carlo oracle cannot evaluate trap widths a_r={geom.a_r} a0, a_z={geom.a_z} a0")
     if kept < 2:
         raise NumericalError("all samples rejected by the core cutoff")
     mean = total / kept

@@ -481,7 +481,6 @@ class BudgetReport:
     coherence_time_s: float       # inf when every rate is zero
     ratio: float                  # (gate + transport) / coherence
     flagged: bool
-    per_primitive: tuple[dict, ...]
 
     def as_dict(self) -> dict:
         return {
@@ -490,7 +489,6 @@ class BudgetReport:
             "coherence_time_s": None if math.isinf(self.coherence_time_s) else self.coherence_time_s,
             "ratio": self.ratio,
             "flagged": self.flagged,
-            "per_primitive": list(self.per_primitive),
         }
 
 
@@ -507,16 +505,7 @@ def budget(schedule: Schedule, rates_hz: dict[str, float]) -> BudgetReport:
     transport = sum(p.duration_s for p in schedule.primitives if isinstance(p, Move))
     gate = schedule.total_time_s - transport
     ratio = 0.0 if math.isinf(coherence) else schedule.total_time_s / coherence
-    per = tuple(
-        {
-            "kind": p.kind,
-            "start_s": p.start_s,
-            "duration_s": p.duration_s,
-            "budget_fraction": 0.0 if math.isinf(coherence) else p.duration_s / coherence,
-        }
-        for p in schedule.primitives
-    )
-    return BudgetReport(gate, transport, coherence, ratio, ratio > BUDGET_FLAG_RATIO, per)
+    return BudgetReport(gate, transport, coherence, ratio, ratio > BUDGET_FLAG_RATIO)
 
 
 # --- serialization ----------------------------------------------------------
@@ -553,7 +542,10 @@ def _field_types(cls) -> dict[str, str]:
 
 def _checked_fields(cls, body, what: str) -> dict:
     """A JSON object holding exactly the fields of dataclass ``cls``."""
-    return checked_fields(_field_types(cls), body, what, required=_field_types(cls))
+    types = _field_types(cls)
+    if isinstance(body, dict) and body.keys() != types.keys():
+        raise DomainError(f"{what} needs exactly the fields {sorted(types)}, got {sorted(body)}")
+    return checked_fields(types, body, what)
 
 
 def _primitive_from_json(body, index: int, register: Register) -> Primitive:

@@ -27,7 +27,6 @@ from .units import (
     ATOMIC_MASS,
     BOHR_RADIUS,
     H_PLANCK,
-    HBAR,
     SPEED_OF_LIGHT,
     VACUUM_PERMITTIVITY,
     ground_state_size,
@@ -43,10 +42,9 @@ class AtomSpecies:
     mass_amu: float
     alpha0_a03: float     # dc polarizability, a0^3
     lambda0_nm: float     # resonance wavelength
-    linewidth_hz: float = 1.0e7
 
     def __post_init__(self):
-        if min(self.mass_amu, self.alpha0_a03, self.lambda0_nm, self.linewidth_hz) <= 0:
+        if min(self.mass_amu, self.alpha0_a03, self.lambda0_nm) <= 0:
             raise DomainError(f"species {key_text(self.name)}: all parameters must be positive")
 
     @property
@@ -298,31 +296,14 @@ class TrapGeometry:
 
 @dataclass(frozen=True)
 class ScatteringParams:
-    """Contact-interaction inputs: scattering lengths and the reference trap.
-
-    ``mass_kg`` is the mass appearing in the 4 pi hbar^2 a / M
-    pseudo-potential prefactor (twice the reduced mass of the pair).  The
-    reference ground-state size is derived from (mass, omega_ref) with the
-    package convention a = sqrt(hbar / (2 M omega)), which is exactly the
-    normalization that makes the displayed exchange formula equal the
-    Gaussian-overlap integral.
-    """
+    """Contact-interaction inputs: the triplet and singlet scattering lengths
+    and the mass in the 4 pi hbar^2 a / M pseudo-potential prefactor (twice
+    the reduced mass of the pair)."""
 
     a_t_a0: float
     a_s_a0: float
     mass_kg: float
-    omega_ref: float  # rad/s
 
     def __post_init__(self):
-        if self.mass_kg <= 0 or self.omega_ref <= 0:
-            raise DomainError("mass and reference trap frequency must be positive")
-
-    @property
-    def a_ref_m(self) -> float:
-        try:
-            return math.sqrt(HBAR / (2.0 * self.mass_kg * self.omega_ref))
-        except ZeroDivisionError:
-            raise NumericalError(
-                f"reference trap size sqrt(hbar / (2 M omega_ref)) cannot be evaluated for "
-                f"mass_kg={self.mass_kg!r}, omega_ref={self.omega_ref!r} rad/s"
-            ) from None
+        if self.mass_kg <= 0:
+            raise DomainError("scattering mass must be positive")

@@ -17,7 +17,7 @@ from spinbus import traps, units
 
 REF_GEOM = dict(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0)
 RB_SCAT = ia.ScatteringParams(
-    a_t_a0=110.0, a_s_a0=10.0, mass_kg=87 * units.ATOMIC_MASS, omega_ref=2 * math.pi * 172128.0
+    a_t_a0=110.0, a_s_a0=10.0, mass_kg=87 * units.ATOMIC_MASS
 )
 
 

@@ -133,18 +133,22 @@ def test_scan_negative_value_in_scientific_notation_is_read_as_a_value(capsys):
     assert err == "error: need every z0 > 0; the grid from -1e-100 to 2500.0 reaches -1e-100\n"
 
 
-@pytest.mark.parametrize("geometry, widths", [
-    ({"a_qz_a0": 1e200}, "a_r=412.31056256176606 a0, a_z=1e+200 a0"),
-    ({"a_qr_a0": 1e-200, "a_hr_a0": 1e-200}, "a_r=1.414213562373095e-200 a0, a_z=412.31056256176606 a0"),
-    ({"a_qr_a0": 1e-150, "a_hr_a0": 1e-150}, "a_r=1.414213562373095e-150 a0, a_z=412.31056256176606 a0"),
+@pytest.mark.parametrize("geometry, stages, widths", [
+    # the contact density is finite here (a_r^2 a_z is 1.7e205 a0^3); the dipolar part's a_z^2 overflows
+    ({"a_qz_a0": 1e200}, ("dipolar quadrature", "Monte Carlo oracle"), "a_r=412.31056256176606 a0, a_z=1e+200 a0"),
+    ({"a_qr_a0": 1e-200, "a_hr_a0": 1e-200}, ("contact density",) * 2,
+     "a_r=1.414213562373095e-200 a0, a_z=412.31056256176606 a0"),
+    ({"a_qr_a0": 1e-150, "a_hr_a0": 1e-150}, ("contact density",) * 2,
+     "a_r=1.414213562373095e-150 a0, a_z=412.31056256176606 a0"),
 ], ids=["square-overflows", "square-underflows", "coupling-overflows"])
-def test_scan_trap_widths_out_of_float_range_exit_2(capsys, tmp_path, geometry, widths):
+def test_scan_trap_widths_out_of_float_range_exit_2(capsys, tmp_path, geometry, stages, widths):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"geometry": geometry}))
-    code, out, err = run(capsys, "--config", str(cfg), "scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2")
-    assert code == 2
-    assert out == ""
-    assert err == f"numerical failure: exchange coupling cannot evaluate trap widths {widths}\n"
+    for mode, stage in zip(("quadrature", "mc"), stages):
+        code, out, err = run(capsys, "--config", str(cfg), "scan", "--z0-min", "200", "--z0-max", "2500",
+                             "--points", "2", "--mode", mode, "--samples", "10000")
+        assert (code, out) == (2, ""), mode
+        assert err == f"numerical failure: {stage} cannot evaluate trap widths {widths}\n"
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -522,7 +526,6 @@ def test_config_file_flows_through(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0}},
-        "geometry": {"z0_a0": 900.0},
     }))
     code, out, _ = run(capsys, "--config", str(cfg), "tables", "--lattice", "red", "--species", "Fr")
     assert code == 0
@@ -581,11 +584,17 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     ({"mc": {"seed": -1}}, "MC seed must be a non-negative integer, got -1"),
     # its keys moved into the scheduler section
     ({"transport": {"nu_trap_hz": 982323.0}}, "unknown keys in config: transport"),
+    # keys that no command read
+    ({"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0, "linewidth_hz": 1e7}}},
+     "unknown keys in species.Fr: linewidth_hz"),
+    ({"geometry": {"z0_a0": 1000}}, "unknown keys in geometry: z0_a0"),
+    ({"scattering": {"nu_ref_hz": 172128}}, "unknown keys in scattering: nu_ref_hz"),
     (None, "cannot read config: [Errno 2] No such file or directory: 'cfg.json'"),
 ], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list",
         "species-name-newline", "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
         "frequency-negative", "mass-zero", "move-cap-negative", "mc-samples-negative", "mc-seed-negative",
-        "former-transport-section", "missing-file"])
+        "former-transport-section", "former-species-linewidth", "former-geometry-z0", "former-scattering-nu-ref",
+        "missing-file"])
 def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, monkeypatch, config, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\n")
@@ -646,14 +655,10 @@ def test_tables_trap_inputs_out_of_float_range_exit_2(capsys, tmp_path, config, 
     assert named in err and err.count("\n") == 1, err
 
 
-def test_scan_reference_trap_frequency_out_of_float_range_exit_2(capsys, tmp_path):
+def test_scan_refuses_the_former_reference_trap_frequency_exit_1(capsys, tmp_path):
     code, out, err = _run_with_config(capsys, tmp_path, {"scattering": {"nu_ref_hz": 5e-324}},
                                       "scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2")
-    assert (code, out) == (2, "")
-    assert err == (
-        "numerical failure: reference trap size sqrt(hbar / (2 M omega_ref)) cannot be evaluated for "
-        "mass_kg=1.444668987942e-25, omega_ref=3e-323 rad/s\n"
-    )
+    assert (code, out, err) == (1, "", "error: unknown keys in scattering: nu_ref_hz\n")
 
 
 def _readme_config() -> dict:
@@ -688,7 +693,6 @@ _JSON_VALUES = _EXTREMES | st.recursive(
 README_CONFIG = _readme_config()
 # the README example plus every key it leaves out, so that the fuzz reaches each of them
 FUZZ_CONFIG = functools.reduce(lambda doc, item: _replaced(doc, *item), [
-    (("species", "Fr", "linewidth_hz"), 1e7),
     (("red_lattice", "wavelength_m"), 10.6e-6),
     (("scheduler", "gate_separation_a0"), 1000.0),
     (("scheduler", "onebit_time_s"), 1e-5),
@@ -761,6 +765,68 @@ def test_fuzzed_config_key_exits_cleanly_from_every_command(capsys, tmp_path, se
     circuit.write_text("XOR q0 q1\nH q0\n")
     for argv in (*_FUZZ_COMMANDS, ["compile", str(circuit)]):
         _assert_clean_exit(*run(capsys, "--config", str(cfg), *argv))
+
+
+# a second valid value for each leaf of the fuzzed config; a number not listed here is scaled by 1.5
+_OTHER_VALUES = {
+    ("mc", "seed"): 7,
+    ("mc", "samples"): 20_000,
+    ("scheduler", "single_bit_mode"): "mediated",
+    ("scheduler", "swap_primitive"): "xors",
+    ("scheduler", "max_move_duration_s"): 1e-4,
+    # the coherence time is the inverse of the largest rate
+    ("scheduler", "rates_hz", "red_scattering"): 10.0,
+}
+_KEY_PROBES = (
+    ["tables", "--lattice", "red"],
+    ["tables", "--lattice", "blue"],
+    ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "3"],
+    ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc"],
+    ["transport"],
+    ["compile", "circuit.txt"],
+)
+
+
+def _probe_outputs(capsys, config):
+    """(exit code, stdout, stderr) of each probe command under ``config``;
+    compile's stdout without the ``params`` block it copies from the config."""
+    Path("cfg.json").write_text(json.dumps(config))
+    for argv in _KEY_PROBES:
+        code, out, err = run(capsys, "--config", "cfg.json", *argv)
+        if argv[0] == "compile" and code == 0:
+            out = json.dumps({**json.loads(out), "params": None})
+        yield code, out, err
+
+
+def test_every_config_key_moves_some_output(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    # the header idles parked between sites during the first H, where gate_separation_a0 sets its coupling
+    Path("circuit.txt").write_text("H q0\nXOR q0 q1\n")
+    base = _replaced(FUZZ_CONFIG, ("mc", "samples"), 10_000)  # the MC scan takes its sample count from the config
+    reference = list(_probe_outputs(capsys, base))
+    assert all(code == 0 for code, _, _ in reference)
+    unread = []
+    for path in _paths(base):
+        value = functools.reduce(lambda node, key: node[key], path, base)
+        if isinstance(value, dict):
+            continue
+        changed = _replaced(base, path, _OTHER_VALUES[path] if path in _OTHER_VALUES else 1.5 * value)
+        if all(got == want for got, want in zip(_probe_outputs(capsys, changed), reference)):
+            unread.append(".".join(path))
+    assert unread == []
+
+
+@pytest.mark.parametrize("out, reason", [
+    ("nodir/x.out", "No such file or directory"),
+    (".", "Is a directory"),
+], ids=["missing-directory", "directory"])
+def test_out_that_cannot_be_written_exit_1_from_every_command(capsys, tmp_path, monkeypatch, out, reason):
+    monkeypatch.chdir(tmp_path)
+    Path("circuit.txt").write_text("XOR q0 q1\n")
+    assert run(capsys, "compile", "circuit.txt", "--out", "schedule.json")[0] == 0  # for simulate
+    for argv in (*_KEY_PROBES, ["tables", "--lattice", "blue", "--format", "json"], ["gatecheck"],
+                 ["simulate", "schedule.json"]):
+        assert run(capsys, *argv, "--out", out) == (1, "", f"error: cannot write {out}: {reason}\n"), argv
 
 
 @functools.cache

@@ -13,9 +13,7 @@ from spinbus.cli import main
 from spinbus.errors import DomainError, NumericalError
 
 REF_GEOM = ia.TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0, z0=1000.0)
-RB_SCAT = ia.ScatteringParams(
-    a_t_a0=110.0, a_s_a0=10.0, mass_kg=87 * units.ATOMIC_MASS, omega_ref=2 * math.pi * 172128.0
-)
+RB_SCAT = ia.ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=87 * units.ATOMIC_MASS)
 
 
 def shell_average(a_a0: float, z0_a0: float) -> float:
@@ -64,20 +62,28 @@ def test_exchange_far_limit_and_z0_zero():
     near = ia.TrapGeometry(400, 400, 100, 100, 0.0)
     a_r = units.a0_to_m(near.a_r)
     a_z = units.a0_to_m(near.a_z)
+    # the reference-trap form with a_ref^2 hbar omega_ref = hbar^2 / 2M
     expected = (
         4 / math.sqrt(2 * math.pi)
         * units.a0_to_m(100.0)
-        * (RB_SCAT.a_ref_m**2 / a_r**2)
-        * units.HBAR * RB_SCAT.omega_ref / a_z
+        * (units.HBAR**2 / (2 * RB_SCAT.mass_kg))
+        / (a_r**2 * a_z)
         / units.H_PLANCK
     )
     assert ia.exchange_strength(near, RB_SCAT).value_hz == pytest.approx(expected, rel=1e-12)
 
 
 def test_exchange_sign_follows_scattering_difference():
-    flipped = ia.ScatteringParams(10.0, 110.0, RB_SCAT.mass_kg, RB_SCAT.omega_ref)
+    flipped = ia.ScatteringParams(10.0, 110.0, RB_SCAT.mass_kg)
     assert ia.exchange_strength(REF_GEOM, RB_SCAT).value_hz > 0
     assert ia.exchange_strength(REF_GEOM, flipped).value_hz < 0
+
+
+def test_exchange_beyond_float_range_is_a_numerical_error():
+    # (4 pi hbar^2 / M)(a_T - a_S) p_R(0) / h is about 8e310 Hz here
+    huge = ia.ScatteringParams(1.7e308, 10.0, RB_SCAT.mass_kg)
+    with pytest.raises(NumericalError, match=r"exchange coupling is not a finite float for ScatteringParams\(a_t_a0="):
+        ia.exchange_strength(REF_GEOM, huge)
 
 
 def test_exchange_gaussian_decay_slope():

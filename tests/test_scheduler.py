@@ -281,7 +281,7 @@ def test_budget_arithmetic_rb_header():
     assert b.ratio < 1e-3  # sub-ms schedule vs seconds of coherence
     assert not b.flagged
     assert b.gate_time_s + b.transport_time_s == pytest.approx(s.total_time_s, rel=1e-12)
-    assert len(b.per_primitive) == len(s.primitives)
+    assert set(b.as_dict()) == {"gate_time_s", "transport_time_s", "coherence_time_s", "ratio", "flagged"}
 
 
 def test_budget_empty_schedule_and_zero_rates():
