@@ -70,6 +70,8 @@ def _read_text(path: str) -> str:
 def tables(args, cfg: Config):
     """Per-species trap parameter table for one lattice."""
     names = [s.strip() for s in args.species.split(",")] if args.species else None
+    if names and len(set(names)) < len(names):
+        raise DomainError(f"--species names {key_text(next(n for n in names if names.count(n) > 1))} twice")
     reports = traps.lattice_reports(
         args.lattice, names, registry=cfg.species, red_spec=cfg.red_lattice, blue_spec=cfg.blue_lattice
     )
@@ -184,6 +186,16 @@ def simulate_cmd(args, cfg: Config):
         raise NumericalError(f"schedule differs from the logical circuit by {report['max_norm_error']:.3e}")
 
 
+def _finite_float(text: str) -> float:
+    """A float option's value; NaN and the infinities are refused like a non-number."""
+    try:
+        if math.isfinite(value := float(text)):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a usage error is a validation failure: one ``error:`` line, exit 1
@@ -231,8 +243,8 @@ def _parser() -> tuple[argparse.ArgumentParser, set]:
     option(p, "--out")
 
     p = command("gatecheck", gatecheck)
-    option(p, "--tolerance", type=float, default=1.0 - 1e-9, help="Identity fidelity threshold.")
-    option(p, "--rwa-threshold", type=float, default=0.999, help="Required fidelity at the widest scan point.")
+    option(p, "--tolerance", type=_finite_float, default=1.0 - 1e-9, help="Identity fidelity threshold.")
+    option(p, "--rwa-threshold", type=_finite_float, default=0.999, help="Required fidelity at the widest scan point.")
     option(p, "--out")
 
     p = command("transport", transport_cmd)

@@ -16,7 +16,10 @@ one exactly, not just up to phase.
 A MOVE departs from wherever the header currently is (trajectory
 continuity); it may span several sites in one primitive.  The header is
 left at the last gate site rather than re-parked, so a lone two-qubit gate
-compiles to exactly three MOVEs.
+compiles to exactly three MOVEs.  Every primitive is emitted in one step,
+which clocks it and charges the idle crosstalk of the parked header per
+primitive, from the qubit nearest the header, so compile time does not grow
+with the register.
 
 Parsing, compiling, budgeting and JSON need no arrays; numpy, ``gates`` and
 ``operators`` are imported by the simulation functions when they are called.
@@ -115,6 +118,8 @@ class Register:
     def __post_init__(self):
         if self.n_qubits < 1:
             raise DomainError("register needs at least one qubit")
+        if not math.isfinite(self.header_position):
+            raise DomainError(f"header position must be finite, got {self.header_position!r}")
         if self.site_spacing_m <= 0:
             raise DomainError("site spacing must be positive")
 
@@ -202,38 +207,49 @@ class _Compiler:
         self.t = 0.0
         self.prims: list[Primitive] = []
         self.phase = 0.0
+        self.idle_phase = 0.0
         # pulse areas: swap needs sigma.sigma area pi/4; the gate Ising pulse
         # realizes exp(+i pi/4 zz), i.e. -c t = pi/4
         self.swap_duration = _duration_for_angle(2.0 * math.pi * params.j_swap_hz, math.pi / 4.0)
         self.ising_duration = _duration_for_angle(2.0 * math.pi * params.j_gate_hz, -math.pi / 4.0)
 
+    def _emit(self, cls, *head, duration_s: float, tail: tuple = ()):
+        """Append ``cls(*head, start_s, duration_s, *tail)`` starting now, and
+        advance the clock.  A primitive that does not address the header (its
+        first field; every MOVE does) is charged the residual coupling toward
+        the qubit nearest the parked header: the gate coupling scaled by 1/d^3,
+        d floored at the quoted gate separation (a header "at" a site operates
+        at gate range)."""
+        self.prims.append(cls(*head, self.t, duration_s, *tail))
+        self.t += duration_s
+        if self.header not in (head[0] if isinstance(head[0], tuple) else head[:1]):
+            nearest = abs(self.pos - min(max(round(self.pos), 0), self.register.n_qubits - 1))
+            gate_sep = self.params.gate_separation_a0
+            d_a0 = max(nearest * (self.register.site_spacing_m / BOHR_RADIUS), gate_sep)
+            j_res = abs(self.params.j_gate_hz) * (gate_sep / d_a0) ** 3
+            self.idle_phase += 2.0 * math.pi * j_res * duration_s
+
     def move_to(self, target: float):
         if target == self.pos:
             return
-        distance = abs(target - self.pos) * self.register.site_spacing_m
         plan = plan_transport(
-            distance,
+            abs(target - self.pos) * self.register.site_spacing_m,
             2.0 * math.pi * self.params.trap_frequency_hz,
             self.params.mass_kg,
             self.params.p_budget,
             self.params.max_move_duration_s,
         )
-        self.prims.append(
-            Move(self.header, self.pos, target, self.t, plan.transit_time_s, plan.tau_s, plan.p_exact)
-        )
-        self.t += plan.transit_time_s
+        self._emit(Move, self.header, self.pos, target, duration_s=plan.transit_time_s, tail=(plan.tau_s, plan.p_exact))
         self.pos = target
 
     def onebit(self, atom: str, gate: str, param: float | None = None):
-        self.prims.append(OneBit(atom, gate, param, self.t, self.params.onebit_time_s))
-        self.t += self.params.onebit_time_s
+        self._emit(OneBit, atom, gate, param, duration_s=self.params.onebit_time_s)
 
     def swap_with(self, qubit: int):
         """State swap between the header and the qubit at its site."""
         q = f"q{qubit}"
         if self.params.swap_primitive == "heisenberg":
-            self.prims.append(SwapStep((self.header, q), self.t, self.swap_duration))
-            self.t += self.swap_duration
+            self._emit(SwapStep, (self.header, q), duration_s=self.swap_duration)
             self.phase -= math.pi / 4.0  # e^{-i pi/4} of the one-pulse swap
         else:
             self.cnot_block(self.header, q)
@@ -246,8 +262,7 @@ class _Compiler:
         H_t . S_c . S_t . exp(+i pi/4 zz) . H_t = e^{+i pi/4} CNOT(c, t)
         """
         self.onebit(target, "H")
-        self.prims.append(IsingPulse((control, target), math.pi / 4.0, self.t, self.ising_duration))
-        self.t += self.ising_duration
+        self._emit(IsingPulse, (control, target), math.pi / 4.0, duration_s=self.ising_duration)
         self.onebit(control, "S")
         self.onebit(target, "S")
         self.onebit(target, "H")
@@ -259,8 +274,7 @@ class _Compiler:
         exp(+i pi/4 z) = e^{+i pi/4} PHASE(-pi/2), so the emitted primitives
         sit e^{-i pi/4} below the ideal gate per single-spin factor.
         """
-        self.prims.append(IsingPulse((atom_a, atom_b), math.pi / 4.0, self.t, self.ising_duration))
-        self.t += self.ising_duration
+        self._emit(IsingPulse, (atom_a, atom_b), math.pi / 4.0, duration_s=self.ising_duration)
         self.onebit(atom_a, "PHASE", -math.pi / 2.0)
         self.onebit(atom_b, "PHASE", -math.pi / 2.0)
         self.phase -= math.pi / 2.0
@@ -301,43 +315,16 @@ class _Compiler:
                 self.two_qubit(gate)
             else:
                 self.single_qubit(gate)
-        idle_phase = self._idle_crosstalk_phase()
         totals = {
             "total_time_s": self.t,
             "global_phase_rad": math.remainder(self.phase, 2.0 * math.pi),
-            "idle_crosstalk_phase_rad": idle_phase,
-            "idle_infidelity_estimate": 0.5 * (idle_phase * idle_phase),
+            "idle_crosstalk_phase_rad": self.idle_phase,
+            "idle_infidelity_estimate": 0.5 * (self.idle_phase * self.idle_phase),
         }
         for name, value in totals.items():
             if not math.isfinite(value):
                 raise NumericalError(f"compiled {name} is not a finite float ({self.params})")
         return Schedule(self.register, self.params, tuple(circuit), tuple(self.prims), **totals)
-
-    def _idle_crosstalk_phase(self) -> float:
-        """|zz phase| picked up from the residual dipolar coupling while the
-        header idles during primitives that do not address it.
-
-        The coupling toward the nearest qubit is extrapolated from the gate
-        coupling with the point-dipole 1/d^3 law; distances below the quoted
-        gate separation are floored there (a header "at" a site operates at
-        gate range).  The small-angle infidelity estimate is phase^2 / 2.
-        """
-        site_a0 = self.register.site_spacing_m / BOHR_RADIUS
-        gate_sep = self.params.gate_separation_a0
-        pos = self.register.header_position
-        phase = 0.0
-        for prim in self.prims:
-            if isinstance(prim, Move):
-                pos = prim.to_pos
-                continue
-            atoms = prim.atoms if isinstance(prim, (SwapStep, IsingPulse)) else (prim.atom,)
-            if self.header in atoms:
-                continue
-            nearest = min(abs(pos - q) for q in range(self.register.n_qubits))
-            d_a0 = max(nearest * site_a0, gate_sep)
-            j_res = abs(self.params.j_gate_hz) * (gate_sep / d_a0) ** 3
-            phase += 2.0 * math.pi * j_res * prim.duration_s
-        return phase
 
 
 def _check_in_register(circuit, register: Register):

@@ -86,6 +86,13 @@ def test_tables_unknown_species_exit_1(capsys):
     assert "Xx" in err
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_species_named_twice_exit_1(capsys, fmt):
+    # csv would write the row twice and json once, under one key
+    assert run(capsys, "tables", "--lattice", "red", "--species", "Rb,Cs, Rb", "--format", fmt) == (
+        1, "", "error: --species names Rb twice\n")
+
+
 def test_tables_json_and_determinism(capsys):
     code, out1, _ = run(capsys, "tables", "--lattice", "red", "--format", "json")
     assert code == 0
@@ -239,6 +246,15 @@ def test_gatecheck_impossible_tolerance_fails_cleanly(capsys):
     code, _, err = run(capsys, "gatecheck", "--tolerance", "2.0")
     assert code == 2
     assert "threshold" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--tolerance", "nan"), ("--rwa-threshold", "inf"), ("--rwa-threshold", "nan"), ("--rwa-threshold", "-inf"),
+])
+def test_gatecheck_non_finite_threshold_exit_1(capsys, flag, value):
+    # NaN or an infinity would reach the JSON; -inf would pass every row
+    assert run(capsys, "gatecheck", flag, value) == (
+        1, "", f"error: argument {flag}: invalid finite float value: '{value}'\n")
 
 
 def test_transport_command_meets_budget(capsys):

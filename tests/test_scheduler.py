@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from spinbus import gates, operators as ops, scheduler as sch
 from spinbus.errors import CircuitParseError, DomainError
+from spinbus.units import BOHR_RADIUS
 
 REG2 = sch.Register(n_qubits=2)
 REG3 = sch.Register(n_qubits=3)
@@ -319,6 +320,73 @@ def test_idle_crosstalk_suppressed_when_parked_between_sites():
     assert 0 < s.idle_crosstalk_phase_rad < 1e-5
     doc = sch.schedule_to_json(s)
     assert "idle_crosstalk_phase_rad" in doc
+
+
+def _reference_idle_phase(schedule):
+    """The idle crosstalk re-derived from the primitives alone: the header's
+    position is re-tracked from the MOVEs, and every site is tried as the
+    nearest qubit."""
+    register, params = schedule.register, schedule.params
+    site_a0 = register.site_spacing_m / BOHR_RADIUS
+    gate_sep = params.gate_separation_a0
+    pos, phase = register.header_position, 0.0
+    for prim in schedule.primitives:
+        if prim.kind == "move":
+            pos = prim.to_pos
+            continue
+        if "h0" in (prim.atoms if hasattr(prim, "atoms") else (prim.atom,)):
+            continue
+        nearest = min(abs(pos - q) for q in range(register.n_qubits))
+        d_a0 = max(nearest * site_a0, gate_sep)
+        j_res = abs(params.j_gate_hz) * (gate_sep / d_a0) ** 3
+        phase += 2.0 * math.pi * j_res * prim.duration_s
+    return phase
+
+
+@st.composite
+def _crosstalk_cases(draw):
+    n = draw(st.integers(1, 12))
+    qubit = st.integers(0, n - 1)
+    gate = st.builds(sch.LogicalGate, st.sampled_from(["X", "Z", "H"]), st.tuples(qubit))
+    if n > 1:
+        pair = st.permutations(range(n)).map(lambda p: (p[0], p[1]))
+        gate = gate | st.builds(sch.LogicalGate, st.sampled_from(sch.TWO_QUBIT_GATES), pair)
+    # half a site is 5.0e4 a0: a parked header is inside the 6e4 a0 floor, outside the 1e3 one
+    params = sch.CompileParams(
+        swap_primitive=draw(st.sampled_from(["heisenberg", "xors"])),
+        single_bit_mode=draw(st.sampled_from(["direct", "mediated"])),
+        j_gate_hz=draw(st.sampled_from([-882.5, 1234.5])),
+        gate_separation_a0=draw(st.sampled_from([1000.0, 6e4])),
+    )
+    # parking spots off the register's ends exercise the clamp to its first and last site
+    header = draw(st.sampled_from([0.5, -3.0, n + 2.0]) | st.floats(-3.0, n + 2.0))
+    return sch.Register(n_qubits=n, header_position=header), draw(st.lists(gate, max_size=8)), params
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_crosstalk_cases())
+# parked at 1.75, the nearest qubit is q2, not the q1 below the header
+@example((sch.Register(n_qubits=3, header_position=1.75), [sch.LogicalGate("H", (0,))], sch.CompileParams()))
+def test_idle_crosstalk_charged_per_primitive_equals_the_reference_walk(case):
+    register, circuit, params = case
+    s = sch.compile_circuit(circuit, register, params)
+    phase = s.idle_crosstalk_phase_rad
+    assert phase == _reference_idle_phase(s)
+    assert s.idle_infidelity_estimate == 0.5 * phase**2
+
+
+def test_idle_crosstalk_does_not_depend_on_the_register_size():
+    circuit = sch.parse_circuit("XOR q0 q1")
+    small = sch.compile_circuit(circuit, REG2)
+    large = sch.compile_circuit(circuit, sch.Register(n_qubits=10**6))
+    assert large.primitives == small.primitives
+    assert large.idle_crosstalk_phase_rad == small.idle_crosstalk_phase_rad > 0
+
+
+@pytest.mark.parametrize("position", [math.nan, math.inf, -math.inf])
+def test_register_refuses_a_non_finite_header_position(position):
+    with pytest.raises(DomainError, match="header position must be finite"):
+        sch.Register(n_qubits=2, header_position=position)
 
 
 def test_thousands_of_gates_fit_in_coherence_window():
