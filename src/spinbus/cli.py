@@ -31,7 +31,7 @@ from . import traps
 from .config import Config, load_config
 from .errors import DomainError, NumericalError, SpinBusError
 from .jsonio import dumps, key_text
-from .units import ATOMIC_MASS, BOHR_RADIUS
+from .units import ATOMIC_MASS
 
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
@@ -69,7 +69,7 @@ def _read_text(path: str) -> str:
 
 def tables(args, cfg: Config):
     """Per-species trap parameter table for one lattice."""
-    names = [s.strip() for s in args.species.split(",")] if args.species else None
+    names = [s.strip() for s in args.species.split(",")] if args.species is not None else None
     if names and len(set(names)) < len(names):
         raise DomainError(f"--species names {key_text(next(n for n in names if names.count(n) > 1))} twice")
     reports = traps.lattice_reports(
@@ -80,19 +80,8 @@ def tables(args, cfg: Config):
     _emit(text, args.out)
 
 
-def _point_dipole_hz(pref: float, z0_a0: float) -> float:
-    """The point-dipole reference -2 gamma_e(z0) in Hz; a DomainError where
-    (z0 a0)^3 leaves the float range."""
-    try:
-        value = -2.0 * pref / (z0_a0 * BOHR_RADIUS) ** 3
-    except (OverflowError, ZeroDivisionError):
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError(f"z0 = {z0_a0!r} a0 is out of range: the point-dipole reference is not a finite float")
-    return value
-
-
-SCAN_COLUMNS = ("z0_a0", "J_exchange_Hz", "J_dipolar_Hz", "J_total_Hz", "method", "stderr_Hz", "J_pointdipole_Hz")
+# checked before the grid is built: every point is computed and held until written
+MAX_SCAN_POINTS = 100_000
 
 
 def scan(args, cfg: Config):
@@ -106,14 +95,14 @@ def scan(args, cfg: Config):
     z0_min, z0_max, points = args.z0_min, args.z0_max, args.points
     if points < 2:
         raise DomainError("need points >= 2")
+    if points > MAX_SCAN_POINTS:
+        raise DomainError(f"need points <= {MAX_SCAN_POINTS}, got {points}")
     # numpy.linspace's arithmetic, so the grid is the same to the bit
     step = (z0_max - z0_min) / (points - 1)
     z0s = [i * step + z0_min for i in range(points - 1)] + [z0_max]
     bad = next((z for z in z0s if not z > 0), None)
     if bad is not None:
         raise DomainError(f"need every z0 > 0; the grid from {z0_min!r} to {z0_max!r} reaches {bad!r}")
-    pref = interactions.gamma_prefactor_hz_m3(args.gamma_mode)
-    point_dipole = [_point_dipole_hz(pref, z0) for z0 in z0s]
     rows = interactions.scan_couplings(
         cfg.geometry,
         cfg.scattering,
@@ -122,9 +111,7 @@ def scan(args, cfg: Config):
         mc_samples=(args.samples if args.samples is not None else cfg.mc_samples) if args.mode == "mc" else None,
         seed=args.seed if args.seed is not None else cfg.mc_seed,
     )
-    for row, value in zip(rows, point_dipole):
-        row["J_pointdipole_Hz"] = value
-    _emit(_csv_text(SCAN_COLUMNS, rows), args.out)
+    _emit(_csv_text(interactions.SCAN_COLUMNS, rows), args.out)
 
 
 def gatecheck(args, cfg: Config):

@@ -4,9 +4,9 @@ Every section is optional; omitted keys take the architecture defaults
 (Rb register in the CO2 lattice, the reference interaction geometry).
 Section keys and their JSON types come from the dataclass each section
 builds, or from a map written out where a key carries a unit its field
-does not (``geometry``, ``scattering``, ``mc``); ``geometry`` holds the
-four trap widths only, since ``scan`` takes the separation z0 from its
-grid.  Any unknown section or key, missing species key or value of the
+does not (``geometry``, ``scattering``, ``mc``); ``geometry`` is the
+``TrapGeometry`` of four widths, and ``scan`` passes each grid z0 to the
+couplings.  Any unknown section or key, missing species key or value of the
 wrong JSON type fails every command, so typos cannot silently fall back to
 defaults, and every key that is accepted is read by some command.  The
 header trap is described once, in ``scheduler``: the compiler's moves and
@@ -68,10 +68,7 @@ class Config:
     species: dict[str, AtomSpecies] = field(default_factory=lambda: dict(SPECIES))
     red_lattice: RedLatticeSpec = field(default_factory=RedLatticeSpec)
     blue_lattice: BlueLatticeSpec = field(default_factory=BlueLatticeSpec)
-    # the trap widths; ``scan`` takes each z0 from its grid
-    geometry: TrapGeometry = field(
-        default_factory=lambda: TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0, z0=1000.0)
-    )
+    geometry: TrapGeometry = field(default_factory=lambda: TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0))
     scattering: ScatteringParams = field(
         default_factory=lambda: ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=87.0 * ATOMIC_MASS)
     )

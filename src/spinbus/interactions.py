@@ -12,7 +12,8 @@ centers sit a distance z0 apart on the z axis:
   complementary error function and falls off as -2/z0^3 at large z0.
 
 Lengths in this module's public API are in Bohr radii (a0) unless a name
-says otherwise; returned couplings are in Hz.
+says otherwise; returned couplings are in Hz.  Each coupling takes a finite
+z0 as an argument, a negative one included, since every coupling is even in z0.
 """
 
 from __future__ import annotations
@@ -47,17 +48,25 @@ _MC_CHUNK = 1 << 17
 
 
 @dataclass(frozen=True)
-class CouplingResult:
-    value_hz: float
-    stderr_hz: float | None = None  # Monte Carlo only
-    n_rejected: int = 0
+class MonteCarloAverage:
+    """``dipolar_average_mc``'s estimate in m^-3 and the samples its core cutoff rejected."""
+
+    value_m3: float
+    stderr_m3: float
+    n_rejected: int
 
     def __post_init__(self):
-        if not math.isfinite(self.value_hz):
+        if not math.isfinite(self.value_m3):
             raise DomainError("coupling value must be finite")
 
 
-def exchange_strength(geom: TrapGeometry, scat: ScatteringParams) -> CouplingResult:
+def _finite_z0(z0: float) -> float:
+    if not math.isfinite(z0):
+        raise DomainError("z0 must be finite")
+    return z0
+
+
+def exchange_strength(geom: TrapGeometry, z0: float, scat: ScatteringParams) -> float:
     """Contact exchange coupling in Hz.
 
     J_ex = (4 pi hbar^2 / M)(a_T - a_S) p_R(0) / h
@@ -71,24 +80,32 @@ def exchange_strength(geom: TrapGeometry, scat: ScatteringParams) -> CouplingRes
     number: omega cancels, since a^2 hbar omega = hbar^2 / 2M.  The sign
     follows sign(a_T - a_S).
     """
-    density_m3 = contact_density_a0(geom) / BOHR_RADIUS**3
+    density_m3 = contact_density_a0(geom, z0) / BOHR_RADIUS**3
     value_hz = 4.0 * math.pi * HBAR**2 / scat.mass_kg * a0_to_m(scat.a_t_a0 - scat.a_s_a0) * density_m3 / H_PLANCK
     if not math.isfinite(value_hz):  # a scattering length or mass at the ends of the float range
         raise NumericalError(f"exchange coupling is not a finite float for {scat!r}")
-    return CouplingResult(value_hz=value_hz)
+    return value_hz
 
 
 def gamma_prefactor_hz_m3(mode: str = "calibrated") -> float:
     """gamma_e(R) * R^3 in Hz m^3; multiplies the dipolar average (m^-3)."""
-    return _gamma_at_a0(mode) * BOHR_RADIUS**3
-
-
-def _gamma_at_a0(mode: str) -> float:
     if mode == "calibrated":
-        return GAMMA_E_CALIBRATED_HZ
+        return GAMMA_E_CALIBRATED_HZ * BOHR_RADIUS**3
     if mode == "first_principles":
-        return GAMMA_E_FIRST_PRINCIPLES_HZ
+        return GAMMA_E_FIRST_PRINCIPLES_HZ * BOHR_RADIUS**3
     raise DomainError(f"gamma mode must be one of {GAMMA_MODES}, got {mode!r}")
+
+
+def _point_dipole_hz(pref: float, z0: float) -> float:
+    """The point-dipole reference -2 gamma_e(z0) in Hz; a DomainError where
+    (z0 a0)^3 leaves the float range."""
+    try:
+        value = -2.0 * pref / (z0 * BOHR_RADIUS) ** 3
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError(f"z0 = {z0!r} a0 is out of range: the point-dipole reference is not a finite float")
+    return value
 
 
 # --- adaptive Gauss-Kronrod quadrature --------------------------------------
@@ -245,7 +262,7 @@ def _axial_kernel(z: float, a_r: float) -> float:
     return bracket / (2.0 * a_r**4)
 
 
-def dipolar_average(geom: TrapGeometry) -> CouplingResult:
+def dipolar_average(geom: TrapGeometry, z0: float) -> float:
     """Ground-state average of (1/R^3)(1 - 3 (z/R)^2), in m^-3.
 
     The 1/R^3 core makes this average depend on the shape of the region
@@ -263,7 +280,7 @@ def dipolar_average(geom: TrapGeometry) -> CouplingResult:
     z0, so the Gaussian weight keeps full precision at any z0; nodes at
     z0 + u would be rounded to the ulp of z0.
     """
-    a_r, a_z, z0 = geom.a_r, geom.a_z, geom.z0
+    a_r, a_z, z0 = geom.a_r, geom.a_z, _finite_z0(z0)
 
     def integrand(u: float) -> float:
         return math.exp(-(u * u) / (2.0 * a_z**2)) * _axial_kernel(z0 + u, a_r)
@@ -287,7 +304,7 @@ def dipolar_average(geom: TrapGeometry) -> CouplingResult:
             f"dipolar quadrature did not converge: value={value_a0} a0^-3, "
             f"abserr={pref * quad.abserr}, subintervals={quad.subintervals}"
         )
-    return CouplingResult(value_hz=value_a0 / BOHR_RADIUS**3)
+    return value_a0 / BOHR_RADIUS**3
 
 
 def _usable_cpus() -> int:
@@ -309,7 +326,7 @@ def check_mc_args(n_samples: int, seed) -> None:
         raise DomainError(f"MC seed must be a non-negative integer, got {seed!r}")
 
 
-def _mc_chunk_sums(geom, n_samples, seed, cut2, chunks, buffers) -> list[tuple[float, float, int]]:
+def _mc_chunk_sums(geom, z0, n_samples, seed, cut2, chunks, buffers) -> list[tuple[float, float, int]]:
     """(sum f, sum f^2, kept) for each chunk in ``chunks``, in that order.
 
     Draws R = r_q - r_h - z0 zhat as one Gaussian with the combined widths:
@@ -323,7 +340,7 @@ def _mc_chunk_sums(geom, n_samples, seed, cut2, chunks, buffers) -> list[tuple[f
     import numpy as np
 
     block, keep = buffers
-    a_r, a_z, z0 = geom.a_r, geom.a_z, geom.z0
+    a_r, a_z = geom.a_r, geom.a_z
     sums = []
     for chunk in chunks:
         n = min(_MC_CHUNK, n_samples - chunk * _MC_CHUNK)
@@ -359,7 +376,7 @@ def _mc_chunk_sums(geom, n_samples, seed, cut2, chunks, buffers) -> list[tuple[f
     return sums
 
 
-def contact_density_a0(geom: TrapGeometry) -> float:
+def contact_density_a0(geom: TrapGeometry, z0: float) -> float:
     """p_R(0), the Gaussian density of R = r_q - r_h - z0 zhat at R = 0, in a0^-3.
 
     Exactly 0.0 once |z0| > 38.6 a_z, where the Gaussian factor
@@ -367,7 +384,7 @@ def contact_density_a0(geom: TrapGeometry) -> float:
     widths where it is not a finite float there, as where a_r^2 a_z leaves
     float range.
     """
-    x = geom.z0 / geom.a_z
+    x = _finite_z0(z0) / geom.a_z
     try:
         density = math.exp(-0.5 * x * x) / ((2.0 * math.pi) ** 1.5 * geom.a_r * geom.a_r * geom.a_z)
     except ZeroDivisionError:
@@ -379,10 +396,11 @@ def contact_density_a0(geom: TrapGeometry) -> float:
 
 def dipolar_average_mc(
     geom: TrapGeometry,
+    z0: float,
     n_samples: int,
     seed: int,
     core_cutoff_a0: float = 0.1,
-) -> CouplingResult:
+) -> MonteCarloAverage:
     """Monte Carlo oracle for ``dipolar_average``, in m^-3.
 
     Samples R = r_q - r_h - z0 zhat directly, as one anisotropic Gaussian
@@ -407,6 +425,7 @@ def dipolar_average_mc(
     """
     import numpy as np
 
+    _finite_z0(z0)
     check_mc_args(n_samples, seed)
     from concurrent.futures import ThreadPoolExecutor  # off the import path of every other command
 
@@ -417,7 +436,7 @@ def dipolar_average_mc(
 
     def work(w: int):
         with np.errstate(over="ignore", invalid="ignore"):  # a width out of float range is refused below
-            return _mc_chunk_sums(geom, n_samples, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
+            return _mc_chunk_sums(geom, z0, n_samples, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
 
     with ThreadPoolExecutor(workers) as pool:
         per_worker = list(pool.map(work, range(workers)))
@@ -437,11 +456,14 @@ def dipolar_average_mc(
     mean = total / kept
     var = max(0.0, (total_sq - kept * mean * mean) / (kept - 1))
     stderr = math.sqrt(var / kept)
-    return CouplingResult(
-        value_hz=(mean - 8.0 * math.pi / 3.0 * contact_density_a0(geom)) / BOHR_RADIUS**3,
-        stderr_hz=stderr / BOHR_RADIUS**3,
+    return MonteCarloAverage(
+        value_m3=(mean - 8.0 * math.pi / 3.0 * contact_density_a0(geom, z0)) / BOHR_RADIUS**3,
+        stderr_m3=stderr / BOHR_RADIUS**3,
         n_rejected=n_samples - kept,
     )
+
+
+SCAN_COLUMNS = ("z0_a0", "J_exchange_Hz", "J_dipolar_Hz", "J_total_Hz", "method", "stderr_Hz", "J_pointdipole_Hz")
 
 
 def scan_couplings(
@@ -453,30 +475,23 @@ def scan_couplings(
     seed: int = 0,
 ) -> list[dict]:
     """Effective Ising coupling J(z0) in Hz, exchange plus averaged dipole,
-    over a z0 scan; one row dict per z0, whose ``stderr_Hz`` is None for
-    quadrature.
+    over a z0 scan; one row dict per z0 with the ``SCAN_COLUMNS``, whose
+    ``stderr_Hz`` is None for quadrature and whose ``J_pointdipole_Hz`` is
+    the point-dipole reference -2 gamma_e(z0), checked for every z0 first.
 
     The dipolar part is Monte Carlo with ``mc_samples`` per point (point i
     seeded ``seed + i``) when ``mc_samples`` is given, quadrature otherwise.
     """
     pref = gamma_prefactor_hz_m3(gamma_mode)
+    z0s = [float(z0) for z0 in z0_values_a0]
+    point_dipole = [_point_dipole_hz(pref, z0) for z0 in z0s]
     rows = []
-    for i, z0 in enumerate(z0_values_a0):
-        g = TrapGeometry(geom.a_qr, geom.a_qz, geom.a_hr, geom.a_hz, float(z0))
-        ex = exchange_strength(g, scat).value_hz
+    for i, (z0, point) in enumerate(zip(z0s, point_dipole)):
+        ex = exchange_strength(geom, z0, scat)
         if mc_samples is None:
-            dip, stderr, method = pref * dipolar_average(g).value_hz, None, "quadrature"
+            dip, stderr, method = pref * dipolar_average(geom, z0), None, "quadrature"
         else:
-            part = dipolar_average_mc(g, mc_samples, seed + i)
-            dip, stderr, method = pref * part.value_hz, pref * part.stderr_hz, "monte_carlo"
-        rows.append(
-            {
-                "z0_a0": float(z0),
-                "J_exchange_Hz": ex,
-                "J_dipolar_Hz": dip,
-                "J_total_Hz": ex + dip,
-                "method": method,
-                "stderr_Hz": stderr,
-            }
-        )
+            part = dipolar_average_mc(geom, z0, mc_samples, seed + i)
+            dip, stderr, method = pref * part.value_m3, pref * part.stderr_m3, "monte_carlo"
+        rows.append(dict(zip(SCAN_COLUMNS, (z0, ex, dip, ex + dip, method, stderr, point))))
     return rows

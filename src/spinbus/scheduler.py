@@ -489,7 +489,7 @@ def budget(schedule: Schedule, rates_hz: dict[str, float]) -> BudgetReport:
         raise DomainError("decoherence rates must be >= 0")
     worst = max(rates_hz.values(), default=0.0)
     coherence = math.inf if worst == 0.0 else 1.0 / worst
-    transport = sum(p.duration_s for p in schedule.primitives if isinstance(p, Move))
+    transport = sum((p.duration_s for p in schedule.primitives if isinstance(p, Move)), 0.0)
     gate = schedule.total_time_s - transport
     ratio = 0.0 if math.isinf(coherence) else schedule.total_time_s / coherence
     return BudgetReport(gate, transport, coherence, ratio, ratio > BUDGET_FLAG_RATIO)

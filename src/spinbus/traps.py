@@ -6,7 +6,7 @@ lattice.  This module reproduces, per alkali species, the derived trap
 quantities: depth, oscillation frequency, ground-state size, Lamb-Dicke
 parameters, and (blue lattice) the effective photon-scattering rate that
 sets the dominant decoherence budget.  It also holds the inputs of the
-coupling model in ``spinbus.interactions``: the two traps' geometry, the
+coupling model in ``spinbus.interactions``: the four trap widths, the
 scattering parameters and the names of the dipole-strength conventions.
 
 Caption identities used throughout (all energies as frequencies in Hz):
@@ -265,25 +265,21 @@ GAMMA_MODES = ("calibrated", "first_principles")
 
 @dataclass(frozen=True)
 class TrapGeometry:
-    """Gaussian ground-state sizes of the two traps and their separation, in a0.
+    """Gaussian ground-state sizes of the two traps, in a0.
 
     a_r and a_z are the combined widths sqrt(a_q^2 + a_h^2) per axis; the
-    difference coordinate r_q - r_h is Gaussian with those sigmas.
+    difference coordinate r_q - r_h is Gaussian with those sigmas.  The
+    separation z0 of the trap centres is an argument of each coupling.
     """
 
     a_qr: float
     a_qz: float
     a_hr: float
     a_hz: float
-    z0: float
 
     def __post_init__(self):
         if min(self.a_qr, self.a_qz, self.a_hr, self.a_hz) <= 0:
             raise DomainError("trap sizes must be positive")
-        if not math.isfinite(self.z0):
-            raise DomainError("z0 must be finite")
-        # z0 >= 0 is the working convention; negative values are accepted
-        # because every coupling here is even in z0
 
     @property
     def a_r(self) -> float:

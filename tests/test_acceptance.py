@@ -88,11 +88,9 @@ def test_criterion_blue_table_reproduction():
 def test_criterion_coupling_vs_separation():
     with Criterion("Coupling vs separation (exchange slope, asymptote, kHz window)", 10.0) as c:
         # (a) exchange exactly Gaussian in z0: slope of log|J| vs z0^2
-        geom0 = ia.TrapGeometry(z0=0.0, **REF_GEOM)
+        geom0 = ia.TrapGeometry(**REF_GEOM)
         z0s = np.array([600.0, 1000.0, 1400.0])
-        vals = [
-            ia.exchange_strength(ia.TrapGeometry(z0=z, **REF_GEOM), RB_SCAT).value_hz for z in z0s
-        ]
+        vals = [ia.exchange_strength(geom0, z, RB_SCAT) for z in z0s]
         slope = np.polyfit(z0s**2, np.log(np.abs(vals)), 1)[0]
         expected = -1.0 / (2 * geom0.a_z**2)
         c.check(abs(slope - expected) <= 1e-6 * abs(expected), f"slope {slope} vs {expected}")
@@ -100,13 +98,11 @@ def test_criterion_coupling_vs_separation():
         # (b) dipolar average times z0^3 -> -2 within 1% from ratio 10 up
         amax = max(geom0.a_r, geom0.a_z)
         for ratio in (10.0, 12.0, 16.0):
-            g = ia.TrapGeometry(z0=ratio * amax, **REF_GEOM)
-            prod = ia.dipolar_average(g).value_hz * units.a0_to_m(g.z0) ** 3
+            prod = ia.dipolar_average(geom0, ratio * amax) * units.a0_to_m(ratio * amax) ** 3
             c.check(abs(prod + 2.0) <= 0.02, f"ratio {ratio}: {prod:.4f}")
 
         # (c) |J| at 1000 a0 with the calibrated dipole constant: kHz range
-        g1000 = ia.TrapGeometry(z0=1000.0, **REF_GEOM)
-        j_hz = ia.gamma_prefactor_hz_m3("calibrated") * ia.dipolar_average(g1000).value_hz
+        j_hz = ia.gamma_prefactor_hz_m3("calibrated") * ia.dipolar_average(geom0, 1000.0)
         c.check(100.0 <= abs(j_hz) <= 10_000.0, f"|J| = {abs(j_hz):.1f} Hz")
 
 
@@ -122,12 +118,11 @@ def test_criterion_oracle_equivalence():
         agree = 0
         for k in range(20):
             sizes = rng.uniform(80.0, 500.0, size=4)
-            geom = ia.TrapGeometry(*sizes, z0=0.0)
+            geom = ia.TrapGeometry(*sizes)
             z0 = rng.uniform(5.0, 8.0) * geom.a_z
-            geom = ia.TrapGeometry(*sizes, z0=z0)
-            quad = ia.dipolar_average(geom).value_hz
-            mc = ia.dipolar_average_mc(geom, 1_000_000, seed=1000 + k)
-            if abs(quad - mc.value_hz) <= 3.0 * mc.stderr_hz:
+            quad = ia.dipolar_average(geom, z0)
+            mc = ia.dipolar_average_mc(geom, z0, 1_000_000, seed=1000 + k)
+            if abs(quad - mc.value_m3) <= 3.0 * mc.stderr_m3:
                 agree += 1
         c.check(agree >= 19, f"only {agree}/20 within 3 sigma")
 

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import spinbus
+from spinbus import cli
 from spinbus.cli import main
 from spinbus.traps import CO2_WAVELENGTH_M
 
@@ -93,6 +94,14 @@ def test_tables_species_named_twice_exit_1(capsys, fmt):
         1, "", "error: --species names Rb twice\n")
 
 
+@pytest.mark.parametrize("species", ["", " ", "Rb,"], ids=["empty", "blank", "trailing-comma"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tables_empty_species_name_exit_1(capsys, species, fmt):
+    # an empty --species is a name that matches no species, not a missing --species
+    assert run(capsys, "tables", "--lattice", "red", "--species", species, "--format", fmt) == (
+        1, "", "error: unknown species ''; known: Cs, K, Li, Na, Rb\n")
+
+
 def test_tables_json_and_determinism(capsys):
     code, out1, _ = run(capsys, "tables", "--lattice", "red", "--format", "json")
     assert code == 0
@@ -130,6 +139,21 @@ def test_scan_z0_out_of_float_range_exit_1(capsys, z0_min, z0_max, points, messa
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_scan_refuses_points_above_the_cap_before_building_the_grid(capsys):
+    # a grid of 1e20 points would fill memory before any row is computed
+    code, out, err = run(capsys, "scan", "--z0-min", "100", "--z0-max", "200", "--points", "100000000000000000000")
+    assert (code, out) == (1, "")
+    assert err == f"error: need points <= {cli.MAX_SCAN_POINTS}, got 100000000000000000000\n"
+
+
+def test_scan_points_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 3)
+    code, out, _ = run(capsys, "scan", "--z0-min", "800", "--z0-max", "1200", "--points", "3")
+    assert code == 0 and len(parse_csv(out)) == 3
+    assert run(capsys, "scan", "--z0-min", "800", "--z0-max", "1200", "--points", "4") == (
+        1, "", "error: need points <= 3, got 4\n")
 
 
 def test_scan_negative_value_in_scientific_notation_is_read_as_a_value(capsys):

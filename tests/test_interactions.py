@@ -12,7 +12,8 @@ from spinbus import units
 from spinbus.cli import main
 from spinbus.errors import DomainError, NumericalError
 
-REF_GEOM = ia.TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0, z0=1000.0)
+REF_GEOM = ia.TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0)
+REF_Z0 = 1000.0
 RB_SCAT = ia.ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=87 * units.ATOMIC_MASS)
 
 
@@ -29,10 +30,10 @@ def shell_average(a_a0: float, z0_a0: float) -> float:
     return -2.0 / z0_a0**3 * inside
 
 
-def overlap_density_m3(geom: ia.TrapGeometry) -> float:
-    """Gaussian density of r_q - r_h at the trap displacement, 1/m^3."""
+def overlap_density_m3(geom: ia.TrapGeometry, z0: float) -> float:
+    """Gaussian density of r_q - r_h at the trap displacement z0, 1/m^3."""
     a_r, a_z = units.a0_to_m(geom.a_r), units.a0_to_m(geom.a_z)
-    z0 = units.a0_to_m(geom.z0)
+    z0 = units.a0_to_m(z0)
     return math.exp(-(z0**2) / (2 * a_z**2)) / ((2 * math.pi) ** 1.5 * a_r**2 * a_z)
 
 
@@ -45,21 +46,21 @@ def test_exchange_equals_gaussian_overlap_form():
     for _ in range(10):
         sizes = rng.uniform(80, 500, size=4)
         z0 = rng.uniform(0, 1500)
-        geom = ia.TrapGeometry(*sizes, z0)
-        got = ia.exchange_strength(geom, RB_SCAT).value_hz
+        geom = ia.TrapGeometry(*sizes)
+        got = ia.exchange_strength(geom, z0, RB_SCAT)
         expected = (
             4 * math.pi * units.HBAR**2 / RB_SCAT.mass_kg
             * units.a0_to_m(RB_SCAT.a_t_a0 - RB_SCAT.a_s_a0)
-            * overlap_density_m3(geom)
+            * overlap_density_m3(geom, z0)
             / units.H_PLANCK
         )
         assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_exchange_far_limit_and_z0_zero():
-    far = ia.TrapGeometry(400, 400, 100, 100, 50_000.0)
-    assert abs(ia.exchange_strength(far, RB_SCAT).value_hz) < 1e-300
-    near = ia.TrapGeometry(400, 400, 100, 100, 0.0)
+    far = ia.TrapGeometry(400, 400, 100, 100)
+    assert abs(ia.exchange_strength(far, 50_000.0, RB_SCAT)) < 1e-300
+    near = ia.TrapGeometry(400, 400, 100, 100)
     a_r = units.a0_to_m(near.a_r)
     a_z = units.a0_to_m(near.a_z)
     # the reference-trap form with a_ref^2 hbar omega_ref = hbar^2 / 2M
@@ -70,26 +71,26 @@ def test_exchange_far_limit_and_z0_zero():
         / (a_r**2 * a_z)
         / units.H_PLANCK
     )
-    assert ia.exchange_strength(near, RB_SCAT).value_hz == pytest.approx(expected, rel=1e-12)
+    assert ia.exchange_strength(near, 0.0, RB_SCAT) == pytest.approx(expected, rel=1e-12)
 
 
 def test_exchange_sign_follows_scattering_difference():
     flipped = ia.ScatteringParams(10.0, 110.0, RB_SCAT.mass_kg)
-    assert ia.exchange_strength(REF_GEOM, RB_SCAT).value_hz > 0
-    assert ia.exchange_strength(REF_GEOM, flipped).value_hz < 0
+    assert ia.exchange_strength(REF_GEOM, REF_Z0, RB_SCAT) > 0
+    assert ia.exchange_strength(REF_GEOM, REF_Z0, flipped) < 0
 
 
 def test_exchange_beyond_float_range_is_a_numerical_error():
     # (4 pi hbar^2 / M)(a_T - a_S) p_R(0) / h is about 8e310 Hz here
     huge = ia.ScatteringParams(1.7e308, 10.0, RB_SCAT.mass_kg)
     with pytest.raises(NumericalError, match=r"exchange coupling is not a finite float for ScatteringParams\(a_t_a0="):
-        ia.exchange_strength(REF_GEOM, huge)
+        ia.exchange_strength(REF_GEOM, REF_Z0, huge)
 
 
 def test_exchange_gaussian_decay_slope():
     # log J is linear in z0^2 with slope -1/(2 a_z^2)
     z0s = np.array([800.0, 1000.0, 1200.0])
-    vals = [ia.exchange_strength(ia.TrapGeometry(400, 400, 100, 100, z), RB_SCAT).value_hz for z in z0s]
+    vals = [ia.exchange_strength(ia.TrapGeometry(400, 400, 100, 100), z, RB_SCAT) for z in z0s]
     slope = np.polyfit(z0s**2, np.log(np.abs(vals)), 1)[0]
     assert slope == pytest.approx(-1.0 / (2 * REF_GEOM.a_z**2), rel=1e-6)
 
@@ -97,14 +98,14 @@ def test_exchange_gaussian_decay_slope():
 def test_exchange_against_delta_counting_monte_carlo():
     # independent oracle: estimate <delta3(r_q - r_h - z0 z)> by counting
     # samples of the difference vector inside a small ball around z0 zhat
-    geom = ia.TrapGeometry(300, 300, 150, 150, 350.0)
+    geom, z0 = ia.TrapGeometry(300, 300, 150, 150), 350.0
     eps = 0.15 * min(geom.a_r, geom.a_z)
     n = 400_000
     rng = np.random.default_rng(2024)
     rq = rng.standard_normal((n, 3)) * np.array([geom.a_qr, geom.a_qr, geom.a_qz])
     rh = rng.standard_normal((n, 3)) * np.array([geom.a_hr, geom.a_hr, geom.a_hz])
     d = rq - rh
-    d[:, 2] -= geom.z0
+    d[:, 2] -= z0
     hits = int(np.count_nonzero(np.einsum("ij,ij->i", d, d) < eps * eps))
     assert hits > 50
     density_a0 = hits / (n * 4.0 / 3.0 * math.pi * eps**3)
@@ -114,7 +115,7 @@ def test_exchange_against_delta_counting_monte_carlo():
         * units.a0_to_m(RB_SCAT.a_t_a0 - RB_SCAT.a_s_a0)
         * density_m / units.H_PLANCK
     )
-    j = ia.exchange_strength(geom, RB_SCAT).value_hz
+    j = ia.exchange_strength(geom, z0, RB_SCAT)
     tol = 3.0 / math.sqrt(hits) + 0.03  # counting noise + O(eps^2) ball bias
     assert j_mc == pytest.approx(j, rel=tol)
 
@@ -224,7 +225,7 @@ def test_dipolar_average_raises_when_the_integrator_gives_up(monkeypatch):
 
     monkeypatch.setattr(ia, "adaptive_gk21", limit_reached)
     with pytest.raises(NumericalError, match=r"abserr=.*subintervals=300"):
-        ia.dipolar_average(REF_GEOM)
+        ia.dipolar_average(REF_GEOM, REF_Z0)
 
 
 def test_dipolar_average_raises_on_a_large_error_estimate(monkeypatch):
@@ -236,7 +237,7 @@ def test_dipolar_average_raises_on_a_large_error_estimate(monkeypatch):
 
     monkeypatch.setattr(ia, "adaptive_gk21", loose)
     with pytest.raises(NumericalError, match=r"value=.*abserr=.*subintervals="):
-        ia.dipolar_average(REF_GEOM)
+        ia.dipolar_average(REF_GEOM, REF_Z0)
 
 
 # --- Gaussian-averaged dipolar integral -------------------------------------
@@ -245,8 +246,8 @@ def test_dipolar_average_matches_shell_oracle_isotropic():
     for aq, ah in ((400.0, 100.0), (250.0, 250.0), (120.0, 300.0)):
         a = math.hypot(aq, ah)
         for z0 in (0.3 * a, a, 2.43 * a, 6.0 * a, 12.0 * a):
-            geom = ia.TrapGeometry(aq, aq, ah, ah, z0)
-            got = ia.dipolar_average(geom).value_hz * units.BOHR_RADIUS**3
+            geom = ia.TrapGeometry(aq, aq, ah, ah)
+            got = ia.dipolar_average(geom, z0) * units.BOHR_RADIUS**3
             assert got == pytest.approx(shell_average(a, z0), rel=1e-9)
 
 
@@ -258,8 +259,8 @@ def test_dipolar_average_matches_shell_oracle_isotropic():
 )
 def test_dipolar_average_matches_shell_oracle_property(aq, ah, ratio):
     a = math.hypot(aq, ah)
-    geom = ia.TrapGeometry(aq, aq, ah, ah, ratio * a)
-    got = ia.dipolar_average(geom).value_hz * units.BOHR_RADIUS**3
+    geom = ia.TrapGeometry(aq, aq, ah, ah)
+    got = ia.dipolar_average(geom, ratio * a) * units.BOHR_RADIUS**3
     assert got == pytest.approx(shell_average(a, ratio * a), rel=1e-9)
 
 
@@ -277,82 +278,79 @@ def test_dipolar_average_matches_shell_oracle_property(aq, ah, ratio):
     ],
 )
 def test_dipolar_average_pinned_scan_rows(z0, expected):
-    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, z0)
-    assert ia.dipolar_average(geom).value_hz == pytest.approx(expected, rel=1e-11)
+    assert ia.dipolar_average(REF_GEOM, z0) == pytest.approx(expected, rel=1e-11)
 
 
 def test_dipolar_average_point_trap_limit():
-    geom = ia.TrapGeometry(1e-3, 1e-3, 1e-3, 1e-3, 700.0)
-    got = ia.dipolar_average(geom).value_hz * units.BOHR_RADIUS**3
+    geom = ia.TrapGeometry(1e-3, 1e-3, 1e-3, 1e-3)
+    got = ia.dipolar_average(geom, 700.0) * units.BOHR_RADIUS**3
     assert got * 700.0**3 == pytest.approx(-2.0, rel=1e-10)
 
 
 def test_dipolar_average_even_in_z0():
-    geom_p = ia.TrapGeometry(300, 150, 120, 80, 600.0)
-    geom_m = ia.TrapGeometry(300, 150, 120, 80, -600.0)
-    assert ia.dipolar_average(geom_p).value_hz == pytest.approx(
-        ia.dipolar_average(geom_m).value_hz, rel=1e-12
+    geom = ia.TrapGeometry(300, 150, 120, 80)
+    assert ia.dipolar_average(geom, 600.0) == pytest.approx(
+        ia.dipolar_average(geom, -600.0), rel=1e-12
     )
 
 
 def test_dipolar_average_far_asymptote():
     a = REF_GEOM.a_r
     for ratio in (10.0, 14.0):
-        geom = ia.TrapGeometry(400, 400, 100, 100, ratio * a)
-        val = ia.dipolar_average(geom).value_hz
-        assert val * units.a0_to_m(geom.z0) ** 3 == pytest.approx(-2.0, rel=0.01)
+        geom = ia.TrapGeometry(400, 400, 100, 100)
+        val = ia.dipolar_average(geom, ratio * a)
+        assert val * units.a0_to_m(ratio * a) ** 3 == pytest.approx(-2.0, rel=0.01)
 
 
 @pytest.mark.parametrize("z0", [1e15, 1e19, 1e20])
 def test_dipolar_average_at_large_z0_is_the_point_dipole(z0):
     # nodes at z0 + u would be rounded to the ulp of z0 (2048 a0 at 1e19 a0,
     # against a_z = 412 a0)
-    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, z0)
-    got = ia.dipolar_average(geom).value_hz * units.BOHR_RADIUS**3
+    got = ia.dipolar_average(REF_GEOM, z0) * units.BOHR_RADIUS**3
     assert got * z0**3 == pytest.approx(-2.0, rel=1e-12)
 
 
 def test_dipolar_mc_agrees_with_quadrature_anisotropic():
-    geom = ia.TrapGeometry(300, 150, 120, 80, 600.0)
-    mc = ia.dipolar_average_mc(geom, 400_000, seed=99)
-    quad = ia.dipolar_average(geom)
-    assert abs(mc.value_hz - quad.value_hz) <= 3.0 * mc.stderr_hz
-    assert mc.stderr_hz < 0.1 * abs(quad.value_hz)
+    geom = ia.TrapGeometry(300, 150, 120, 80)
+    mc = ia.dipolar_average_mc(geom, 600.0, 400_000, seed=99)
+    quad = ia.dipolar_average(geom, 600.0)
+    assert abs(mc.value_m3 - quad) <= 3.0 * mc.stderr_m3
+    assert mc.stderr_m3 < 0.1 * abs(quad)
 
 
 def test_dipolar_quadrature_at_zero_separation_is_minus_the_contact_term():
     # for isotropic combined widths the spherical principal value vanishes at
     # z0 = 0, so the slab value the quadrature computes is -(8 pi/3) p_R(0)
-    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, 0.0)
-    quad = ia.dipolar_average(geom).value_hz
-    assert quad == pytest.approx(-8 * math.pi / 3 * overlap_density_m3(geom), rel=1e-8)
+    quad = ia.dipolar_average(REF_GEOM, 0.0)
+    assert quad == pytest.approx(-8 * math.pi / 3 * overlap_density_m3(REF_GEOM, 0.0), rel=1e-8)
     assert quad * units.BOHR_RADIUS**3 == pytest.approx(-7.5888e-9, rel=1e-4)
 
 
 def test_contact_density_is_the_gaussian_density_at_zero_separation():
-    for geom in (REF_GEOM, ia.TrapGeometry(300, 150, 120, 80, 0.0), ia.TrapGeometry(300, 150, 120, 80, 600.0)):
-        assert ia.contact_density_a0(geom) == pytest.approx(overlap_density_m3(geom) * units.BOHR_RADIUS**3, rel=1e-12)
+    anisotropic = ia.TrapGeometry(300, 150, 120, 80)
+    for geom, z0 in ((REF_GEOM, REF_Z0), (anisotropic, 0.0), (anisotropic, 600.0)):
+        assert ia.contact_density_a0(geom, z0) == pytest.approx(overlap_density_m3(geom, z0) * units.BOHR_RADIUS**3, rel=1e-12)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0, 1.5, 2.2])
 def test_dipolar_mc_agrees_with_quadrature_where_the_contact_term_matters(ratio):
     # within a few a_z the sampler's spherical mean and the quadrature's slab
     # value differ by (8 pi/3) p_R(0), several stderr at 1e6 samples
-    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, ratio * REF_GEOM.a_z)
-    mc = ia.dipolar_average_mc(geom, 1_000_000, seed=2)
-    quad = ia.dipolar_average(geom)
-    assert abs(mc.value_hz - quad.value_hz) <= 3.0 * mc.stderr_hz
+    z0 = ratio * REF_GEOM.a_z
+    mc = ia.dipolar_average_mc(REF_GEOM, z0, 1_000_000, seed=2)
+    quad = ia.dipolar_average(REF_GEOM, z0)
+    assert abs(mc.value_m3 - quad) <= 3.0 * mc.stderr_m3
 
 
 def test_dipolar_mc_point_trap_limit():
-    geom = ia.TrapGeometry(0.5, 0.5, 0.5, 0.5, 700.0)
-    mc = ia.dipolar_average_mc(geom, 50_000, seed=5)
+    geom = ia.TrapGeometry(0.5, 0.5, 0.5, 0.5)
+    mc = ia.dipolar_average_mc(geom, 700.0, 50_000, seed=5)
     target = -2.0 / units.a0_to_m(700.0) ** 3
-    assert abs(mc.value_hz - target) <= 3.0 * mc.stderr_hz + 1e-6 * abs(target)
+    assert abs(mc.value_m3 - target) <= 3.0 * mc.stderr_m3 + 1e-6 * abs(target)
 
 
-def serial_mc_reference(geom: ia.TrapGeometry, n_samples: int, seed: int, core_cutoff_a0: float = 0.1):
-    """(value_hz, stderr_hz, n_rejected) of the Monte Carlo oracle, computed
+def serial_mc_reference(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: int, core_cutoff_a0: float = 0.1):
+    """(value_m3, stderr_m3, n_rejected) of the Monte Carlo oracle, computed
     one chunk after another on fresh arrays: the seeded stream that
     ``dipolar_average_mc`` must reproduce bit for bit.  Each chunk draws
     R = r_q - r_h - z0 zhat as one (3, n) Gaussian block; the spherical mean
@@ -362,7 +360,7 @@ def serial_mc_reference(geom: ia.TrapGeometry, n_samples: int, seed: int, core_c
     for chunk in range((n_samples + chunk_size - 1) // chunk_size):
         n = min(chunk_size, n_samples - chunk * chunk_size)
         x, y, z = np.random.default_rng([seed, chunk]).standard_normal((3, n))
-        x, y, z = x * geom.a_r, y * geom.a_r, z * geom.a_z - geom.z0
+        x, y, z = x * geom.a_r, y * geom.a_r, z * geom.a_z - z0
         r2 = x * x + y * y + z * z
         keep = r2 > core_cutoff_a0**2
         rejected += int(n - keep.sum())
@@ -373,60 +371,60 @@ def serial_mc_reference(geom: ia.TrapGeometry, n_samples: int, seed: int, core_c
         kept += int(keep.sum())
     mean = total / kept
     var = max(0.0, (total_sq - kept * mean * mean) / (kept - 1))
-    value = mean - 8.0 * math.pi / 3.0 * ia.contact_density_a0(geom)
+    value = mean - 8.0 * math.pi / 3.0 * ia.contact_density_a0(geom, z0)
     return value / units.BOHR_RADIUS**3, math.sqrt(var / kept) / units.BOHR_RADIUS**3, rejected
 
 
-def _mc_triple(result: ia.CouplingResult):
-    return result.value_hz, result.stderr_hz, result.n_rejected
+def _mc_triple(result: ia.MonteCarloAverage):
+    return result.value_m3, result.stderr_m3, result.n_rejected
 
 
 def test_dipolar_mc_deterministic_and_chunk_invariant():
-    a = ia.dipolar_average_mc(REF_GEOM, 150_000, seed=42)
-    b = ia.dipolar_average_mc(REF_GEOM, 150_000, seed=42)
+    a = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=42)
+    b = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=42)
     assert a == b
-    assert _mc_triple(a) == serial_mc_reference(REF_GEOM, 150_000, 42)
-    c = ia.dipolar_average_mc(REF_GEOM, 150_000, seed=43)
-    assert c.value_hz != a.value_hz
+    assert _mc_triple(a) == serial_mc_reference(REF_GEOM, REF_Z0, 150_000, 42)
+    c = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=43)
+    assert c.value_m3 != a.value_m3
 
 
 MC_STREAM_CASES = {
-    "z0=0": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0, 0.0), 0.1),
-    "z0=2100": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0, 2100.0), 0.1),
-    "cutoff=1": (ia.TrapGeometry(1.0, 1.0, 1.0, 1.0, 0.0), 1.0),
-    "cutoff=50": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0, 0.0), 50.0),
-    "anisotropic": (ia.TrapGeometry(300.0, 150.0, 120.0, 80.0, 600.0), 0.1),
+    "z0=0": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0), 0.0, 0.1),
+    "z0=2100": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0), 2100.0, 0.1),
+    "cutoff=1": (ia.TrapGeometry(1.0, 1.0, 1.0, 1.0), 0.0, 1.0),
+    "cutoff=50": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0), 0.0, 50.0),
+    "anisotropic": (ia.TrapGeometry(300.0, 150.0, 120.0, 80.0), 600.0, 0.1),
 }
 
 
 @pytest.mark.parametrize("n_samples", [10_000, 2**17, 2**17 + 1, 3 * 2**17 + 5])
 @pytest.mark.parametrize("case", list(MC_STREAM_CASES))
 def test_dipolar_mc_bit_identical_to_serial_reference_for_any_pool_size(monkeypatch, case, n_samples):
-    geom, cutoff = MC_STREAM_CASES[case]
-    want = serial_mc_reference(geom, n_samples, 42, cutoff)
+    geom, z0, cutoff = MC_STREAM_CASES[case]
+    want = serial_mc_reference(geom, z0, n_samples, 42, cutoff)
     if cutoff > 0.1:
         assert want[2] > 0  # the rejecting path is exercised
     for cpus in (1, 2, 3):
         monkeypatch.setattr(ia, "_usable_cpus", lambda: cpus)
-        got = ia.dipolar_average_mc(geom, n_samples, seed=42, core_cutoff_a0=cutoff)
+        got = ia.dipolar_average_mc(geom, z0, n_samples, seed=42, core_cutoff_a0=cutoff)
         assert _mc_triple(got) == want, f"{cpus} workers"
 
 
 def test_dipolar_mc_validates_sample_count():
     with pytest.raises(DomainError):
-        ia.dipolar_average_mc(REF_GEOM, 100, seed=1)
+        ia.dipolar_average_mc(REF_GEOM, REF_Z0, 100, seed=1)
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
 def test_dipolar_mc_refuses_bad_seed(seed):
     with pytest.raises(DomainError, match="non-negative integer"):
-        ia.dipolar_average_mc(REF_GEOM, 10_000, seed=seed)
+        ia.dipolar_average_mc(REF_GEOM, REF_Z0, 10_000, seed=seed)
 
 
 def test_dipolar_mc_core_rejection_counted():
     # overlapping traps at tiny separation with a huge cutoff: must reject
-    geom = ia.TrapGeometry(1.0, 1.0, 1.0, 1.0, 0.1)
-    mc = ia.dipolar_average_mc(geom, 20_000, seed=3, core_cutoff_a0=1.0)
+    geom = ia.TrapGeometry(1.0, 1.0, 1.0, 1.0)
+    mc = ia.dipolar_average_mc(geom, 0.1, 20_000, seed=3, core_cutoff_a0=1.0)
     assert mc.n_rejected > 0
 
 
@@ -444,9 +442,9 @@ def test_effective_j_khz_scale_at_1000a0():
 
 
 def test_effective_j_composition():
-    row = scan_row(REF_GEOM.z0)
+    row = scan_row(REF_Z0)
     assert row["J_total_Hz"] == pytest.approx(row["J_exchange_Hz"] + row["J_dipolar_Hz"], rel=1e-12)
-    assert row["J_exchange_Hz"] == pytest.approx(ia.exchange_strength(REF_GEOM, RB_SCAT).value_hz, rel=1e-12)
+    assert row["J_exchange_Hz"] == pytest.approx(ia.exchange_strength(REF_GEOM, REF_Z0, RB_SCAT), rel=1e-12)
 
 
 def test_exchange_negligible_against_dipole_far_out():
@@ -455,32 +453,31 @@ def test_exchange_negligible_against_dipole_far_out():
 
 
 def test_effective_j_mc_mode_propagates_stderr():
-    j = scan_row(REF_GEOM.z0, mc_samples=50_000, seed=7)
+    j = scan_row(REF_Z0, mc_samples=50_000, seed=7)
     assert j["method"] == "monte_carlo"
     assert j["stderr_Hz"] is not None and j["stderr_Hz"] > 0
-    quad = scan_row(REF_GEOM.z0)
+    quad = scan_row(REF_Z0)
     assert abs(j["J_dipolar_Hz"] - quad["J_dipolar_Hz"]) <= 4.0 * j["stderr_Hz"]
 
 
 def test_effective_j_zero_mc_samples_is_refused_not_quadrature():
     with pytest.raises(DomainError, match="at least 1e4 samples"):
-        scan_row(REF_GEOM.z0, mc_samples=0)
+        scan_row(REF_Z0, mc_samples=0)
 
 
 @pytest.mark.parametrize("z0", [1e103, 1e200, sys.float_info.max])
 def test_couplings_beyond_float_range_of_z0_cubed_do_not_overflow(z0):
     # the kernel's |z|^3 overflows from 5.6e102 a0, the exchange's z0^2 (in m)
     # from 2.5e164 a0; both couplings are 0 or vanishingly small out there
-    geom = ia.TrapGeometry(REF_GEOM.a_qr, REF_GEOM.a_qz, REF_GEOM.a_hr, REF_GEOM.a_hz, z0)
-    assert ia.exchange_strength(geom, RB_SCAT).value_hz == 0.0
-    assert abs(ia.dipolar_average(geom).value_hz) <= 1e-250
+    assert ia.exchange_strength(REF_GEOM, z0, RB_SCAT) == 0.0
+    assert abs(ia.dipolar_average(REF_GEOM, z0)) <= 1e-250
 
 
 @pytest.mark.parametrize("a_r", [1e-90, 1e100])
 def test_dipolar_average_at_widths_out_of_float_range_is_a_numerical_error(a_r):
     # a_r^4 underflows to 0 or overflows
     with pytest.raises(NumericalError, match="cannot evaluate trap widths"):
-        ia.dipolar_average(ia.TrapGeometry(a_r, 400.0, a_r, 100.0, 1000.0))
+        ia.dipolar_average(ia.TrapGeometry(a_r, 400.0, a_r, 100.0), 1000.0)
 
 
 def test_coupling_inputs_are_the_trap_module_definitions():
@@ -491,9 +488,31 @@ def test_coupling_inputs_are_the_trap_module_definitions():
     assert ia.GAMMA_MODES is traps.GAMMA_MODES
 
 
-def test_coupling_result_invariants():
-    with pytest.raises(DomainError):
-        ia.CouplingResult(value_hz=math.nan)
+def test_monte_carlo_average_invariants():
+    with pytest.raises(DomainError, match="coupling value must be finite"):
+        ia.MonteCarloAverage(value_m3=math.nan, stderr_m3=1.0, n_rejected=0)
+
+
+@pytest.mark.parametrize("z0", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("call", [
+    lambda z0: ia.exchange_strength(REF_GEOM, z0, RB_SCAT),
+    lambda z0: ia.contact_density_a0(REF_GEOM, z0),
+    lambda z0: ia.dipolar_average(REF_GEOM, z0),
+    lambda z0: ia.dipolar_average_mc(REF_GEOM, z0, 10_000, seed=1),
+    lambda z0: ia.scan_couplings(REF_GEOM, RB_SCAT, [REF_Z0, z0]),
+    lambda z0: ia.scan_couplings(REF_GEOM, RB_SCAT, [REF_Z0, z0], mc_samples=10_000),
+], ids=["exchange_strength", "contact_density_a0", "dipolar_average", "dipolar_average_mc", "scan_couplings",
+        "scan_couplings-mc"])
+def test_every_coupling_refuses_a_non_finite_z0(call, z0):
+    with pytest.raises(DomainError, match="z0"):
+        call(z0)
+
+
+@pytest.mark.parametrize("mc_samples", [None, 10_000], ids=["quadrature", "mc"])
+def test_scan_rows_hold_exactly_the_scan_columns(mc_samples):
+    rows = ia.scan_couplings(REF_GEOM, RB_SCAT, [500.0, 1000.0], mc_samples=mc_samples)
+    assert [tuple(row) for row in rows] == [ia.SCAN_COLUMNS] * 2
+    assert rows[1]["J_pointdipole_Hz"] == -2.0 * ia.gamma_prefactor_hz_m3() / units.a0_to_m(1000.0) ** 3
 
 
 def test_scan_rows_and_csv(capsys):

@@ -294,6 +294,15 @@ def test_budget_empty_schedule_and_zero_rates():
     assert b0.as_dict()["coherence_time_s"] is None
 
 
+def test_budget_transport_time_is_a_float_without_a_move():
+    # a lone one-bit gate compiles to no MOVE; the JSON must read 0.0, not 0
+    s = sch.compile_circuit(sch.parse_circuit("X q0"), REG2)
+    assert not any(p.kind == "move" for p in s.primitives)
+    b = sch.budget(s, {"gamma_eff_blue": 0.6})
+    assert type(b.transport_time_s) is float and b.transport_time_s == 0.0
+    assert b.gate_time_s == s.total_time_s
+
+
 def test_budget_worst_rate_wins():
     s = sch.compile_circuit(sch.parse_circuit("H q0"), REG2)
     b = sch.budget(s, {"a": 0.1, "b": 2.0})
