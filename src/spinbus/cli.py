@@ -93,6 +93,9 @@ def scan(args, cfg: Config):
     from . import interactions
 
     z0_min, z0_max, points = args.z0_min, args.z0_max, args.points
+    mc_flag = next((f for f, v in (("--samples", args.samples), ("--seed", args.seed)) if v is not None), None)
+    if mc_flag and args.mode != "mc":  # the quadrature would ignore it
+        raise DomainError(f"{mc_flag} applies to --mode mc only")
     if points < 2:
         raise DomainError("need points >= 2")
     if points > MAX_SCAN_POINTS:

@@ -2,30 +2,29 @@
 
 Every section is optional; omitted keys take the architecture defaults
 (Rb register in the CO2 lattice, the reference interaction geometry).
-Section keys and their JSON types come from the dataclass each section
-builds, or from a map written out where a key carries a unit its field
-does not (``geometry``, ``scattering``, ``mc``); ``geometry`` is the
-``TrapGeometry`` of four widths, and ``scan`` passes each grid z0 to the
-couplings.  Any unknown section or key, missing species key or value of the
-wrong JSON type fails every command, so typos cannot silently fall back to
-defaults, and every key that is accepted is read by some command.  The
+Section keys and their JSON types come from the field annotations of the
+record each section builds, or from a map written out where a key carries a
+unit its field does not (``geometry``, ``scattering``, ``mc``); ``geometry``
+is the ``TrapGeometry`` of four widths, and ``scan`` passes each grid z0 to
+the couplings.  Any unknown section or key, missing species key or value of
+the wrong JSON type fails every command, so typos cannot silently fall back
+to defaults, and every key that is accepted is read by some command.  The
 header trap is described once, in ``scheduler``: the compiler's moves and
 the ``transport`` command both read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .errors import ConfigError, DomainError
 from .jsonio import checked_fields, key_text, loads_finite
+from .record import Record
 from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec, ScatteringParams, TrapGeometry
 from .units import ATOMIC_MASS
 
 
-@dataclass(frozen=True)
-class CompileParams:
+class CompileParams(Record):
     """Physical knobs used by the compiler.
 
     Couplings are the effective Ising strengths (Hz) at the swap and gate
@@ -47,7 +46,7 @@ class CompileParams:
     single_bit_mode: str = "direct"      # direct | mediated
     max_move_duration_s: float | None = None
 
-    def __post_init__(self):
+    def _check(self):
         if self.swap_primitive not in ("heisenberg", "xors"):
             raise DomainError(f"swap_primitive must be heisenberg|xors, got {self.swap_primitive!r}")
         if self.single_bit_mode not in ("direct", "mediated"):
@@ -63,27 +62,25 @@ class CompileParams:
             raise DomainError(f"onebit_time_s must be >= 0, got {self.onebit_time_s!r}")
 
 
-@dataclass
 class Config:
-    species: dict[str, AtomSpecies] = field(default_factory=lambda: dict(SPECIES))
-    red_lattice: RedLatticeSpec = field(default_factory=RedLatticeSpec)
-    blue_lattice: BlueLatticeSpec = field(default_factory=BlueLatticeSpec)
-    geometry: TrapGeometry = field(default_factory=lambda: TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0))
-    scattering: ScatteringParams = field(
-        default_factory=lambda: ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=87.0 * ATOMIC_MASS)
-    )
-    mc_seed: int = 20260810
-    mc_samples: int = 1_000_000
-    compile_params: CompileParams = field(default_factory=CompileParams)
-    rates_hz: dict[str, float] = field(
-        default_factory=lambda: {"gamma_eff_blue": 0.6, "red_scattering": 1.0 / 120.0}
-    )
+    """Every section at its default; ``load_config`` applies a file over them."""
+
+    def __init__(self):
+        self.species: dict[str, AtomSpecies] = dict(SPECIES)
+        self.red_lattice = RedLatticeSpec()
+        self.blue_lattice = BlueLatticeSpec()
+        self.geometry = TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0)
+        self.scattering = ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=87.0 * ATOMIC_MASS)
+        self.mc_seed = 20260810
+        self.mc_samples = 1_000_000
+        self.compile_params = CompileParams()
+        self.rates_hz = {"gamma_eff_blue": 0.6, "red_scattering": 1.0 / 120.0}
 
 
 def _annotations(cls, **renamed) -> dict[str, str]:
-    """``{JSON key: field annotation}`` of dataclass ``cls``; ``renamed``
-    maps a field name to the key it is read under."""
-    return {renamed.get(f.name, f.name): f.type for f in fields(cls)}
+    """``{JSON key: field annotation}`` of record ``cls``; ``renamed`` maps a
+    field name to the key it is read under."""
+    return {renamed.get(name, name): annotation for name, annotation in cls.__annotations__.items()}
 
 
 _SPECIES = {k: v for k, v in _annotations(AtomSpecies).items() if k != "name"}  # each one required
@@ -124,13 +121,13 @@ def _kg(body: dict) -> dict:
 
 def _apply(cfg: Config, doc: dict):
     if "red_lattice" in doc:
-        cfg.red_lattice = replace(cfg.red_lattice, **doc["red_lattice"])
+        cfg.red_lattice = cfg.red_lattice.replace(**doc["red_lattice"])
     if "blue_lattice" in doc:
-        cfg.blue_lattice = replace(cfg.blue_lattice, **doc["blue_lattice"])
+        cfg.blue_lattice = cfg.blue_lattice.replace(**doc["blue_lattice"])
     if "geometry" in doc:
-        cfg.geometry = replace(cfg.geometry, **{k.removesuffix("_a0"): v for k, v in doc["geometry"].items()})
+        cfg.geometry = cfg.geometry.replace(**{k.removesuffix("_a0"): v for k, v in doc["geometry"].items()})
     if "scattering" in doc:
-        cfg.scattering = replace(cfg.scattering, **_kg(doc["scattering"]))
+        cfg.scattering = cfg.scattering.replace(**_kg(doc["scattering"]))
     if "mc" in doc:
         from .interactions import check_mc_args  # loaded only for a config that has an mc section
 
@@ -140,4 +137,4 @@ def _apply(cfg: Config, doc: dict):
     if "scheduler" in doc:
         s = _kg(doc["scheduler"])
         cfg.rates_hz = s.pop("rates_hz", cfg.rates_hz)
-        cfg.compile_params = replace(cfg.compile_params, **s)
+        cfg.compile_params = cfg.compile_params.replace(**s)

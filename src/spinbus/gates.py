@@ -15,11 +15,11 @@ from Hz happen at the module boundary only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError
+from .record import Record
 from . import operators as ops
 
 SWAP = np.array(
@@ -38,8 +38,7 @@ _ZZ = _S1Z @ _S2Z
 _DOT = ops.heisenberg_coupling(0, 1, 2)
 
 
-@dataclass(frozen=True)
-class StirringParams:
+class StirringParams(Record):
     """Inputs of the driven two-spin model.
 
     omega1, omega2: Zeeman splittings (rad/s); omega_s, rabi: stirring
@@ -54,7 +53,7 @@ class StirringParams:
     gamma_e_hz: float
     alignment: float
 
-    def __post_init__(self):
+    def _check(self):
         if not (0.0 <= self.alignment <= 1.0):
             raise DomainError(f"alignment must lie in [0, 1], got {self.alignment}")
         for name in ("omega1", "omega2", "omega_s", "rabi", "gamma_e_hz"):
@@ -62,8 +61,7 @@ class StirringParams:
                 raise DomainError(f"{name} must be finite")
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(Record):
     name: str
     target: np.ndarray
     achieved: np.ndarray

@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import NamedTuple
 
 from .errors import DomainError, NumericalError
+from .record import Record
 from .traps import GAMMA_MODES, ScatteringParams, TrapGeometry
 from .units import (
     BOHR_MAGNETON,
@@ -47,15 +46,14 @@ GAMMA_E_FIRST_PRINCIPLES_HZ = (
 _MC_CHUNK = 1 << 17
 
 
-@dataclass(frozen=True)
-class MonteCarloAverage:
+class MonteCarloAverage(Record):
     """``dipolar_average_mc``'s estimate in m^-3 and the samples its core cutoff rejected."""
 
     value_m3: float
     stderr_m3: float
     n_rejected: int
 
-    def __post_init__(self):
+    def _check(self):
         if not math.isfinite(self.value_m3):
             raise DomainError("coupling value must be finite")
 
@@ -156,7 +154,7 @@ _EPS = sys.float_info.epsilon
 _TINY = sys.float_info.min
 
 
-class Quadrature(NamedTuple):
+class Quadrature(Record):
     value: float
     abserr: float
     subintervals: int

@@ -1,7 +1,7 @@
 """JSON text in and out.  Reading, shared by the config and schedule
 loaders, is strict: finite numbers only, and objects checked field by field
-against dataclass annotations.  Every JSON document spinbus writes goes
-through ``dumps``."""
+against the annotations of the records they build.  Every JSON document
+spinbus writes goes through ``dumps``."""
 
 from __future__ import annotations
 

@@ -30,11 +30,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import asdict, dataclass, fields
 
 from .config import CompileParams
 from .errors import CircuitParseError, DomainError, NumericalError
 from .jsonio import checked_fields, dumps, loads_finite
+from .record import Record
 from .transport import plan_transport
 from .traps import CO2_WAVELENGTH_M
 from .units import BOHR_RADIUS
@@ -49,8 +49,7 @@ TWO_QUBIT_GATES = tuple(name for name, (n_qubits, _) in GATES.items() if n_qubit
 ONEBIT_GATES = ("X", "Z", "H", "S", "PHASE")  # gates of a one-bit primitive; only PHASE takes an angle
 
 
-@dataclass(frozen=True)
-class LogicalGate:
+class LogicalGate(Record):
     name: str
     qubits: tuple[int, ...]
     param: float | None = None
@@ -106,8 +105,7 @@ def parse_circuit(text: str) -> list[LogicalGate]:
     return out
 
 
-@dataclass(frozen=True)
-class Register:
+class Register(Record):
     """Qubit sites at integer coordinates (spacing lambda_CO2/2) and the one
     header atom ``h0``, parked at an inter-site midpoint."""
 
@@ -115,7 +113,7 @@ class Register:
     header_position: float = 0.5
     site_spacing_m: float = CO2_WAVELENGTH_M / 2.0
 
-    def __post_init__(self):
+    def _check(self):
         if self.n_qubits < 1:
             raise DomainError("register needs at least one qubit")
         if not math.isfinite(self.header_position):
@@ -130,8 +128,7 @@ class Register:
 
 # --- timed primitives -------------------------------------------------------
 
-@dataclass(frozen=True)
-class Move:
+class Move(Record):
     atom: str
     from_pos: float
     to_pos: float
@@ -142,16 +139,14 @@ class Move:
     kind: str = "move"
 
 
-@dataclass(frozen=True)
-class SwapStep:
+class SwapStep(Record):
     atoms: tuple[str, str]
     start_s: float
     duration_s: float
     kind: str = "swap"
 
 
-@dataclass(frozen=True)
-class IsingPulse:
+class IsingPulse(Record):
     atoms: tuple[str, str]
     phase_rad: float      # realizes exp(+i phase sigma_z sigma_z)
     start_s: float
@@ -159,8 +154,7 @@ class IsingPulse:
     kind: str = "ising"
 
 
-@dataclass(frozen=True)
-class OneBit:
+class OneBit(Record):
     atom: str
     gate: str             # one of ONEBIT_GATES
     param: float | None
@@ -172,8 +166,7 @@ class OneBit:
 Primitive = Move | SwapStep | IsingPulse | OneBit
 
 
-@dataclass(frozen=True)
-class Schedule:
+class Schedule(Record):
     register: Register
     params: CompileParams
     circuit: tuple[LogicalGate, ...]
@@ -461,8 +454,7 @@ def verify_schedule(schedule: Schedule) -> dict:
 
 # --- decoherence budget -----------------------------------------------------
 
-@dataclass(frozen=True)
-class BudgetReport:
+class BudgetReport(Record):
     gate_time_s: float
     transport_time_s: float
     coherence_time_s: float       # inf when every rate is zero
@@ -504,14 +496,14 @@ def schedule_doc(schedule: Schedule) -> dict:
     """The JSON document of ``schedule``, which ``schedule_from_json`` reads."""
     return {
         "format": SCHEDULE_FORMAT,
-        "register": asdict(schedule.register),
-        "params": asdict(schedule.params),
+        "register": schedule.register.as_dict(),
+        "params": schedule.params.as_dict(),
         "circuit": [g.text() for g in schedule.circuit],
         "total_time_s": schedule.total_time_s,
         "global_phase_rad": schedule.global_phase_rad,
         "idle_crosstalk_phase_rad": schedule.idle_crosstalk_phase_rad,
         "idle_infidelity_estimate": schedule.idle_infidelity_estimate,
-        "primitives": [asdict(p) for p in schedule.primitives],
+        "primitives": [p.as_dict() for p in schedule.primitives],
     }
 
 
@@ -522,14 +514,9 @@ def schedule_to_json(schedule: Schedule) -> str:
 _PRIMITIVE_TYPES = {"move": Move, "swap": SwapStep, "ising": IsingPulse, "onebit": OneBit}
 
 
-@functools.cache
-def _field_types(cls) -> dict[str, str]:
-    return {f.name: f.type for f in fields(cls)}
-
-
 def _checked_fields(cls, body, what: str) -> dict:
-    """A JSON object holding exactly the fields of dataclass ``cls``."""
-    types = _field_types(cls)
+    """A JSON object holding exactly the fields of record ``cls``."""
+    types = cls.__annotations__
     if isinstance(body, dict) and body.keys() != types.keys():
         raise DomainError(f"{what} needs exactly the fields {sorted(types)}, got {sorted(body)}")
     return checked_fields(types, body, what)

@@ -21,9 +21,9 @@ plain ``math``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, PlanningError
+from .record import Record
 from .units import HBAR
 
 #: fraction of the commanded displacement covered inside the reported
@@ -38,14 +38,13 @@ TRANSIT_COVERAGE = 0.99
 PHASE_INTEGRAL_K = 60.813979668791977646
 
 
-@dataclass(frozen=True)
-class LorentzianPulse:
+class LorentzianPulse(Record):
     """F(t) = f0 * tau / (tau^2 + t^2); ``f0_n`` is the impulse over pi, in N s."""
 
     f0_n: float
     tau_s: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.tau_s <= 0:
             raise DomainError("tau must be positive")
         if not math.isfinite(self.f0_n):
@@ -85,8 +84,7 @@ def _check_trap(omega_t: float, mass_kg: float):
         raise DomainError("trap frequency and mass must be positive")
 
 
-@dataclass(frozen=True)
-class TransportResult:
+class TransportResult(Record):
     distance_m: float
     tau_s: float
     transit_time_s: float

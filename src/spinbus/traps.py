@@ -19,10 +19,10 @@ Caption identities used throughout (all energies as frequencies in Hz):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DomainError, NumericalError
 from .jsonio import key_text
+from .record import Record
 from .units import (
     ATOMIC_MASS,
     BOHR_RADIUS,
@@ -36,14 +36,13 @@ from .units import (
 CO2_WAVELENGTH_M = 10.6e-6
 
 
-@dataclass(frozen=True)
-class AtomSpecies:
+class AtomSpecies(Record):
     name: str
     mass_amu: float
     alpha0_a03: float     # dc polarizability, a0^3
     lambda0_nm: float     # resonance wavelength
 
-    def __post_init__(self):
+    def _check(self):
         if min(self.mass_amu, self.alpha0_a03, self.lambda0_nm) <= 0:
             raise DomainError(f"species {key_text(self.name)}: all parameters must be positive")
 
@@ -76,8 +75,7 @@ def get_species(name: str, registry: dict[str, AtomSpecies] | None = None) -> At
         raise DomainError(f"unknown species {name!r}; known: {', '.join(map(key_text, sorted(reg)))}") from None
 
 
-@dataclass(frozen=True)
-class RedLatticeSpec:
+class RedLatticeSpec(Record):
     """CO2 lattice.  The depth is calibrated as a single constant (Hz per a0^3
     of polarizability), fitted once to Li's 181 MHz; the table's exact
     proportionality to alpha(0) makes that one number reproduce every
@@ -89,7 +87,7 @@ class RedLatticeSpec:
     intensity_w_cm2: float = 1.0e6
     depth_calibration_hz_per_a03: float = 181e6 / 159.2
 
-    def __post_init__(self):
+    def _check(self):
         if self.wavelength_m <= 0 or self.intensity_w_cm2 <= 0 or self.depth_calibration_hz_per_a03 <= 0:
             raise DomainError("red lattice parameters must be positive")
 
@@ -100,8 +98,7 @@ class RedLatticeSpec:
         return alpha_si * e0_sq / 4.0 / H_PLANCK
 
 
-@dataclass(frozen=True)
-class BlueLatticeSpec:
+class BlueLatticeSpec(Record):
     """Near-resonant blue lattice driving the header atom.
 
     Frequencies are stored as the plain Hz numbers the architecture quotes
@@ -116,7 +113,7 @@ class BlueLatticeSpec:
     detuning_hz: float = 2.0e12
     linewidth_hz: float = 1.0e7
 
-    def __post_init__(self):
+    def _check(self):
         if self.detuning_hz <= 0:
             raise DomainError("blue lattice must be blue-detuned: detuning > 0")
         if self.rabi_hz <= 0 or self.linewidth_hz <= 0:
@@ -131,8 +128,7 @@ class BlueLatticeSpec:
         return self.rabi_hz**2 / (4.0 * self.detuning_hz)
 
 
-@dataclass(frozen=True)
-class TrapReport:
+class TrapReport(Record):
     """Derived trap quantities for one species in one lattice (SI + Hz)."""
 
     species: str
@@ -263,8 +259,7 @@ def lattice_reports(
 GAMMA_MODES = ("calibrated", "first_principles")
 
 
-@dataclass(frozen=True)
-class TrapGeometry:
+class TrapGeometry(Record):
     """Gaussian ground-state sizes of the two traps, in a0.
 
     a_r and a_z are the combined widths sqrt(a_q^2 + a_h^2) per axis; the
@@ -277,7 +272,7 @@ class TrapGeometry:
     a_hr: float
     a_hz: float
 
-    def __post_init__(self):
+    def _check(self):
         if min(self.a_qr, self.a_qz, self.a_hr, self.a_hz) <= 0:
             raise DomainError("trap sizes must be positive")
 
@@ -290,8 +285,7 @@ class TrapGeometry:
         return math.hypot(self.a_qz, self.a_hz)
 
 
-@dataclass(frozen=True)
-class ScatteringParams:
+class ScatteringParams(Record):
     """Contact-interaction inputs: the triplet and singlet scattering lengths
     and the mass in the 4 pi hbar^2 a / M pseudo-potential prefactor (twice
     the reduced mass of the pair)."""
@@ -300,6 +294,6 @@ class ScatteringParams:
     a_s_a0: float
     mass_kg: float
 
-    def __post_init__(self):
+    def _check(self):
         if self.mass_kg <= 0:
             raise DomainError("scattering mass must be positive")

@@ -175,9 +175,9 @@ def test_scan_negative_value_in_scientific_notation_is_read_as_a_value(capsys):
 def test_scan_trap_widths_out_of_float_range_exit_2(capsys, tmp_path, geometry, stages, widths):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"geometry": geometry}))
-    for mode, stage in zip(("quadrature", "mc"), stages):
+    for mode, stage in zip((["quadrature"], ["mc", "--samples", "10000"]), stages):
         code, out, err = run(capsys, "--config", str(cfg), "scan", "--z0-min", "200", "--z0-max", "2500",
-                             "--points", "2", "--mode", mode, "--samples", "10000")
+                             "--points", "2", "--mode", *mode)
         assert (code, out) == (2, ""), mode
         assert err == f"numerical failure: {stage} cannot evaluate trap widths {widths}\n"
 
@@ -245,6 +245,27 @@ def test_scan_mc_bad_seed_or_samples_exit_1(capsys, tmp_path, flags, config, mes
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("flags, flag", [
+    (["--samples", "5", "--seed", "-4"], "--samples"),
+    (["--seed", "7"], "--seed"),
+    (["--mode", "quadrature", "--samples", "10000"], "--samples"),
+], ids=["both-invalid", "seed", "explicit-quadrature-samples"])
+def test_scan_mc_flags_outside_mc_mode_exit_1(capsys, tmp_path, monkeypatch, flags, flag):
+    from spinbus import interactions
+
+    def computed(*args, **kwargs):
+        raise AssertionError("scan computed a coupling")
+
+    monkeypatch.setattr(interactions, "scan_couplings", computed)
+    out_path = tmp_path / "scan.csv"
+    code, out, err = run(capsys, "scan", "--z0-min", "200", "--z0-max", "300", "--points", "2", *flags,
+                         "--out", str(out_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {flag} applies to --mode mc only\n"
+    assert not out_path.exists()
 
 
 def test_gatecheck_passes_and_reports(capsys, tmp_path):
@@ -374,6 +395,15 @@ def test_no_command_imports_click(tmp_path):
     # control; the scipy test above shows the probe sees an imported module
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
     assert not _loads_click(tmp_path, *EVERY_COMMAND)
+
+
+def test_no_command_imports_dataclasses(tmp_path):
+    # the package's records are built without the dataclasses module, which
+    # costs every command its import of inspect, ast, dis and tokenize
+    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
+    assert not _loads("dataclasses", tmp_path, *EVERY_COMMAND)
+    # the probe does see dataclasses when something imports it
+    assert _loads("dataclasses", tmp_path, ["transport"], preload="dataclasses")
 
 
 QUAD_SCAN = ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "5"]

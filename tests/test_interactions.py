@@ -221,7 +221,7 @@ def test_dipolar_average_raises_when_the_integrator_gives_up(monkeypatch):
     real = ia.adaptive_gk21
 
     def limit_reached(*args, **kwargs):
-        return real(*args, **kwargs)._replace(subintervals=300, converged=False)
+        return real(*args, **kwargs).replace(subintervals=300, converged=False)
 
     monkeypatch.setattr(ia, "adaptive_gk21", limit_reached)
     with pytest.raises(NumericalError, match=r"abserr=.*subintervals=300"):
@@ -233,7 +233,7 @@ def test_dipolar_average_raises_on_a_large_error_estimate(monkeypatch):
 
     def loose(*args, **kwargs):
         quad = real(*args, **kwargs)
-        return quad._replace(abserr=1e-6 * abs(quad.value))
+        return quad.replace(abserr=1e-6 * abs(quad.value))
 
     monkeypatch.setattr(ia, "adaptive_gk21", loose)
     with pytest.raises(NumericalError, match=r"value=.*abserr=.*subintervals="):
