@@ -12,10 +12,11 @@ A failure writes one line to stderr: ``error: ...`` for exit 1,
 option, missing or malformed value) is a validation failure.
 
 The front end is the standard library's ``argparse``.  Each command imports
-the modules it uses when it runs.  Only ``scan --mode mc``, ``gatecheck``
-and, through the scheduler's simulation, ``simulate`` load numpy;
-``tables``, ``transport``, ``compile`` and the quadrature ``scan`` start
-without it, and only ``compile`` and ``simulate`` load the scheduler.
+the modules it uses when it runs.  Only ``scan --mode mc`` and, through the
+scheduler's simulation, ``simulate`` load numpy; ``tables``, ``transport``,
+``compile``, the quadrature ``scan`` and ``gatecheck``, whose 4 x 4 gate
+algebra runs on plain complex numbers, start without it, and only
+``compile`` and ``simulate`` load the scheduler.
 """
 
 from __future__ import annotations
@@ -186,6 +187,13 @@ def _finite_float(text: str) -> float:
     raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
 
 
+def _fidelity_float(text: str) -> float:
+    """A fidelity threshold: a finite float in [0, 1], the range of a fidelity."""
+    if 0.0 <= (value := _finite_float(text)) <= 1.0:
+        return value
+    raise argparse.ArgumentTypeError(f"fidelity threshold outside [0, 1]: {text!r}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         # a usage error is a validation failure: one ``error:`` line, exit 1
@@ -233,8 +241,8 @@ def _parser() -> tuple[argparse.ArgumentParser, set]:
     option(p, "--out")
 
     p = command("gatecheck", gatecheck)
-    option(p, "--tolerance", type=_finite_float, default=1.0 - 1e-9, help="Identity fidelity threshold.")
-    option(p, "--rwa-threshold", type=_finite_float, default=0.999, help="Required fidelity at the widest scan point.")
+    option(p, "--tolerance", type=_fidelity_float, default=1.0 - 1e-9, help="Identity fidelity threshold.")
+    option(p, "--rwa-threshold", type=_fidelity_float, default=0.999, help="Required fidelity at the widest scan point.")
     option(p, "--out")
 
     p = command("transport", transport_cmd)

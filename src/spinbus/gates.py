@@ -9,32 +9,29 @@ two-spin Hamiltonian, its rotating-wave effective form, and the gate set
 reporting for the approximation.
 
 All Hamiltonians here are in angular-frequency units (rad/s); conversions
-from Hz happen at the module boundary only.
+from Hz happen at the module boundary only.  Matrices are rows of plain
+complex numbers (see ``operators``), so the module runs without numpy.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
-
-import numpy as np
 
 from .errors import DomainError, NumericalError
 from .record import Record
 from . import operators as ops
 
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex
-)
-CNOT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
+SWAP = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
+CNOT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+HADAMARD = ((1 / math.sqrt(2), 1 / math.sqrt(2)), (1 / math.sqrt(2), -1 / math.sqrt(2)))
 STEP_DOUBLING_TOL = 1e-4  # the largest step-doubling distance rwa_fidelity accepts
 
 _S1Z = ops.pauli("z", 0, 2)
 _S2Z = ops.pauli("z", 1, 2)
 _S2P = ops.pauli("+", 1, 2)
-_ZZ = _S1Z @ _S2Z
+_S2M = ops.pauli("-", 1, 2)
+_ZZ = ops.matmul(_S1Z, _S2Z)
 _DOT = ops.heisenberg_coupling(0, 1, 2)
 
 
@@ -63,8 +60,8 @@ class StirringParams(Record):
 
 class GateReport(Record):
     name: str
-    target: np.ndarray
-    achieved: np.ndarray
+    target: tuple | list  # rows of complex numbers, as ``operators`` takes them
+    achieved: tuple | list
     fidelity: float
     global_phase: float
     step_doubling_distance: float | None = None  # set by rwa_fidelity only
@@ -82,22 +79,18 @@ class GateReport(Record):
         }
 
 
-def heisenberg_swap(pulse_area: float) -> np.ndarray:
+def heisenberg_swap(pulse_area: float) -> list:
     """exp(-i * area * sigma1.sigma2).  At area = pi/4 this is e^{-i pi/4} SWAP."""
     return ops.expm_h(_DOT, pulse_area)
 
 
-def ising_phase_gate() -> np.ndarray:
+def ising_phase_gate() -> list:
     """e^{i pi/4 z z} e^{i pi/4 z1} e^{i pi/4 z2} = e^{-i pi/4} diag(-1,1,1,1)."""
     quarter = -math.pi / 4  # expm_h computes exp(-i H t)
-    return (
-        ops.expm_h(_ZZ, quarter)
-        @ ops.expm_h(_S1Z, quarter)
-        @ ops.expm_h(_S2Z, quarter)
-    )
+    return ops.matmul(ops.expm_h(_ZZ, quarter), ops.expm_h(_S1Z, quarter), ops.expm_h(_S2Z, quarter))
 
 
-def xor_gate(control: int, target: int) -> np.ndarray:
+def xor_gate(control: int, target: int) -> list:
     """Controlled-NOT built from the Ising phase gate.
 
     Conjugating the phase gate with target Hadamards and stripping the
@@ -107,54 +100,44 @@ def xor_gate(control: int, target: int) -> np.ndarray:
     if control == target or {control, target} != {0, 1}:
         raise DomainError("control and target must be distinct sites of a 2-spin space")
     h_t = ops.embed(HADAMARD, [target], 2)
-    dressing = ops.pauli("z", 0, 2) @ ops.pauli("z", 1, 2)
-    return h_t @ dressing @ ising_phase_gate() @ h_t
+    return ops.matmul(h_t, _ZZ, ising_phase_gate(), h_t)
 
 
-def swap_from_xors() -> np.ndarray:
+def swap_from_xors() -> list:
     """XOR(0,1) XOR(1,0) XOR(0,1); equals SWAP up to a global phase."""
-    return xor_gate(0, 1) @ xor_gate(1, 0) @ xor_gate(0, 1)
+    return ops.matmul(xor_gate(0, 1), xor_gate(1, 0), xor_gate(0, 1))
 
 
-def stirring_hamiltonian(p: StirringParams, t: float) -> np.ndarray:
+def stirring_hamiltonian(p: StirringParams, t: float) -> list:
     """Driven two-spin Hamiltonian at time t, rad/s.
 
     H(t) = w1 s1z + w2 s2z + rabi (s2+ e^{-i w_s t} + h.c.)
            + gamma [ sigma1.sigma2 - 3 alignment s1z s2z ]
     """
     gamma = 2.0 * math.pi * p.gamma_e_hz
-    drive = p.rabi * _S2P * np.exp(-1j * p.omega_s * t)
-    return (
-        p.omega1 * _S1Z
-        + p.omega2 * _S2Z
-        + drive
-        + drive.conj().T
-        + gamma * (_DOT - 3.0 * p.alignment * _ZZ)
-    )
+    drive = p.rabi * cmath.exp(-1j * p.omega_s * t)
+    return ops.lincomb((p.omega1, _S1Z), (p.omega2, _S2Z), (drive, _S2P), (drive.conjugate(), _S2M),
+                       (gamma, _DOT), (-3.0 * p.alignment * gamma, _ZZ))
 
 
-def stirring_generator(p: StirringParams) -> np.ndarray:
+def stirring_generator(p: StirringParams) -> list:
     """G = (w_s / 2)(s1z + s2z), rad/s, the frame in which the drive stands
     still: stirring_hamiltonian(p, t) = R(t) stirring_hamiltonian(p, 0) R(t)^dag
     with R(t) = exp(-i G t).  G commutes with the Zeeman terms, zz and
     sigma1.sigma2, and R(t) s2+ R(t)^dag = e^{-i w_s t} s2+.
     """
-    return 0.5 * p.omega_s * (_S1Z + _S2Z)
+    return ops.lincomb((0.5 * p.omega_s, _S1Z), (0.5 * p.omega_s, _S2Z))
 
 
-def effective_hamiltonian(p: StirringParams) -> np.ndarray:
+def effective_hamiltonian(p: StirringParams) -> list:
     """Rotating-wave effective Hamiltonian, rad/s.
 
     H_eff = gamma (1 - 3 alignment) s1z s2z + w1 s1z + (w2 - w_s) s2z
             + rabi (s2+ + s2-)
     """
     gamma = 2.0 * math.pi * p.gamma_e_hz
-    return (
-        gamma * (1.0 - 3.0 * p.alignment) * _ZZ
-        + p.omega1 * _S1Z
-        + (p.omega2 - p.omega_s) * _S2Z
-        + p.rabi * (_S2P + _S2P.conj().T)
-    )
+    return ops.lincomb((gamma * (1.0 - 3.0 * p.alignment), _ZZ), (p.omega1, _S1Z), (p.omega2 - p.omega_s, _S2Z),
+                       (p.rabi, _S2P), (p.rabi, _S2M))
 
 
 def rwa_fidelity(p: StirringParams, duration_s: float, steps: int) -> GateReport:
@@ -178,7 +161,7 @@ def rwa_fidelity(p: StirringParams, duration_s: float, steps: int) -> GateReport
             f"evolution not converged at {steps} steps: step-doubling distance {conv:.2e}"
         )
     frame = ops.expm_h(_S2Z, -p.omega_s * duration_s)  # e^{+i w_s T s2z}
-    achieved = frame @ u_exact
+    achieved = ops.matmul(frame, u_exact)
     target = ops.expm_h(effective_hamiltonian(p), duration_s)
     return GateReport(
         name="rwa",
@@ -192,20 +175,17 @@ def rwa_fidelity(p: StirringParams, duration_s: float, steps: int) -> GateReport
 
 def gate_identity_reports() -> list[GateReport]:
     """The fixed gate-identity checks behind the gate-check command."""
-    reports = []
-    swap = heisenberg_swap(math.pi / 4)
-    reports.append(_report("heisenberg_swap", np.exp(-1j * math.pi / 4) * SWAP, swap))
-    phase = ising_phase_gate()
-    reports.append(
-        _report("ising_phase_gate", np.exp(-1j * math.pi / 4) * np.diag([-1.0, 1, 1, 1]).astype(complex), phase)
-    )
-    reports.append(_report("xor_gate", CNOT, xor_gate(0, 1)))
-    reports.append(_report("swap_from_xors", SWAP, swap_from_xors()))
-    reports.append(_report("swap_involution", np.eye(4, dtype=complex), swap_from_xors() @ swap_from_xors()))
-    return reports
+    quarter, swap = cmath.exp(-1j * math.pi / 4), swap_from_xors()
+    return [
+        _report("heisenberg_swap", ops.lincomb((quarter, SWAP)), heisenberg_swap(math.pi / 4)),
+        _report("ising_phase_gate", ops.diag([-quarter, quarter, quarter, quarter]), ising_phase_gate()),
+        _report("xor_gate", CNOT, xor_gate(0, 1)),
+        _report("swap_from_xors", SWAP, swap),
+        _report("swap_involution", ops.diag([1] * 4), ops.matmul(swap, swap)),
+    ]
 
 
-def _report(name: str, target: np.ndarray, achieved: np.ndarray) -> GateReport:
+def _report(name: str, target, achieved) -> GateReport:
     return GateReport(
         name=name,
         target=target,

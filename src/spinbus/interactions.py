@@ -327,32 +327,32 @@ def check_mc_args(n_samples: int, seed) -> None:
 def _mc_chunk_sums(geom, z0, n_samples, seed, cut2, chunks, buffers) -> list[tuple[float, float, int]]:
     """(sum f, sum f^2, kept) for each chunk in ``chunks``, in that order.
 
-    Draws R = r_q - r_h - z0 zhat as one Gaussian with the combined widths:
-    one standard-normal fill of a (3, n) block whose rows are x, y, z.
-    Works in the caller's ``buffers`` (a float block of 3 * size and a bool
-    keep mask of size) with in-place ufuncs, which release the GIL, in the
-    order of the plain expressions r2 = x^2 + y^2 + z^2 and
-    (1 - 3 z^2 / r2) / (r2 sqrt(r2)), so each chunk's sums are bit-identical
-    to evaluating those on fresh arrays.
+    Draws R = r_q - r_h - z0 zhat = (a_r x, a_r y, a_z z - z0) for standard
+    normals x, y, z, whose transverse part enters only as rho^2 = a_r^2 (x^2 +
+    y^2) = 2 a_r^2 E with E ~ Exp(1) (chi-squared with 2 degrees of freedom):
+    each chunk's generator fills E, then z, two draws per sample.  Works in
+    the caller's ``buffers`` (a float block of 3 * size and a bool keep mask
+    of size) with in-place ufuncs, which release the GIL, in the order of the
+    plain expressions r2 = E (2 a_r^2) + (a_z z - z0)^2 and
+    (1 - 3 (a_z z - z0)^2 / r2) / (r2 sqrt(r2)), so each chunk's sums are
+    bit-identical to evaluating those on fresh arrays.
     """
     import numpy as np
 
     block, keep = buffers
-    a_r, a_z = geom.a_r, geom.a_z
+    rho2_per_e, a_z = 2.0 * geom.a_r * geom.a_r, geom.a_z
     sums = []
     for chunk in chunks:
         n = min(_MC_CHUNK, n_samples - chunk * _MC_CHUNK)
-        d, kp = block[:3 * n].reshape(3, n), keep[:n]
-        np.random.default_rng([seed, chunk]).standard_normal(out=d)
-        x, y, z = d
-        x *= a_r
-        y *= a_r
+        x, y, z = block[:3 * n].reshape(3, n)
+        kp = keep[:n]
+        rng = np.random.default_rng([seed, chunk])
+        rng.standard_exponential(out=x)
+        rng.standard_normal(out=z)
+        # x becomes r2 and y becomes z^2; z is then spent
+        x *= rho2_per_e
         z *= a_z
         z -= z0
-        # x becomes r2 and y becomes z^2; z is then spent
-        np.square(x, out=x)
-        np.square(y, out=y)
-        x += y
         np.square(z, out=y)
         x += y
         np.greater(x, cut2, out=kp)
@@ -403,9 +403,11 @@ def dipolar_average_mc(
 
     Samples R = r_q - r_h - z0 zhat directly, as one anisotropic Gaussian
     with the combined widths (a_r, a_r, a_z), and averages the dipolar
-    kernel over it.  Samples with |R| below the core cutoff are rejected
-    and counted: the 1/R^3 kernel has a divergent variance contribution
-    from the overlap region.  Excluding a small sphere makes the sample
+    kernel over it.  The kernel depends on the transverse part of R only
+    through rho^2, which is drawn as 2 a_r^2 E with E ~ Exp(1), the law of
+    a_r^2 (x^2 + y^2) for standard normals x and y.  Samples with |R| below
+    the core cutoff are rejected and counted: the 1/R^3 kernel has a
+    divergent variance contribution from the overlap region.  Excluding a small sphere makes the sample
     mean the spherical principal value, whose core contributes nothing by
     the angular average.  ``dipolar_average`` is the slab principal value,
     so the spherical mean has the contact term (8 pi/3) p_R(0) subtracted

@@ -131,7 +131,7 @@ def test_criterion_gate_identities():
     with Criterion("Gate identities (max-norm < 1e-10)", 1.0) as c:
         swap = gates.heisenberg_swap(math.pi / 4)
         c.check(
-            float(np.max(np.abs(swap - np.exp(-1j * math.pi / 4) * gates.SWAP))) < 1e-10,
+            float(np.max(np.abs(swap - np.exp(-1j * math.pi / 4) * np.asarray(gates.SWAP)))) < 1e-10,
             "heisenberg_swap",
         )
         phase = gates.ising_phase_gate()

@@ -288,18 +288,28 @@ def test_gatecheck_passes_and_reports(capsys, tmp_path):
 
 
 def test_gatecheck_impossible_tolerance_fails_cleanly(capsys):
-    code, _, err = run(capsys, "gatecheck", "--tolerance", "2.0")
+    # a fidelity of 1 is a valid threshold that the RWA scan cannot meet
+    code, _, err = run(capsys, "gatecheck", "--rwa-threshold", "1.0")
     assert code == 2
     assert "threshold" in err
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--tolerance", "nan"), ("--rwa-threshold", "inf"), ("--rwa-threshold", "nan"), ("--rwa-threshold", "-inf"),
+@pytest.mark.parametrize("flag, value, why", [
+    ("--tolerance", "nan", "invalid finite float value"),
+    ("--rwa-threshold", "inf", "invalid finite float value"),
+    ("--rwa-threshold", "nan", "invalid finite float value"),
+    ("--rwa-threshold", "-inf", "invalid finite float value"),
+    ("--tolerance", "1.5", "fidelity threshold outside [0, 1]"),
+    ("--tolerance", "-1", "fidelity threshold outside [0, 1]"),
+    ("--rwa-threshold", "-0.1", "fidelity threshold outside [0, 1]"),
 ])
-def test_gatecheck_non_finite_threshold_exit_1(capsys, flag, value):
-    # NaN or an infinity would reach the JSON; -inf would pass every row
-    assert run(capsys, "gatecheck", flag, value) == (
-        1, "", f"error: argument {flag}: invalid finite float value: '{value}'\n")
+def test_gatecheck_threshold_non_finite_or_outside_0_1_exit_1(capsys, monkeypatch, flag, value, why):
+    # NaN or an infinity would reach the JSON; a threshold above 1 fails every
+    # run as a numerical failure and one below 0 passes every row
+    from spinbus import gates
+
+    monkeypatch.setattr(gates, "rwa_scan", lambda: pytest.fail("the check ran"))
+    assert run(capsys, "gatecheck", flag, value) == (1, "", f"error: argument {flag}: {why}: '{value}'\n")
 
 
 def test_transport_command_meets_budget(capsys):
@@ -409,7 +419,7 @@ def test_no_command_imports_dataclasses(tmp_path):
 QUAD_SCAN = ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "5"]
 
 
-def test_tables_transport_compile_and_quadrature_scan_do_not_import_numpy(tmp_path):
+def test_tables_transport_compile_quadrature_scan_and_gatecheck_do_not_import_numpy(tmp_path):
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
     assert not _loads(
         "numpy",
@@ -419,6 +429,7 @@ def test_tables_transport_compile_and_quadrature_scan_do_not_import_numpy(tmp_pa
         ["transport"],
         ["compile", "circuit.txt", "--out", "schedule.json"],
         QUAD_SCAN,
+        ["gatecheck"],
     )
     # the probe does see numpy when a command imports it
     assert _loads("numpy", tmp_path, ["simulate", "schedule.json"])

@@ -7,6 +7,11 @@ from spinbus import gates, operators as ops
 from spinbus.errors import DomainError, NumericalError
 
 PI4 = math.pi / 4
+SWAP, CNOT = np.asarray(gates.SWAP, dtype=complex), np.asarray(gates.CNOT, dtype=complex)
+
+
+def _pauli(axis, site, n_sites):
+    return np.asarray(ops.pauli(axis, site, n_sites))
 
 
 def basis(n, *bits):
@@ -20,7 +25,7 @@ def basis(n, *bits):
 
 def test_heisenberg_swap_identity():
     u = gates.heisenberg_swap(PI4)
-    assert np.max(np.abs(u - np.exp(-1j * PI4) * gates.SWAP)) < 1e-10
+    assert np.max(np.abs(u - np.exp(-1j * PI4) * SWAP)) < 1e-10
 
 
 def test_heisenberg_swap_on_basis_states():
@@ -51,14 +56,14 @@ def test_xor_gate_truth_table():
 
 def test_xor_gate_control_target_roles():
     u10 = gates.xor_gate(1, 0)
-    swapped = gates.SWAP @ gates.CNOT @ gates.SWAP
+    swapped = SWAP @ CNOT @ SWAP
     assert ops.fidelity(u10, swapped) == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(DomainError):
         gates.xor_gate(0, 0)
 
 
 def test_swap_from_xors():
-    u = gates.swap_from_xors()
+    u = np.asarray(gates.swap_from_xors())
     assert ops.fidelity(u, gates.SWAP) == pytest.approx(1.0, abs=1e-10)
     assert np.allclose(u @ basis(2, 0, 1), np.exp(1j * ops.global_phase(gates.SWAP, u)) * basis(2, 1, 0), atol=1e-12)
     # involution up to phase
@@ -90,7 +95,7 @@ def _params(**kw):
 def test_stirring_hamiltonian_zeeman_only():
     p = _params(rabi=0.0, gamma_e_hz=0.0)
     h = gates.stirring_hamiltonian(p, t=0.123)
-    expected = p.omega1 * ops.pauli("z", 0, 2) + p.omega2 * ops.pauli("z", 1, 2)
+    expected = p.omega1 * _pauli("z", 0, 2) + p.omega2 * _pauli("z", 1, 2)
     assert np.max(np.abs(h - expected)) < 1e-12
 
 
@@ -106,13 +111,13 @@ def test_stirring_magic_alignment_leaves_transverse_coupling():
     p = _params(omega1=0.0, omega2=0.0, rabi=0.0, alignment=1.0 / 3.0)
     h = gates.stirring_hamiltonian(p, 0.0)
     gam = 2 * math.pi * p.gamma_e_hz
-    xx = ops.pauli("x", 0, 2) @ ops.pauli("x", 1, 2)
-    yy = ops.pauli("y", 0, 2) @ ops.pauli("y", 1, 2)
+    xx = _pauli("x", 0, 2) @ _pauli("x", 1, 2)
+    yy = _pauli("y", 0, 2) @ _pauli("y", 1, 2)
     assert np.max(np.abs(h - gam * (xx + yy))) < 1e-9
 
 
 def test_effective_hamiltonian_limits():
-    zz = ops.pauli("z", 0, 2) @ ops.pauli("z", 1, 2)
+    zz = _pauli("z", 0, 2) @ _pauli("z", 1, 2)
     # magic alignment kills the Ising coefficient
     p = _params(alignment=1.0 / 3.0, omega1=0.0, rabi=0.0)
     h = gates.effective_hamiltonian(_params(alignment=1.0 / 3.0, omega1=0.0, omega2=p.omega_s, rabi=0.0))
@@ -176,10 +181,10 @@ def test_driven_vs_effective_operator_distance_at_1000x():
 def test_stirring_hamiltonian_is_a_rotated_copy_of_h0(kw):
     # H(t) = R(t) H(0) R(t)^dag with R(t) = exp(-i G t): the symmetry evolve_td relies on
     p = _params(**kw)
-    h0, g = gates.stirring_hamiltonian(p, 0.0), gates.stirring_generator(p)
+    h0, g = np.asarray(gates.stirring_hamiltonian(p, 0.0)), gates.stirring_generator(p)
     rng = np.random.default_rng(5)
     for t in rng.uniform(-1e-3, 1e-3, size=6):
-        r = ops.expm_h(g, t)
+        r = np.asarray(ops.expm_h(g, t))
         h = gates.stirring_hamiltonian(p, t)
         assert np.max(np.abs(h - r @ h0 @ r.conj().T)) <= 1e-9 * np.max(np.abs(h))
 

@@ -353,15 +353,18 @@ def serial_mc_reference(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: 
     """(value_m3, stderr_m3, n_rejected) of the Monte Carlo oracle, computed
     one chunk after another on fresh arrays: the seeded stream that
     ``dipolar_average_mc`` must reproduce bit for bit.  Each chunk draws
-    R = r_q - r_h - z0 zhat as one (3, n) Gaussian block; the spherical mean
-    then loses the contact term (8 pi/3) p_R(0)."""
+    R = r_q - r_h - z0 zhat from its own generator as n standard
+    exponentials E, then n standard normals z: the transverse radius squared
+    is 2 a_r^2 E and the axial part a_z z - z0.  The spherical mean then
+    loses the contact term (8 pi/3) p_R(0)."""
     chunk_size = 1 << 17
     total, total_sq, kept, rejected = 0.0, 0.0, 0, 0
     for chunk in range((n_samples + chunk_size - 1) // chunk_size):
         n = min(chunk_size, n_samples - chunk * chunk_size)
-        x, y, z = np.random.default_rng([seed, chunk]).standard_normal((3, n))
-        x, y, z = x * geom.a_r, y * geom.a_r, z * geom.a_z - z0
-        r2 = x * x + y * y + z * z
+        rng = np.random.default_rng([seed, chunk])
+        e, z = rng.standard_exponential(n), rng.standard_normal(n)
+        z = z * geom.a_z - z0
+        r2 = e * (2.0 * geom.a_r * geom.a_r) + z * z
         keep = r2 > core_cutoff_a0**2
         rejected += int(n - keep.sum())
         r2 = r2[keep]
@@ -373,6 +376,30 @@ def serial_mc_reference(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: 
     var = max(0.0, (total_sq - kept * mean * mean) / (kept - 1))
     value = mean - 8.0 * math.pi / 3.0 * ia.contact_density_a0(geom, z0)
     return value / units.BOHR_RADIUS**3, math.sqrt(var / kept) / units.BOHR_RADIUS**3, rejected
+
+
+def three_normal_mc(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: int):
+    """(value_m3, stderr_m3) of the same estimator with R drawn from three
+    standard normals x, y, z as (a_r x, a_r y, a_z z - z0)."""
+    x, y, z = np.random.default_rng(seed).standard_normal((3, n_samples))
+    z = z * geom.a_z - z0
+    r2 = geom.a_r**2 * (x * x + y * y) + z * z
+    keep = r2 > 0.1**2
+    r2, z = r2[keep], z[keep]
+    f = (1.0 - 3.0 * z * z / r2) / (r2 * np.sqrt(r2))
+    value = f.mean() - 8.0 * math.pi / 3.0 * ia.contact_density_a0(geom, z0)
+    return value / units.BOHR_RADIUS**3, f.std(ddof=1) / math.sqrt(f.size) / units.BOHR_RADIUS**3
+
+
+@pytest.mark.parametrize("z0", [2100.0, 2500.0, 3300.0])
+def test_dipolar_mc_exponential_radius_agrees_with_three_normals(z0):
+    # x^2 + y^2 of two standard normals is 2 E with E ~ Exp(1).  At 5-8 a_z
+    # the transverse width shapes the mean: drawing rho^2 as a_r^2 E instead
+    # of 2 a_r^2 E puts the two estimates 70-100 sigma apart
+    geom = ia.TrapGeometry(400.0, 400.0, 100.0, 100.0)
+    mc = ia.dipolar_average_mc(geom, z0, 500_000, seed=11)
+    ref, ref_stderr = three_normal_mc(geom, z0, 500_000, seed=12)
+    assert abs(mc.value_m3 - ref) <= 4.0 * math.hypot(mc.stderr_m3, ref_stderr)
 
 
 def _mc_triple(result: ia.MonteCarloAverage):

@@ -13,26 +13,30 @@ EPS = [
 ]
 
 
+def _pauli(axis, site, n_sites):
+    return np.asarray(ops.pauli(axis, site, n_sites))
+
+
 def test_pauli_z_is_diagonal():
     assert np.array_equal(ops.pauli("z", 0, 1), np.diag([1.0 + 0j, -1.0]))
 
 
 def test_pauli_algebra_table_exact():
     for a, b, c, sign in EPS:
-        lhs = ops.pauli(a, 0, 1) @ ops.pauli(b, 0, 1)
-        assert np.array_equal(lhs, sign * 1j * ops.pauli(c, 0, 1))
+        lhs = _pauli(a, 0, 1) @ _pauli(b, 0, 1)
+        assert np.array_equal(lhs, sign * 1j * _pauli(c, 0, 1))
     for a in "xyz":
-        assert np.array_equal(ops.pauli(a, 0, 1) @ ops.pauli(a, 0, 1), np.eye(2, dtype=complex))
+        assert np.array_equal(_pauli(a, 0, 1) @ _pauli(a, 0, 1), np.eye(2, dtype=complex))
 
 
 def test_pauli_disjoint_sites_commute():
-    z0 = ops.pauli("z", 0, 2)
-    z1 = ops.pauli("z", 1, 2)
+    z0 = _pauli("z", 0, 2)
+    z1 = _pauli("z", 1, 2)
     assert np.array_equal(z0 @ z1, z1 @ z0)
 
 
 def test_pauli_ladder_definition():
-    sp = (ops.pauli("x", 0, 1) + 1j * ops.pauli("y", 0, 1)) / 2
+    sp = (_pauli("x", 0, 1) + 1j * _pauli("y", 0, 1)) / 2
     assert np.array_equal(ops.pauli("+", 0, 1), sp)
 
 
@@ -68,7 +72,7 @@ def test_embed_site_order_swaps_factors():
 
 
 def test_expm_h_basics():
-    sz = ops.pauli("z", 0, 1)
+    sz = _pauli("z", 0, 1)
     assert np.allclose(ops.expm_h(sz, math.pi / 2), -1j * sz, atol=1e-12)
     assert np.allclose(ops.expm_h(sz, math.pi), -np.eye(2), atol=1e-12)
     assert np.allclose(ops.expm_h(sz, 0.0), np.eye(2), atol=1e-15)
@@ -98,9 +102,9 @@ def _midpoint_reference(h0, g, t0, t1, steps):
     dt = (t1 - t0) / steps
     u = np.eye(h0.shape[0], dtype=complex)
     for k in range(steps):
-        r = ops.expm_h(g, t0 + (k + 0.5) * dt)  # R(t_k)
+        r = np.asarray(ops.expm_h(g, t0 + (k + 0.5) * dt))  # R(t_k)
         h = r @ h0 @ r.conj().T
-        u = ops.expm_h((h + h.conj().T) / 2, dt) @ u
+        u = np.asarray(ops.expm_h((h + h.conj().T) / 2, dt)) @ u
     return u
 
 
@@ -111,7 +115,7 @@ def _random_hermitian(rng, dim):
 
 def test_evolve_td_constant_matches_expm():
     h = np.array([[1.0, 0.3], [0.3, -0.5]], dtype=complex)
-    u = ops.evolve_td(h, np.zeros((2, 2)), 0.0, 2.0, steps=17)
+    u = np.asarray(ops.evolve_td(h, np.zeros((2, 2)), 0.0, 2.0, steps=17))
     assert np.max(np.abs(u - ops.expm_h(h, 2.0))) < 1e-10
 
 
@@ -133,7 +137,7 @@ def test_evolve_td_matches_stepwise_midpoint_product(n_sites, steps, t0, duratio
 def test_evolve_td_step_doubling_ratio():
     # in the frame R(t) the Hamiltonian is the constant h0 - G, so the exact
     # propagator over [0, T] is R(T) exp(-i (h0 - G) T)
-    exact = ops.expm_h(_G, 3.0) @ ops.expm_h(_H0 - _G, 3.0)
+    exact = np.asarray(ops.expm_h(_G, 3.0)) @ ops.expm_h(_H0 - _G, 3.0)
     errs = []
     for steps in (64, 128, 256):
         u = ops.evolve_td(_H0, _G, 0.0, 3.0, steps=steps)
@@ -145,13 +149,13 @@ def test_evolve_td_step_doubling_ratio():
 def test_evolve_td_reverse_composes_to_identity():
     # -H(T - t) = R(T) [R(-t) (-h0) R(-t)^dag] R(T)^dag: generator -G, framed by R(T)
     u = ops.evolve_td(_H0, _G, 0.0, 3.0, steps=200)
-    r = ops.expm_h(_G, 3.0)
+    r = np.asarray(ops.expm_h(_G, 3.0))
     back = r @ ops.evolve_td(-_H0, -_G, 0.0, 3.0, steps=200) @ r.conj().T
     assert np.max(np.abs(back @ u - np.eye(2))) < 1e-11
 
 
 def test_evolve_td_unitary():
-    u = ops.evolve_td(_H0, _G, 0.0, 5.0, steps=101)
+    u = np.asarray(ops.evolve_td(_H0, _G, 0.0, 5.0, steps=101))
     assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-8
 
 
@@ -171,10 +175,10 @@ def test_evolve_td_validates_input():
 def test_fidelity_properties():
     rng = np.random.default_rng(3)
     h = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    u = ops.expm_h(h + h.conj().T, 0.7)
+    u = np.asarray(ops.expm_h(h + h.conj().T, 0.7))
     assert ops.fidelity(u, u) == pytest.approx(1.0, abs=1e-12)
     assert ops.fidelity(u, np.exp(1j * 0.9) * u) == pytest.approx(1.0, abs=1e-12)
-    assert ops.fidelity(np.eye(2), ops.pauli("x", 0, 1)) == pytest.approx(0.0, abs=1e-12)
+    assert ops.fidelity(np.eye(2), _pauli("x", 0, 1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fidelity_dim_mismatch():
@@ -183,7 +187,7 @@ def test_fidelity_dim_mismatch():
 
 
 def test_operator_distance_phase_aligned():
-    u = ops.expm_h(ops.pauli("y", 0, 1), 0.3)
+    u = np.asarray(ops.expm_h(ops.pauli("y", 0, 1), 0.3))
     assert ops.operator_distance(u, np.exp(1j * 1.1) * u) < 1e-12
 
 
@@ -198,7 +202,7 @@ def test_hermitian_predicate_tolerance():
 
 
 def test_unitary_predicate_tolerance():
-    u = ops.expm_h(ops.pauli("x", 0, 1), 0.7)
+    u = np.asarray(ops.expm_h(ops.pauli("x", 0, 1), 0.7))
     assert ops.is_unitary(u)
     assert not ops.is_unitary(1.001 * u, tol=1e-8)
     assert not ops.is_unitary(np.array([[1, 0], [0, 0]], dtype=complex))
@@ -268,3 +272,65 @@ def test_apply_validates_inputs():
         ops.apply(np.eye(4), [0], u)
     with pytest.raises(DomainError, match="power of 2"):
         ops.apply(np.eye(2), [0], np.eye(6))
+
+
+def _eigh_expm(h, t):
+    """exp(-i h t) from numpy's eigendecomposition: the reference for the
+    plain-complex algebra of ``operators``."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w * t)) @ v.conj().T
+
+
+def _unitarity_error(u):
+    u = np.asarray(u)
+    return np.max(np.abs(u.conj().T @ u - np.eye(len(u))))
+
+
+@st.composite
+def _hermitian_pair(draw):
+    """A non-diagonal Hermitian h0 and a generator that is diagonal, non-diagonal
+    or degenerate (sigma.sigma has eigenvalues 1, 1, 1, -3), of dimension 2 or 4."""
+    dim = draw(st.sampled_from([2, 4]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h0, g = _random_hermitian(rng, dim), _random_hermitian(rng, dim)
+    kind = draw(st.sampled_from(["full", "diagonal", "degenerate"]))
+    if kind == "diagonal":
+        g = np.diag(np.diag(g).real).astype(complex)
+    elif kind == "degenerate" and dim == 4:
+        g = 1.3 * np.asarray(ops.heisenberg_coupling(0, 1, 2))
+    return h0, g
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_hermitian_pair(), st.floats(-3.0, 3.0), st.floats(0.05, 3.0), st.sampled_from([1, 2, 17, 255]))
+def test_plain_complex_algebra_matches_numpy_eigh(pair, t0, duration, steps):
+    h0, g = pair
+    t1 = t0 + duration
+    for h in (h0, g):
+        u = ops.expm_h(h, t0)
+        assert np.max(np.abs(np.asarray(u) - _eigh_expm(h, t0))) <= 1e-12
+        assert _unitarity_error(u) <= 1e-13
+    dt = duration / steps
+    e = _eigh_expm(h0, dt)
+    want = (
+        _eigh_expm(g, t1 - dt / 2)
+        @ np.linalg.matrix_power(e @ _eigh_expm(g, -dt), steps - 1)
+        @ e
+        @ _eigh_expm(g, -(t0 + dt / 2))
+    )
+    got = ops.evolve_td(h0, g, t0, t1, steps)
+    assert np.max(np.abs(np.asarray(got) - want)) <= 1e-12
+    assert _unitarity_error(got) <= 1e-13
+    u, v = _eigh_expm(h0, t0), _eigh_expm(g, duration)
+    overlap = np.trace(u.conj().T @ v)
+    assert abs(ops.fidelity(u, v) - abs(overlap) / len(u)) <= 1e-12
+    assert abs(ops.operator_distance(u, v) - np.max(np.abs(np.exp(1j * np.angle(overlap)) * u - v))) <= 1e-12
+
+
+@pytest.mark.parametrize("sites", [[0], [1], [2], [0, 1], [1, 2]])
+def test_embed_at_three_sites_is_the_kron_product(sites):
+    rng = np.random.default_rng(len(sites) * 10 + sites[0])
+    dim = 2 ** len(sites)
+    op = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    before, after = np.eye(2 ** sites[0]), np.eye(2 ** (3 - sites[-1] - 1))
+    assert np.array_equal(np.asarray(ops.embed(op, sites, 3)), np.kron(np.kron(before, op), after))

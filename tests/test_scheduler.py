@@ -161,7 +161,7 @@ def test_header_spin_disentangles_for_any_header_state():
 def test_swapstep_involution():
     params = sch.CompileParams()
     s = sch.compile_circuit([], REG2)
-    swap_u = gates.heisenberg_swap(math.pi / 4)
+    swap_u = np.asarray(gates.heisenberg_swap(math.pi / 4))
     assert ops.fidelity(swap_u @ swap_u, np.eye(4, dtype=complex)) == pytest.approx(1.0, abs=1e-12)
 
 
