@@ -43,7 +43,7 @@ GAMMA_E_FIRST_PRINCIPLES_HZ = (
     VACUUM_PERMEABILITY / (4 * math.pi) * BOHR_MAGNETON**2 / (H_PLANCK * BOHR_RADIUS**3)
 )
 
-_MC_CHUNK = 1 << 17
+_MC_CHUNK = 1 << 14
 
 
 class MonteCarloAverage(Record):
@@ -419,7 +419,7 @@ def dipolar_average_mc(
     in fixed-size chunks, each chunk's generator seeded by
     (seed, chunk_index).  The chunks run on a thread pool of one worker per
     usable CPU (at most one per chunk); worker w takes chunks w, w+k, ...
-    and reuses one set of buffers of about 3 MB, allocated here.  The
+    and reuses one set of buffers of about 0.4 MB, allocated here.  The
     per-chunk sums are added in chunk order, so the result is bit-identical
     whatever the number of workers.
     """

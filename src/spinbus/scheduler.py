@@ -412,6 +412,14 @@ def simulate_schedule(schedule: Schedule) -> np.ndarray:
     return _product([(m, [_atom_site(a, reg) for a in atoms]) for m, atoms in steps], reg.n_qubits + 1)
 
 
+@functools.cache
+def _ising_phase_matrix() -> list:
+    """The logical PHASE gate: a constant, so its exponentials run once."""
+    from . import gates as gatelib
+
+    return gatelib.ising_phase_gate()
+
+
 def _logical_matrix(gate: LogicalGate) -> np.ndarray:
     from . import gates as gatelib
 
@@ -420,7 +428,7 @@ def _logical_matrix(gate: LogicalGate) -> np.ndarray:
     if gate.name == "SWAP":
         return gatelib.SWAP
     if gate.name == "PHASE":
-        return gatelib.ising_phase_gate()
+        return _ising_phase_matrix()
     return _onebit_matrix("PHASE" if gate.name == "PHASE1" else gate.name, gate.param)
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -357,7 +358,7 @@ def serial_mc_reference(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: 
     exponentials E, then n standard normals z: the transverse radius squared
     is 2 a_r^2 E and the axial part a_z z - z0.  The spherical mean then
     loses the contact term (8 pi/3) p_R(0)."""
-    chunk_size = 1 << 17
+    chunk_size = ia._MC_CHUNK
     total, total_sq, kept, rejected = 0.0, 0.0, 0, 0
     for chunk in range((n_samples + chunk_size - 1) // chunk_size):
         n = min(chunk_size, n_samples - chunk * chunk_size)
@@ -424,7 +425,10 @@ MC_STREAM_CASES = {
 }
 
 
-@pytest.mark.parametrize("n_samples", [10_000, 2**17, 2**17 + 1, 3 * 2**17 + 5])
+@pytest.mark.parametrize(
+    "n_samples",
+    [10_000, 2**17, 2**17 + 1, 3 * 2**17 + 5, ia._MC_CHUNK, ia._MC_CHUNK + 1, 3 * ia._MC_CHUNK + 5],
+)
 @pytest.mark.parametrize("case", list(MC_STREAM_CASES))
 def test_dipolar_mc_bit_identical_to_serial_reference_for_any_pool_size(monkeypatch, case, n_samples):
     geom, z0, cutoff = MC_STREAM_CASES[case]
@@ -435,6 +439,20 @@ def test_dipolar_mc_bit_identical_to_serial_reference_for_any_pool_size(monkeypa
         monkeypatch.setattr(ia, "_usable_cpus", lambda: cpus)
         got = ia.dipolar_average_mc(geom, z0, n_samples, seed=42, core_cutoff_a0=cutoff)
         assert _mc_triple(got) == want, f"{cpus} workers"
+
+
+def test_dipolar_mc_buffers_stay_small(monkeypatch):
+    # numpy reports its array buffers to tracemalloc; two workers with 2^17-sample
+    # chunks peaked at 6.6e6 bytes here, with 2^14-sample chunks at 0.85e6
+    monkeypatch.setattr(ia, "_usable_cpus", lambda: 2)
+    ia.dipolar_average_mc(REF_GEOM, 2100.0, 10_000, seed=1)  # imports numpy.random and the thread pool
+    tracemalloc.start()
+    try:
+        ia.dipolar_average_mc(REF_GEOM, 2100.0, 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5e6
 
 
 def test_dipolar_mc_validates_sample_count():
