@@ -8,6 +8,11 @@ two-spin Hamiltonian, its rotating-wave effective form, and the gate set
 (swap, Ising phase gate, XOR and compositions) together with fidelity
 reporting for the approximation.
 
+It also owns every fixed matrix that the schedule simulation and the gate
+check apply: the one-bit table, PHASE(theta), the Ising pulse, the one-pulse
+swap and the Ising phase gate (the last two built once, at import), and the
+matrix of each logical gate.
+
 All Hamiltonians here are in angular-frequency units (rad/s); conversions
 from Hz happen at the module boundary only.  Matrices are rows of plain
 complex numbers (see ``operators``), so the module runs without numpy.
@@ -25,6 +30,8 @@ from . import operators as ops
 SWAP = ((1, 0, 0, 0), (0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 1))
 CNOT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
 HADAMARD = ((1 / math.sqrt(2), 1 / math.sqrt(2)), (1 / math.sqrt(2), -1 / math.sqrt(2)))
+# the fixed one-bit gates; PHASE takes an angle, see phase()
+ONEBIT = {"X": ((0, 1), (1, 0)), "Z": ((1, 0), (0, -1)), "H": HADAMARD, "S": ((1, 0), (0, 1j))}
 STEP_DOUBLING_TOL = 1e-4  # the largest step-doubling distance rwa_fidelity accepts
 
 _S1Z = ops.pauli("z", 0, 2)
@@ -90,6 +97,29 @@ def ising_phase_gate() -> list:
     return ops.matmul(ops.expm_h(_ZZ, quarter), ops.expm_h(_S1Z, quarter), ops.expm_h(_S2Z, quarter))
 
 
+def phase(theta: float) -> list:
+    """PHASE(theta) = diag(1, e^{i theta})."""
+    return ops.diag([1, cmath.exp(1j * theta)])
+
+
+def ising_pulse(phi: float) -> list:
+    """exp(+i phi sigma_z sigma_z) = diag(e^{i phi}, e^{-i phi}, e^{-i phi}, e^{i phi})."""
+    plus, minus = cmath.exp(1j * phi), cmath.exp(-1j * phi)
+    return ops.diag([plus, minus, minus, plus])
+
+
+# e^{-i pi/4} SWAP and e^{-i pi/4} diag(-1, 1, 1, 1), each built once
+ONE_PULSE_SWAP = tuple(map(tuple, heisenberg_swap(math.pi / 4)))
+ISING_PHASE_GATE = tuple(map(tuple, ising_phase_gate()))
+_LOGICAL = {"X": ONEBIT["X"], "Z": ONEBIT["Z"], "H": HADAMARD, "XOR": CNOT, "SWAP": SWAP, "PHASE": ISING_PHASE_GATE}
+
+
+def logical_matrix(name: str, param: float | None = None):
+    """The matrix of logical gate ``name`` (see ``scheduler.GATES``); PHASE1
+    is phase(param) and PHASE the Ising phase gate."""
+    return phase(param) if name == "PHASE1" else _LOGICAL[name]
+
+
 def xor_gate(control: int, target: int) -> list:
     """Controlled-NOT built from the Ising phase gate.
 
@@ -100,7 +130,7 @@ def xor_gate(control: int, target: int) -> list:
     if control == target or {control, target} != {0, 1}:
         raise DomainError("control and target must be distinct sites of a 2-spin space")
     h_t = ops.embed(HADAMARD, [target], 2)
-    return ops.matmul(h_t, _ZZ, ising_phase_gate(), h_t)
+    return ops.matmul(h_t, _ZZ, ISING_PHASE_GATE, h_t)
 
 
 def swap_from_xors() -> list:
@@ -177,8 +207,8 @@ def gate_identity_reports() -> list[GateReport]:
     """The fixed gate-identity checks behind the gate-check command."""
     quarter, swap = cmath.exp(-1j * math.pi / 4), swap_from_xors()
     return [
-        _report("heisenberg_swap", ops.lincomb((quarter, SWAP)), heisenberg_swap(math.pi / 4)),
-        _report("ising_phase_gate", ops.diag([-quarter, quarter, quarter, quarter]), ising_phase_gate()),
+        _report("heisenberg_swap", ops.lincomb((quarter, SWAP)), ONE_PULSE_SWAP),
+        _report("ising_phase_gate", ops.diag([-quarter, quarter, quarter, quarter]), ISING_PHASE_GATE),
         _report("xor_gate", CNOT, xor_gate(0, 1)),
         _report("swap_from_xors", SWAP, swap),
         _report("swap_involution", ops.diag([1] * 4), ops.matmul(swap, swap)),

@@ -21,13 +21,13 @@ which clocks it and charges the idle crosstalk of the parked header per
 primitive, from the qubit nearest the header, so compile time does not grow
 with the register.
 
-Parsing, compiling, budgeting and JSON need no arrays; numpy, ``gates`` and
-``operators`` are imported by the simulation functions when they are called.
+Parsing, compiling, budgeting and JSON need no arrays.  The simulation
+functions import ``gates``, which owns every gate matrix, when they are
+called; numpy only builds and checks the dense 2^(n+1) product.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 
@@ -339,28 +339,6 @@ def compile_circuit(
 
 # --- simulation -------------------------------------------------------------
 
-@functools.cache
-def _onebit_matrices() -> dict:
-    import numpy as np
-
-    from . import gates as gatelib
-
-    return {
-        "X": np.array([[0, 1], [1, 0]], dtype=complex),
-        "Z": np.diag([1.0 + 0j, -1.0]),
-        "H": gatelib.HADAMARD,
-        "S": np.diag([1.0 + 0j, 1j]),
-    }
-
-
-def _onebit_matrix(gate: str, param: float | None) -> np.ndarray:
-    import numpy as np
-
-    if gate == "PHASE":
-        return np.diag([1.0 + 0j, np.exp(1j * param)])
-    return _onebit_matrices()[gate]
-
-
 def _atom_site(atom: str, register: Register) -> int:
     """Tensor site of an atom: qubit q<i> is site i, the header h0 comes last."""
     if atom == "h0":
@@ -386,55 +364,36 @@ def simulate_schedule(schedule: Schedule) -> np.ndarray:
     """Compose the ideal primitive unitaries on the q-register + header.
 
     The schedule comes from ``compile_circuit`` or ``schedule_from_json``,
-    which check its content; only the qubit cap is checked here.  Transport
-    acts trivially on spin (spin and motion factorize), so MOVE primitives
-    contribute identity; the returned matrix includes every primitive's
-    intrinsic phase and therefore matches the logical unitary times
-    exp(i * global_phase_rad) exactly.
+    which check its content; only the qubit cap is checked here.  Each
+    primitive's matrix comes from ``gates``; numpy only builds their dense
+    2^(n+1) product.  Transport acts trivially on spin (spin and motion
+    factorize), so MOVE primitives contribute identity; the returned matrix
+    includes every primitive's intrinsic phase and therefore matches the
+    logical unitary times exp(i * global_phase_rad) exactly.
     """
-    import numpy as np
-
     from . import gates as gatelib
 
     reg = schedule.register
     if reg.n_qubits > SIMULATION_QUBIT_CAP:
         raise DomainError(f"simulation caps at {SIMULATION_QUBIT_CAP} qubits, got {reg.n_qubits}")
-    swap_u = gatelib.heisenberg_swap(math.pi / 4.0)
-    zz = np.array([1.0, -1.0, -1.0, 1.0])  # diagonal of sigma_z sigma_z
     steps = []
     for prim in schedule.primitives:
         if isinstance(prim, SwapStep):
-            steps.append((swap_u, prim.atoms))
-        elif isinstance(prim, IsingPulse):  # exp(+i phase zz)
-            steps.append((np.diag(np.exp(1j * prim.phase_rad * zz)), prim.atoms))
+            steps.append((gatelib.ONE_PULSE_SWAP, prim.atoms))
+        elif isinstance(prim, IsingPulse):
+            steps.append((gatelib.ising_pulse(prim.phase_rad), prim.atoms))
         elif isinstance(prim, OneBit):
-            steps.append((_onebit_matrix(prim.gate, prim.param), (prim.atom,)))
+            matrix = gatelib.phase(prim.param) if prim.gate == "PHASE" else gatelib.ONEBIT[prim.gate]
+            steps.append((matrix, (prim.atom,)))
     return _product([(m, [_atom_site(a, reg) for a in atoms]) for m, atoms in steps], reg.n_qubits + 1)
 
 
-@functools.cache
-def _ising_phase_matrix() -> list:
-    """The logical PHASE gate: a constant, so its exponentials run once."""
-    from . import gates as gatelib
-
-    return gatelib.ising_phase_gate()
-
-
-def _logical_matrix(gate: LogicalGate) -> np.ndarray:
-    from . import gates as gatelib
-
-    if gate.name == "XOR":
-        return gatelib.CNOT
-    if gate.name == "SWAP":
-        return gatelib.SWAP
-    if gate.name == "PHASE":
-        return _ising_phase_matrix()
-    return _onebit_matrix("PHASE" if gate.name == "PHASE1" else gate.name, gate.param)
-
-
 def logical_unitary(circuit: list[LogicalGate], n_qubits: int) -> np.ndarray:
-    """The ideal circuit unitary on the bare qubit register."""
-    return _product(((_logical_matrix(g), list(g.qubits)) for g in circuit), n_qubits)
+    """The ideal circuit unitary on the bare qubit register, from the
+    logical gate matrices of ``gates``."""
+    from . import gates as gatelib
+
+    return _product(((gatelib.logical_matrix(g.name, g.param), list(g.qubits)) for g in circuit), n_qubits)
 
 
 def verify_schedule(schedule: Schedule) -> dict:

@@ -1,0 +1,98 @@
+"""The golden output corpus: the cases, how each one runs, and its regeneration.
+
+Each case runs one CLI command in process, without a config or with the
+README example config, and yields the output bytes (stdout, or the file
+that ``--out`` names), stderr and the exit code.  ``tests/test_golden.py``
+compares them with the corpus stored next to this file.  The cases are the
+commands whose bytes CPython's float arithmetic fixes; ``simulate`` and the
+Monte Carlo scan run on numpy and stay on their tolerance tests.
+
+After a change that alters an output on purpose, regenerate the corpus from
+the repository root and name the changed files in CHANGES.md:
+
+    PYTHONPATH=src python3 tests/golden/regen.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from spinbus.cli import main
+
+CORPUS = Path(__file__).resolve().parent
+EXPECTED = CORPUS / "expected.json"  # exit code and stderr of each case
+README = CORPUS.parents[1] / "README.md"
+
+# one short circuit that uses every logical gate
+CIRCUIT = "X q0\nZ q1\nH q2\nPHASE1 q1 0.3\nXOR q0 q2\nSWAP q1 q0\nPHASE q2 q1\n"
+
+
+def readme_config() -> dict:
+    """The example config of the README's "Config file" section."""
+    text = README.read_text()
+    return json.loads(text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def _cases() -> dict:
+    """name -> (config or None, argv); ``{circuit}`` and ``{out}`` are file names."""
+    commands = {
+        "tables-red": ({}, ["tables", "--lattice", "red"]),
+        "tables-blue-json": ({}, ["tables", "--lattice", "blue", "--format", "json"]),
+        "transport": ({}, ["transport"]),
+        "scan-quadrature-60": ({}, ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "60"]),
+        "gatecheck": ({}, ["gatecheck"]),
+    }
+    for swap in ("heisenberg", "xors"):
+        for mode in ("direct", "mediated"):
+            commands[f"compile-{swap}-{mode}"] = (
+                {"swap_primitive": swap, "single_bit_mode": mode},
+                ["compile", "{circuit}", "--out", "{out}"],
+            )
+    readme = readme_config()
+    cases = {}
+    for name, (scheduler, argv) in commands.items():
+        cases[name] = ({"scheduler": scheduler} if scheduler else None, argv)
+        cases[f"{name}-readme"] = ({**readme, "scheduler": {**readme["scheduler"], **scheduler}}, argv)
+    return cases
+
+
+CASES = _cases()
+
+
+def run_case(name: str, workdir: Path) -> tuple[bytes, str, int]:
+    """The output bytes, stderr and exit code of case ``name``, run in ``workdir``."""
+    config, argv = CASES[name]
+    circuit, out = workdir / "circuit.txt", workdir / "out"
+    circuit.write_text(CIRCUIT)
+    argv = [arg.format(circuit=circuit, out=out) for arg in argv]
+    if config is not None:
+        (workdir / "config.json").write_text(json.dumps(config))
+        argv = ["--config", str(workdir / "config.json"), *argv]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    output = out.read_bytes() if "{out}" in CASES[name][1] else stdout.getvalue().encode()
+    return output, stderr.getvalue(), code
+
+
+def regenerate() -> None:
+    expected = {}
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            output, stderr, code = run_case(name, Path(tmp))
+        (CORPUS / f"{name}.out").write_bytes(output)
+        expected[name] = {"exit_code": code, "stderr": stderr}
+    EXPECTED.write_text(json.dumps(expected, indent=2, sort_keys=True) + "\n")
+    stale = {p.name for p in CORPUS.glob("*.out")} - {f"{name}.out" for name in CASES}
+    for name in sorted(stale):
+        (CORPUS / name).unlink()
+    print(f"wrote {len(CASES)} cases to {CORPUS}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    regenerate()

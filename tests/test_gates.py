@@ -1,9 +1,10 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from spinbus import gates, operators as ops
+from spinbus import gates, operators as ops, scheduler
 from spinbus.errors import DomainError, NumericalError
 
 PI4 = math.pi / 4
@@ -77,6 +78,51 @@ def test_all_gate_identities_unitary_and_tight():
         assert rep.max_norm_error < 1e-10
         d = rep.as_dict()
         assert set(d) == {"gate", "fidelity", "global_phase", "max_norm_error"}
+
+
+def test_onebit_table_holds_the_literal_gates():
+    r = 1 / math.sqrt(2)
+    assert gates.ONEBIT == {
+        "X": ((0, 1), (1, 0)),
+        "Z": ((1, 0), (0, -1)),
+        "H": ((r, r), (r, -r)),
+        "S": ((1, 0), (0, 1j)),
+    }
+
+
+@pytest.mark.parametrize("theta", [-math.pi, -math.pi / 2, 0.3, math.pi])
+def test_phase_is_diag_one_exp_i_theta(theta):
+    assert gates.phase(theta) == [[1, 0], [0, cmath.exp(1j * theta)]]
+
+
+@pytest.mark.parametrize("phi", [PI4, -1.3])
+def test_ising_pulse_is_the_exponential_of_zz(phi):
+    zz = ops.matmul(ops.pauli("z", 0, 2), ops.pauli("z", 1, 2))
+    assert np.max(np.abs(np.asarray(gates.ising_pulse(phi)) - ops.expm_h(zz, -phi))) <= 1e-15
+
+
+def test_built_once_swap_and_phase_gate():
+    quarter = np.exp(-1j * PI4)
+    assert np.max(np.abs(np.asarray(gates.ONE_PULSE_SWAP) - quarter * SWAP)) <= 1e-12
+    assert np.max(np.abs(np.asarray(gates.ISING_PHASE_GATE) - quarter * np.diag([-1, 1, 1, 1]))) <= 1e-12
+
+
+@pytest.mark.parametrize("name", list(scheduler.GATES))
+def test_every_logical_gate_has_a_matrix_of_its_arity(name):
+    arity, takes_angle = scheduler.GATES[name]
+    m = gates.logical_matrix(name, 0.3 if takes_angle else None)
+    assert len(m) == 2**arity and all(len(row) == 2**arity for row in m)
+
+
+def test_gate_check_and_simulation_reuse_the_built_once_matrices(monkeypatch):
+    def rebuilt(*args):
+        raise AssertionError("a built-once matrix was built again")
+
+    monkeypatch.setattr(gates, "heisenberg_swap", rebuilt)
+    monkeypatch.setattr(gates, "ising_phase_gate", rebuilt)
+    assert all(rep.max_norm_error < 1e-10 for rep in gates.gate_identity_reports())
+    circuit = scheduler.parse_circuit("XOR q0 q1\nSWAP q1 q0\nPHASE q0 q1\nPHASE1 q1 0.3\n")
+    assert scheduler.verify_schedule(scheduler.compile_circuit(circuit, scheduler.Register(n_qubits=2)))["matches"]
 
 
 def _params(**kw):
