@@ -112,8 +112,8 @@ def scan(args, cfg: Config):
         cfg.scattering,
         z0s,
         gamma_mode=args.gamma_mode,
-        mc_samples=(args.samples if args.samples is not None else cfg.mc_samples) if args.mode == "mc" else None,
-        seed=args.seed if args.seed is not None else cfg.mc_seed,
+        mc_samples=(args.samples if args.samples is not None else cfg.mc["samples"]) if args.mode == "mc" else None,
+        seed=args.seed if args.seed is not None else cfg.mc["seed"],
     )
     _emit(_csv_text(interactions.SCAN_COLUMNS, rows), args.out)
 
@@ -142,7 +142,7 @@ def transport_cmd(args, cfg: Config):
     """Plan an adiabatic header translation and report the excitation numbers."""
     from . import transport
 
-    trap = cfg.compile_params  # the header trap the compiler's moves use
+    trap = cfg.scheduler  # the header trap the compiler's moves use
     nu = args.nu_trap_hz if args.nu_trap_hz is not None else trap.trap_frequency_hz
     mass = args.mass_amu * ATOMIC_MASS if args.mass_amu is not None else trap.mass_kg
     p_budget = args.budget if args.budget is not None else trap.p_budget
@@ -160,7 +160,7 @@ def compile_cmd(args, cfg: Config):
     if qubits is None:
         qubits = max((q for g in circuit for q in g.qubits), default=0) + 1
     register = scheduler.Register(n_qubits=qubits)
-    schedule = scheduler.compile_circuit(circuit, register, cfg.compile_params)
+    schedule = scheduler.compile_circuit(circuit, register, cfg.scheduler)
     budget = scheduler.budget(schedule, cfg.rates_hz)
     _emit(dumps({**scheduler.schedule_doc(schedule), "budget": budget.as_dict()}), args.out)
 

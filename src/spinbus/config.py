@@ -2,15 +2,17 @@
 
 Every section is optional; omitted keys take the architecture defaults
 (Rb register in the CO2 lattice, the reference interaction geometry).
-Section keys and their JSON types come from the field annotations of the
-record each section builds, or from a map written out where a key carries a
-unit its field does not (``geometry``, ``scattering``, ``mc``); ``geometry``
-is the ``TrapGeometry`` of four widths, and ``scan`` passes each grid z0 to
-the couplings.  Any unknown section or key, missing species key or value of
-the wrong JSON type fails every command, so typos cannot silently fall back
-to defaults, and every key that is accepted is read by some command.  The
-header trap is described once, in ``scheduler``: the compiler's moves and
-the ``transport`` command both read it.
+Each section fills the ``Config`` attribute of its name: a record whose
+field annotations give the section's keys and their JSON types, or for
+``mc`` a dict.  A key that carries a unit its field does not (trap widths in
+a0, masses in amu) is mapped onto its field by one table.  ``scheduler``
+also holds the decoherence rates, each >= 0.  An unknown section or key, a
+missing species key or a value of the wrong JSON type fails every command,
+so typos cannot silently fall back to defaults, and every accepted key is
+read by some command.  All sections are type-checked before any is applied,
+in a fixed order, so a file with several faults names the same one whatever
+its key order.  The header trap is described once, in ``scheduler``: the
+compiler's moves and the ``transport`` command both read it.
 """
 
 from __future__ import annotations
@@ -71,26 +73,34 @@ class Config:
         self.blue_lattice = BlueLatticeSpec()
         self.geometry = TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0)
         self.scattering = ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=87.0 * ATOMIC_MASS)
-        self.mc_seed = 20260810
-        self.mc_samples = 1_000_000
-        self.compile_params = CompileParams()
+        self.mc = {"seed": 20260810, "samples": 1_000_000}
+        self.scheduler = CompileParams()
         self.rates_hz = {"gamma_eff_blue": 0.6, "red_scattering": 1.0 / 120.0}
 
 
-def _annotations(cls, **renamed) -> dict[str, str]:
-    """``{JSON key: field annotation}`` of record ``cls``; ``renamed`` maps a
-    field name to the key it is read under."""
-    return {renamed.get(name, name): annotation for name, annotation in cls.__annotations__.items()}
+# the keys that carry a unit their record field does not:
+# JSON key -> (field, factor into the field's unit, None where only the name differs)
+_UNIT_KEYS = {
+    **{f"{field}_a0": (field, None) for field in ("a_qr", "a_qz", "a_hr", "a_hz")},
+    "mass_amu": ("mass_kg", ATOMIC_MASS),
+}
+_JSON_KEYS = {field: key for key, (field, _) in _UNIT_KEYS.items()}
 
 
-_SPECIES = {k: v for k, v in _annotations(AtomSpecies).items() if k != "name"}  # each one required
+def _keys(record: type[Record]) -> dict[str, str]:
+    """``{JSON key: field annotation}`` of ``record``."""
+    return {_JSON_KEYS.get(name, name): annotation for name, annotation in record.__annotations__.items()}
+
+
+_SPECIES = {k: v for k, v in _keys(AtomSpecies).items() if k != "name"}  # each one required
+# each section's keys, in the order the sections are applied
 _SECTIONS = {
-    "red_lattice": _annotations(RedLatticeSpec),
-    "blue_lattice": _annotations(BlueLatticeSpec),
-    "geometry": {"a_qr_a0": "float", "a_qz_a0": "float", "a_hr_a0": "float", "a_hz_a0": "float"},
-    "scattering": {"a_t_a0": "float", "a_s_a0": "float", "mass_amu": "float"},
+    "red_lattice": _keys(RedLatticeSpec),
+    "blue_lattice": _keys(BlueLatticeSpec),
+    "geometry": _keys(TrapGeometry),
+    "scattering": _keys(ScatteringParams),
     "mc": {"seed": "int", "samples": "int"},
-    "scheduler": {**_annotations(CompileParams, mass_kg="mass_amu"), "rates_hz": "dict[str, float]"},
+    "scheduler": {**_keys(CompileParams), "rates_hz": "dict[str, float]"},
 }
 
 
@@ -108,33 +118,21 @@ def load_config(path: str | Path | None) -> Config:
     for name, body in doc.pop("species", {}).items():
         body = checked_fields(_SPECIES, body, f"species.{key_text(name)}", _SPECIES)
         cfg.species[name] = AtomSpecies(name=name, **body)
-    _apply(cfg, {section: checked_fields(_SECTIONS[section], body, section) for section, body in doc.items()})
+    doc = {section: checked_fields(_SECTIONS[section], body, section) for section, body in doc.items()}
+    for section in [s for s in _SECTIONS if s in doc]:
+        if section == "mc":
+            from .interactions import check_mc_args  # loaded only for a config that has an mc section
+
+            cfg.mc = {**cfg.mc, **doc["mc"]}
+            check_mc_args(cfg.mc["samples"], cfg.mc["seed"])
+            continue
+        fields = {}
+        for key, value in doc[section].items():
+            field, factor = _UNIT_KEYS.get(key, (key, None))
+            fields[field] = value if factor is None else value * factor
+        cfg.rates_hz = fields.pop("rates_hz", cfg.rates_hz)  # a scheduler key beside its record
+        setattr(cfg, section, getattr(cfg, section).replace(**fields))
+    for source, rate in cfg.rates_hz.items():
+        if rate < 0:
+            raise DomainError(f"scheduler.rates_hz.{key_text(source)} must be >= 0, got {rate!r}")
     return cfg
-
-
-def _kg(body: dict) -> dict:
-    """``body`` with its ``mass_amu`` read as ``mass_kg``."""
-    if "mass_amu" in body:
-        body["mass_kg"] = body.pop("mass_amu") * ATOMIC_MASS
-    return body
-
-
-def _apply(cfg: Config, doc: dict):
-    if "red_lattice" in doc:
-        cfg.red_lattice = cfg.red_lattice.replace(**doc["red_lattice"])
-    if "blue_lattice" in doc:
-        cfg.blue_lattice = cfg.blue_lattice.replace(**doc["blue_lattice"])
-    if "geometry" in doc:
-        cfg.geometry = cfg.geometry.replace(**{k.removesuffix("_a0"): v for k, v in doc["geometry"].items()})
-    if "scattering" in doc:
-        cfg.scattering = cfg.scattering.replace(**_kg(doc["scattering"]))
-    if "mc" in doc:
-        from .interactions import check_mc_args  # loaded only for a config that has an mc section
-
-        cfg.mc_seed = doc["mc"].get("seed", cfg.mc_seed)
-        cfg.mc_samples = doc["mc"].get("samples", cfg.mc_samples)
-        check_mc_args(cfg.mc_samples, cfg.mc_seed)
-    if "scheduler" in doc:
-        s = _kg(doc["scheduler"])
-        cfg.rates_hz = s.pop("rates_hz", cfg.rates_hz)
-        cfg.compile_params = cfg.compile_params.replace(**s)

@@ -97,6 +97,15 @@ class RedLatticeSpec(Record):
         alpha_si = species.alpha0_a03 * 4.0 * math.pi * VACUUM_PERMITTIVITY * BOHR_RADIUS**3
         return alpha_si * e0_sq / 4.0 / H_PLANCK
 
+    def trap_inputs(self, species: AtomSpecies) -> tuple[float, float, float]:
+        """The calibrated depth, the first-principles depth and the lattice wavelength."""
+        depth = self.depth_calibration_hz_per_a03 * species.alpha0_a03
+        return depth, self.first_principles_depth_hz(species), self.wavelength_m
+
+    def gamma_eff_hz(self, eta: float) -> None:
+        """None: the far-detuned lattice's photon scattering is not modelled."""
+        return None
+
 
 class BlueLatticeSpec(Record):
     """Near-resonant blue lattice driving the header atom.
@@ -126,6 +135,17 @@ class BlueLatticeSpec(Record):
     @property
     def quoted_depth_hz(self) -> float:
         return self.rabi_hz**2 / (4.0 * self.detuning_hz)
+
+    def trap_inputs(self, species: AtomSpecies) -> tuple[float, float, float]:
+        """The effective depth, the quoted depth and the lattice wavelength: the
+        lattice runs so close to resonance (detuning/carrier ~ 0.5%) that the
+        resonance wavelength doubles as it, so the two Lamb-Dicke parameters
+        coincide."""
+        return self.effective_depth_hz, self.quoted_depth_hz, species.lambda0_m
+
+    def gamma_eff_hz(self, eta: float) -> float:
+        """The effective photon-scattering rate at Lamb-Dicke parameter ``eta``."""
+        return eta**2 * (self.rabi_hz**2 / (4.0 * self.detuning_hz**2)) * self.linewidth_hz
 
 
 class TrapReport(Record):
@@ -165,75 +185,39 @@ class TrapReport(Record):
         return row
 
 
-def _finite_report(report: TrapReport | None, *inputs) -> TrapReport:
-    """``report``, or a NumericalError naming ``inputs`` where the arithmetic
-    behind it left the float range (``report`` None) or gave a non-finite
-    number."""
-    if report is None or not all(math.isfinite(v) for v in vars(report).values() if isinstance(v, (int, float))):
-        raise NumericalError(f"trap report is not a finite float for {', '.join(map(repr, inputs))}")
+def _lattice_report(species: AtomSpecies, spec: RedLatticeSpec | BlueLatticeSpec, lattice: str) -> TrapReport:
+    """The trap report of ``species`` in the lattice ``spec`` describes, or a
+    NumericalError naming both where the arithmetic leaves the float range."""
+    try:
+        v, v_alt, wavelength_m = spec.trap_inputs(species)
+        m = species.mass_kg
+        er_lat = recoil_frequency(m, wavelength_m)
+        er_res = recoil_frequency(m, species.lambda0_m)
+        nu = 2.0 * math.sqrt(v * er_lat)
+        a_osc = ground_state_size(m, nu)  # before eta: a zero nu is its DomainError
+        eta0 = math.sqrt(er_res / nu)
+        report = TrapReport(
+            species=species.name, lattice=lattice, v_max_hz=v, v_max_alt_hz=v_alt, nu_osc_hz=nu,
+            a_osc_m=a_osc, recoil_lattice_hz=er_lat, recoil_resonance_hz=er_res,
+            eta0=eta0, eta_lattice=math.sqrt(er_lat / nu), gamma_eff_hz=spec.gamma_eff_hz(eta0),
+        )
+    except (OverflowError, ZeroDivisionError):
+        report = None
+    if report is None or not all(math.isfinite(x) for x in vars(report).values() if isinstance(x, (int, float))):
+        raise NumericalError(f"trap report is not a finite float for {species!r}, {spec!r}")
     return report
-
-
-def _derived(species: AtomSpecies, v_max_hz: float, lattice_wavelength_m: float):
-    m = species.mass_kg
-    er_lattice = recoil_frequency(m, lattice_wavelength_m)
-    er_res = recoil_frequency(m, species.lambda0_m)
-    nu = 2.0 * math.sqrt(v_max_hz * er_lattice)
-    a = ground_state_size(m, nu)
-    return er_lattice, er_res, nu, a
 
 
 def red_lattice_report(species: AtomSpecies, spec: RedLatticeSpec | None = None) -> TrapReport:
     """Trap report for a q atom in the CO2 lattice, at the calibrated depth;
     the first-principles depth is reported as ``v_max_alt_hz``."""
-    spec = spec or RedLatticeSpec()
-    try:
-        v = spec.depth_calibration_hz_per_a03 * species.alpha0_a03
-        er_lat, er_res, nu, a = _derived(species, v, spec.wavelength_m)
-        report = TrapReport(
-            species=species.name,
-            lattice="red",
-            v_max_hz=v,
-            v_max_alt_hz=spec.first_principles_depth_hz(species),
-            nu_osc_hz=nu,
-            a_osc_m=a,
-            recoil_lattice_hz=er_lat,
-            recoil_resonance_hz=er_res,
-            eta0=math.sqrt(er_res / nu),
-            eta_lattice=math.sqrt(er_lat / nu),
-        )
-    except (OverflowError, ZeroDivisionError):
-        report = None
-    return _finite_report(report, species, spec)
+    return _lattice_report(species, spec or RedLatticeSpec(), "red")
 
 
 def blue_lattice_report(species: AtomSpecies, spec: BlueLatticeSpec | None = None) -> TrapReport:
-    """Trap report for an h atom in the blue lattice.
-
-    The lattice runs so close to resonance (detuning/carrier ~ 0.5%) that
-    the resonance wavelength doubles as the lattice wavelength, so the two
-    Lamb-Dicke parameters coincide.
-    """
-    spec = spec or BlueLatticeSpec()
-    try:
-        er_lat, er_res, nu, a = _derived(species, spec.effective_depth_hz, species.lambda0_m)
-        eta = math.sqrt(er_res / nu)
-        report = TrapReport(
-            species=species.name,
-            lattice="blue",
-            v_max_hz=spec.effective_depth_hz,
-            v_max_alt_hz=spec.quoted_depth_hz,
-            nu_osc_hz=nu,
-            a_osc_m=a,
-            recoil_lattice_hz=er_lat,
-            recoil_resonance_hz=er_res,
-            eta0=eta,
-            eta_lattice=eta,
-            gamma_eff_hz=eta**2 * (spec.rabi_hz**2 / (4.0 * spec.detuning_hz**2)) * spec.linewidth_hz,
-        )
-    except (OverflowError, ZeroDivisionError):
-        report = None
-    return _finite_report(report, species, spec)
+    """Trap report for an h atom in the blue lattice, with its effective
+    photon-scattering rate."""
+    return _lattice_report(species, spec or BlueLatticeSpec(), "blue")
 
 
 def lattice_reports(

@@ -5,7 +5,9 @@ README example config, and yields the output bytes (stdout, or the file
 that ``--out`` names), stderr and the exit code.  ``tests/test_golden.py``
 compares them with the corpus stored next to this file.  The cases are the
 commands whose bytes CPython's float arithmetic fixes; ``simulate`` and the
-Monte Carlo scan run on numpy and stay on their tolerance tests.
+Monte Carlo scan run on numpy and stay on their tolerance tests.  The
+refusals (bad flags, bad configs) run once each, under every command a bad
+config fails; their stderr line and exit code are what they hold.
 
 After a change that alters an output on purpose, regenerate the corpus from
 the repository root and name the changed files in CHANGES.md:
@@ -45,6 +47,9 @@ def _cases() -> dict:
         "tables-blue-json": ({}, ["tables", "--lattice", "blue", "--format", "json"]),
         "transport": ({}, ["transport"]),
         "scan-quadrature-60": ({}, ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "60"]),
+        "scan-quadrature-60-first-principles": (
+            {}, ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "60", "--gamma-mode", "first_principles"]
+        ),
         "gatecheck": ({}, ["gatecheck"]),
     }
     for swap in ("heisenberg", "xors"):
@@ -58,6 +63,45 @@ def _cases() -> dict:
     for name, (scheduler, argv) in commands.items():
         cases[name] = ({"scheduler": scheduler} if scheduler else None, argv)
         cases[f"{name}-readme"] = ({**readme, "scheduler": {**readme["scheduler"], **scheduler}}, argv)
+    # refusals, each run once: the message and exit code are the output
+    for flags in (["--tolerance", "nan"], ["--rwa-threshold", "-inf"], ["--tolerance", "1.5"],
+                  ["--rwa-threshold", "-0.1"]):
+        cases[f"refuse-gatecheck{flags[0][1:]}-{flags[1]}"] = (None, ["gatecheck", *flags])
+    cases["refuse-tables-empty-species"] = (None, ["tables", "--lattice", "red", "--species", ""])
+    cases["refuse-scan-points-1e20"] = (
+        None, ["scan", "--z0-min", "100", "--z0-max", "200", "--points", "100000000000000000000"]
+    )
+    every_command = {
+        "tables": ["tables", "--lattice", "red"],
+        "transport": ["transport"],
+        "scan": ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "5"],
+        "gatecheck": ["gatecheck"],
+        "compile": ["compile", "{circuit}"],
+        "simulate": ["simulate", "schedule.json"],  # the config fails before the file is read
+    }
+    bad_configs = {
+        "mistyped": {"geometry": {"a_qr_a0": "400"}},
+        "deleted-key": {"scattering": {"nu_ref_hz": 172128}},
+        "transport-section": {"transport": {"nu_trap_hz": 5e5}},
+    }
+    for config_name, config in bad_configs.items():
+        for command, argv in every_command.items():
+            cases[f"refuse-config-{config_name}-{command}"] = (config, argv)
+    # several faults: the same one is reported whatever the document order
+    cases["refuse-config-faults-budget-geometry"] = (
+        {"scheduler": {"p_budget": 2}, "geometry": {"a_qr_a0": "x"}}, every_command["tables"]
+    )
+    cases["refuse-config-faults-budget-red-lattice"] = (
+        {"scheduler": {"p_budget": 2}, "red_lattice": {"intensity_w_cm2": -1}}, every_command["tables"]
+    )
+    # a lattice wavelength so long that nu_osc underflows to 0: the trap size refuses it first
+    cases["refuse-config-red-wavelength-1e300-tables"] = (
+        {"red_lattice": {"wavelength_m": 1e300}}, every_command["tables"]
+    )
+    # a negative rate fails at load, so even under gatecheck, which reads no rate
+    cases["refuse-config-negative-rate-gatecheck"] = (
+        {"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, every_command["gatecheck"]
+    )
     return cases
 
 

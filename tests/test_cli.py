@@ -660,6 +660,7 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     ({"scheduler": {"trap_frequency_hz": -1}}, "trap_frequency_hz must be positive, got -1"),
     ({"scheduler": {"mass_amu": 0}}, "mass_kg must be positive, got 0.0"),
     ({"scheduler": {"max_move_duration_s": -1}}, "max_move_duration_s must be positive, got -1"),
+    ({"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, "scheduler.rates_hz.gamma_eff_blue must be >= 0, got -1.0"),
     # so is the sampler's, with the sampler's own messages
     ({"mc": {"samples": -1}}, "need at least 1e4 samples, got -1"),
     ({"mc": {"seed": -1}}, "MC seed must be a non-negative integer, got -1"),
@@ -673,7 +674,7 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     (None, "cannot read config: [Errno 2] No such file or directory: 'cfg.json'"),
 ], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list",
         "species-name-newline", "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
-        "frequency-negative", "mass-zero", "move-cap-negative", "mc-samples-negative", "mc-seed-negative",
+        "frequency-negative", "mass-zero", "move-cap-negative", "rate-negative", "mc-samples-negative", "mc-seed-negative",
         "former-transport-section", "former-species-linewidth", "former-geometry-z0", "former-scattering-nu-ref",
         "missing-file"])
 def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, monkeypatch, config, message):
