@@ -73,9 +73,8 @@ def tables(args, cfg: Config):
     names = [s.strip() for s in args.species.split(",")] if args.species is not None else None
     if names and len(set(names)) < len(names):
         raise DomainError(f"--species names {key_text(next(n for n in names if names.count(n) > 1))} twice")
-    reports = traps.lattice_reports(
-        args.lattice, names, registry=cfg.species, red_spec=cfg.red_lattice, blue_spec=cfg.blue_lattice
-    )
+    spec = cfg.red_lattice if args.lattice == "red" else cfg.blue_lattice
+    reports = traps.lattice_reports(spec, names, cfg.species)
     rows = [r.as_table_row() for r in reports]
     text = _csv_text(list(rows[0]), rows) if args.format == "csv" else dumps({r["species"]: r for r in rows})
     _emit(text, args.out)

@@ -7,12 +7,13 @@ field annotations give the section's keys and their JSON types, or for
 ``mc`` a dict.  A key that carries a unit its field does not (trap widths in
 a0, masses in amu) is mapped onto its field by one table.  ``scheduler``
 also holds the decoherence rates, each >= 0.  An unknown section or key, a
-missing species key or a value of the wrong JSON type fails every command,
-so typos cannot silently fall back to defaults, and every accepted key is
-read by some command.  All sections are type-checked before any is applied,
-in a fixed order, so a file with several faults names the same one whatever
-its key order.  The header trap is described once, in ``scheduler``: the
-compiler's moves and the ``transport`` command both read it.
+missing species key, a species name that ``--species`` cannot select or a
+value of the wrong JSON type fails every command, so typos cannot silently
+fall back to defaults, and every accepted key is read by some command.
+All sections are type-checked before any is applied, in a fixed order, so a
+file with several faults names the same one whatever its key order.  The
+header trap is described once, in ``scheduler``: the compiler's moves and
+the ``transport`` command both read it.
 """
 
 from __future__ import annotations
@@ -117,6 +118,8 @@ def load_config(path: str | Path | None) -> Config:
     doc = checked_fields(dict.fromkeys(["species", *_SECTIONS], "dict"), doc, "config")
     for name, body in doc.pop("species", {}).items():
         body = checked_fields(_SPECIES, body, f"species.{key_text(name)}", _SPECIES)
+        if not name or "," in name or name != name.strip():  # --species could never select it
+            raise DomainError(f'species name "{key_text(name)}" must be non-empty, without commas or outer whitespace')
         cfg.species[name] = AtomSpecies(name=name, **body)
     doc = {section: checked_fields(_SECTIONS[section], body, section) for section, body in doc.items()}
     for section in [s for s in _SECTIONS if s in doc]:

@@ -539,6 +539,13 @@ def schedule_from_json(text: str) -> Schedule:
         raise DomainError("schedule primitives must be a list")
     primitives = tuple(_primitive_from_json(p, i, register) for i, p in enumerate(prims))
     _check_timing(primitives, body["total_time_s"])
+    # the compiler writes phi >= 0 and 0.5 * (phi * phi), both exact through JSON;
+    # phi is squared as a float, so a huge JSON integer overflows to inf instead of raising
+    phase, infidelity = body["idle_crosstalk_phase_rad"], body["idle_infidelity_estimate"]
+    if not phase >= 0:
+        raise DomainError(f"idle_crosstalk_phase_rad must be >= 0, got {phase!r}")
+    if infidelity != 0.5 * (float(phase) * phase):
+        raise DomainError(f"idle_infidelity_estimate {infidelity!r} is not 0.5 * idle_crosstalk_phase_rad ** 2")
     params = CompileParams(**_checked_fields(CompileParams, body["params"], "params"))
     circuit = tuple(parse_circuit("\n".join(lines)))
     _check_in_register(circuit, register)

@@ -5,9 +5,11 @@ the movable header atom sits in a much tighter blue-detuned near-resonant
 lattice.  This module reproduces, per alkali species, the derived trap
 quantities: depth, oscillation frequency, ground-state size, Lamb-Dicke
 parameters, and (blue lattice) the effective photon-scattering rate that
-sets the dominant decoherence budget.  It also holds the inputs of the
-coupling model in ``spinbus.interactions``: the four trap widths, the
-scattering parameters and the names of the dipole-strength conventions.
+sets the dominant decoherence budget.  ``lattice_report`` builds every
+report from a species and a lattice spec, which names its lattice.  The
+module also holds the inputs of the coupling model in
+``spinbus.interactions``: the four trap widths, the scattering parameters
+and the names of the dipole-strength conventions.
 
 Caption identities used throughout (all energies as frequencies in Hz):
 
@@ -67,12 +69,11 @@ SPECIES: dict[str, AtomSpecies] = {
 }
 
 
-def get_species(name: str, registry: dict[str, AtomSpecies] | None = None) -> AtomSpecies:
-    reg = registry if registry is not None else SPECIES
+def get_species(name: str, registry: dict[str, AtomSpecies]) -> AtomSpecies:
     try:
-        return reg[name]
+        return registry[name]
     except KeyError:
-        raise DomainError(f"unknown species {name!r}; known: {', '.join(map(key_text, sorted(reg)))}") from None
+        raise DomainError(f"unknown species {name!r}; known: {', '.join(map(key_text, sorted(registry)))}") from None
 
 
 class RedLatticeSpec(Record):
@@ -83,6 +84,7 @@ class RedLatticeSpec(Record):
     intensity comes out ~24x smaller and is reported alongside, not used.
     """
 
+    lattice = "red"  # the label of its reports; not annotated, so not a field
     wavelength_m: float = CO2_WAVELENGTH_M
     intensity_w_cm2: float = 1.0e6
     depth_calibration_hz_per_a03: float = 181e6 / 159.2
@@ -118,6 +120,7 @@ class BlueLatticeSpec(Record):
     two is an angular/ordinary convention ambiguity in the source numbers).
     """
 
+    lattice = "blue"
     rabi_hz: float = 1.6e10
     detuning_hz: float = 2.0e12
     linewidth_hz: float = 1.0e7
@@ -152,7 +155,7 @@ class TrapReport(Record):
     """Derived trap quantities for one species in one lattice (SI + Hz)."""
 
     species: str
-    lattice: str                  # "red" | "blue"
+    lattice: str                  # the spec's lattice: "red" | "blue"
     v_max_hz: float               # depth entering nu_osc = 2 sqrt(V E_R)
     v_max_alt_hz: float           # red: first-principles depth; blue: quoted rabi^2/(4 delta)
     nu_osc_hz: float
@@ -185,55 +188,36 @@ class TrapReport(Record):
         return row
 
 
-def _lattice_report(species: AtomSpecies, spec: RedLatticeSpec | BlueLatticeSpec, lattice: str) -> TrapReport:
+def lattice_report(species: AtomSpecies, spec: RedLatticeSpec | BlueLatticeSpec) -> TrapReport:
     """The trap report of ``species`` in the lattice ``spec`` describes, or a
-    NumericalError naming both where the arithmetic leaves the float range."""
+    NumericalError naming both where the arithmetic leaves the float range.
+    The inputs are checked records, so a DomainError from ``units`` here means
+    a derived mass, wavelength or frequency underflowed to 0."""
     try:
         v, v_alt, wavelength_m = spec.trap_inputs(species)
         m = species.mass_kg
         er_lat = recoil_frequency(m, wavelength_m)
         er_res = recoil_frequency(m, species.lambda0_m)
         nu = 2.0 * math.sqrt(v * er_lat)
-        a_osc = ground_state_size(m, nu)  # before eta: a zero nu is its DomainError
         eta0 = math.sqrt(er_res / nu)
         report = TrapReport(
-            species=species.name, lattice=lattice, v_max_hz=v, v_max_alt_hz=v_alt, nu_osc_hz=nu,
-            a_osc_m=a_osc, recoil_lattice_hz=er_lat, recoil_resonance_hz=er_res,
+            species=species.name, lattice=spec.lattice, v_max_hz=v, v_max_alt_hz=v_alt, nu_osc_hz=nu,
+            a_osc_m=ground_state_size(m, nu), recoil_lattice_hz=er_lat, recoil_resonance_hz=er_res,
             eta0=eta0, eta_lattice=math.sqrt(er_lat / nu), gamma_eff_hz=spec.gamma_eff_hz(eta0),
         )
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, DomainError):
         report = None
     if report is None or not all(math.isfinite(x) for x in vars(report).values() if isinstance(x, (int, float))):
         raise NumericalError(f"trap report is not a finite float for {species!r}, {spec!r}")
     return report
 
 
-def red_lattice_report(species: AtomSpecies, spec: RedLatticeSpec | None = None) -> TrapReport:
-    """Trap report for a q atom in the CO2 lattice, at the calibrated depth;
-    the first-principles depth is reported as ``v_max_alt_hz``."""
-    return _lattice_report(species, spec or RedLatticeSpec(), "red")
-
-
-def blue_lattice_report(species: AtomSpecies, spec: BlueLatticeSpec | None = None) -> TrapReport:
-    """Trap report for an h atom in the blue lattice, with its effective
-    photon-scattering rate."""
-    return _lattice_report(species, spec or BlueLatticeSpec(), "blue")
-
-
 def lattice_reports(
-    lattice: str,
-    species_names: list[str] | None = None,
-    registry: dict[str, AtomSpecies] | None = None,
-    red_spec: RedLatticeSpec | None = None,
-    blue_spec: BlueLatticeSpec | None = None,
+    spec: RedLatticeSpec | BlueLatticeSpec, species_names: list[str] | None, registry: dict[str, AtomSpecies]
 ) -> list[TrapReport]:
-    reg = registry if registry is not None else SPECIES
-    names = species_names or list(reg)
-    if lattice == "red":
-        return [red_lattice_report(get_species(n, reg), red_spec) for n in names]
-    if lattice == "blue":
-        return [blue_lattice_report(get_species(n, reg), blue_spec) for n in names]
-    raise DomainError(f"lattice must be red|blue, got {lattice!r}")
+    """The report of each named species of ``registry`` in ``spec``'s lattice,
+    of every entry when none is named."""
+    return [lattice_report(get_species(n, registry), spec) for n in species_names or registry]
 
 
 # --- inputs of the coupling model (spinbus.interactions) ---------------------

@@ -94,10 +94,13 @@ def _cases() -> dict:
     cases["refuse-config-faults-budget-red-lattice"] = (
         {"scheduler": {"p_budget": 2}, "red_lattice": {"intensity_w_cm2": -1}}, every_command["tables"]
     )
-    # a lattice wavelength so long that nu_osc underflows to 0: the trap size refuses it first
+    # a lattice wavelength so long that nu_osc underflows to 0: a numerical failure naming the inputs
     cases["refuse-config-red-wavelength-1e300-tables"] = (
         {"red_lattice": {"wavelength_m": 1e300}}, every_command["tables"]
     )
+    # species names that --species could never select fail at load
+    fr = {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0}
+    cases["refuse-config-species-names-tables"] = ({"species": {"": fr, "A,B": fr}}, every_command["tables"])
     # a negative rate fails at load, so even under gatecheck, which reads no rate
     cases["refuse-config-negative-rate-gatecheck"] = (
         {"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, every_command["gatecheck"]

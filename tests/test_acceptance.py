@@ -59,7 +59,7 @@ def test_criterion_red_table_reproduction():
     with Criterion("Red-lattice table reproduction (3%, fitted to Li)", 1.0) as c:
         spec = traps.RedLatticeSpec(depth_calibration_hz_per_a03=181e6 / traps.SPECIES["Li"].alpha0_a03)
         for name, refs in printed.items():
-            r = traps.red_lattice_report(traps.SPECIES[name], spec)
+            r = traps.lattice_report(traps.SPECIES[name], spec)
             values = (
                 r.v_max_hz / 1e6, r.nu_osc_hz / 1e3, r.a_osc_a0,
                 r.recoil_resonance_hz / 1e3, r.eta0, r.eta_lattice,
@@ -78,7 +78,7 @@ def test_criterion_blue_table_reproduction():
     }
     with Criterion("Blue-lattice table reproduction (5% rows, 10% gamma_eff)", 1.0) as c:
         for name, (nu, a, eta, geff) in printed.items():
-            r = traps.blue_lattice_report(traps.SPECIES[name])
+            r = traps.lattice_report(traps.SPECIES[name], traps.BlueLatticeSpec())
             c.check(_close(r.nu_osc_hz / 1e3, nu[0], nu[1], 0.05), f"{name} nu")
             c.check(_close(r.a_osc_a0, a[0], a[1], 0.05), f"{name} a_osc")
             c.check(_close(r.eta0, eta[0], eta[1], 0.05), f"{name} eta")

@@ -642,6 +642,10 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     return run(capsys, "--config", str(cfg), *argv)
 
 
+_FR = {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0}
+_UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
+
+
 @pytest.mark.parametrize("config, message", [
     ({"geometry": {"a_qr_a0": "400"}}, 'geometry.a_qr_a0 must be a JSON number, got "400"'),
     ({"scheduler": {"j_swap_hz": "1"}}, 'scheduler.j_swap_hz must be a JSON number, got "1"'),
@@ -652,6 +656,10 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     ({"mc": []}, "config.mc must be a JSON object, got []"),
     # a key is escaped as in JSON, so the message stays on one line
     ({"species": {"\n": None}}, "species.\\n must be a JSON object"),
+    # names that --species could never select
+    ({"species": {"": _FR, "A,B": _FR}}, f'species name "" {_UNSELECTABLE}'),
+    ({"species": {"A,B": _FR}}, f'species name "A,B" {_UNSELECTABLE}'),
+    ({"species": {" Fr": _FR}}, f'species name " Fr" {_UNSELECTABLE}'),
     ({"geometry": {"bad\nkey": 1}}, "unknown keys in geometry: bad\\nkey"),
     ({"x\ny": {}}, "unknown keys in config: x\\ny"),
     # the header trap is range-checked at load, whichever command uses it
@@ -673,7 +681,8 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     ({"scattering": {"nu_ref_hz": 172128}}, "unknown keys in scattering: nu_ref_hz"),
     (None, "cannot read config: [Errno 2] No such file or directory: 'cfg.json'"),
 ], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list",
-        "species-name-newline", "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
+        "species-name-newline", "species-name-empty", "species-name-comma", "species-name-padded",
+        "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
         "frequency-negative", "mass-zero", "move-cap-negative", "rate-negative", "mc-samples-negative", "mc-seed-negative",
         "former-transport-section", "former-species-linewidth", "former-geometry-z0", "former-scattering-nu-ref",
         "missing-file"])
@@ -729,7 +738,16 @@ _FR_TINY_LAMBDA = {"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8, "l
     ({"blue_lattice": {"rabi_hz": 1e300}}, ["tables", "--lattice", "blue"], "rabi_hz=1e+300"),
     (_FR_TINY_LAMBDA, ["tables", "--lattice", "red", "--species", "Fr"], "lambda0_nm=1e-150"),
     (_FR_TINY_LAMBDA, ["tables", "--lattice", "blue", "--species", "Fr"], "lambda0_nm=1e-150"),
-], ids=["detuning-huge", "rabi-huge", "lambda0-tiny-red", "lambda0-tiny-blue"])
+    # a derived value underflows to 0: the lattice recoil (so nu_osc), the mass, the resonance wavelength
+    ({"red_lattice": {"wavelength_m": 1e300}}, ["tables", "--lattice", "red"], "wavelength_m=1e+300"),
+    ({"species": {"Fr": {**_FR, "mass_amu": 1e-300}}}, ["tables", "--lattice", "red", "--species", "Fr"],
+     "mass_amu=1e-300"),
+    ({"species": {"Fr": {**_FR, "lambda0_nm": 1e-320}}}, ["tables", "--lattice", "blue", "--species", "Fr"],
+     "lambda0_nm=1e-320"),
+    ({"species": {"Fr": {**_FR, "lambda0_nm": 1e300}}}, ["tables", "--lattice", "blue", "--species", "Fr"],
+     "lambda0_nm=1e+300"),
+], ids=["detuning-huge", "rabi-huge", "lambda0-tiny-red", "lambda0-tiny-blue", "wavelength-huge-red", "mass-tiny-red",
+        "lambda0-subnormal-blue", "lambda0-huge-blue"])
 def test_tables_trap_inputs_out_of_float_range_exit_2(capsys, tmp_path, config, argv, named):
     code, out, err = _run_with_config(capsys, tmp_path, config, *argv)
     assert (code, out) == (2, "")

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -220,6 +222,20 @@ def test_schedule_json_rejects_bad_format():
         sch.schedule_from_json('{"format": "other/9"}')
     with pytest.raises(DomainError):
         sch.schedule_from_json("not json")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("idle_infidelity_estimate", 5.0, "idle_infidelity_estimate 5.0 is not 0.5 * idle_crosstalk_phase_rad ** 2"),
+    ("idle_crosstalk_phase_rad", -3.0, "idle_crosstalk_phase_rad must be >= 0, got -3.0"),
+    # its square overflows: refused, not an OverflowError
+    ("idle_crosstalk_phase_rad", 10**300, "is not 0.5 * idle_crosstalk_phase_rad ** 2"),
+], ids=["infidelity-edited", "phase-negative", "phase-huge-int"])
+def test_schedule_json_refuses_idle_totals_the_compiler_cannot_write(field, value, message):
+    doc = json.loads(sch.schedule_to_json(sch.compile_circuit(sch.parse_circuit("XOR q0 q1"), REG2)))
+    assert doc["idle_crosstalk_phase_rad"] > 0  # the XOR charges idle coupling
+    doc[field] = value
+    with pytest.raises(DomainError, match=re.escape(message)):
+        sch.schedule_from_json(json.dumps(doc))
 
 
 def test_simulation_cap():

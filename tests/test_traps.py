@@ -1,10 +1,11 @@
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from spinbus import traps
 from spinbus.cli import main
-from spinbus.errors import DomainError
+from spinbus.errors import DomainError, NumericalError
 
 # Printed reference rows.  Resolutions record the last printed digit so the
 # comparison can allow for source rounding (Cs's E_R is printed to one
@@ -34,7 +35,7 @@ def within(value, printed, resolution, rel):
 
 @pytest.mark.parametrize("name", list(RED_TABLE))
 def test_red_lattice_rows(name):
-    r = traps.red_lattice_report(traps.SPECIES[name])
+    r = traps.lattice_report(traps.SPECIES[name], traps.RedLatticeSpec())
     values = (
         r.v_max_hz / 1e6, r.nu_osc_hz / 1e3, r.a_osc_a0,
         r.recoil_resonance_hz / 1e3, r.eta0, r.eta_lattice,
@@ -45,7 +46,7 @@ def test_red_lattice_rows(name):
 
 @pytest.mark.parametrize("name", list(BLUE_TABLE))
 def test_blue_lattice_rows(name):
-    r = traps.blue_lattice_report(traps.SPECIES[name])
+    r = traps.lattice_report(traps.SPECIES[name], traps.BlueLatticeSpec())
     nu, a, eta, geff = BLUE_TABLE[name]
     assert within(r.nu_osc_hz / 1e3, nu[0], nu[1], 0.05)
     assert within(r.a_osc_a0, a[0], a[1], 0.05)
@@ -55,7 +56,7 @@ def test_blue_lattice_rows(name):
 
 def test_gamma_eff_caption_arithmetic():
     # direct evaluation of eta^2 (rabi^2 / 4 detuning^2) linewidth for Rb
-    r = traps.blue_lattice_report(traps.SPECIES["Rb"])
+    r = traps.lattice_report(traps.SPECIES["Rb"], traps.BlueLatticeSpec())
     expected = r.eta0**2 * (1.6e10**2 / (4 * (2e12) ** 2)) * 1e7
     assert r.gamma_eff_hz == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.58, rel=0.1)
@@ -65,7 +66,7 @@ def test_gamma_eff_caption_arithmetic():
 @pytest.mark.parametrize("name", list(RED_TABLE))
 def test_caption_identity_exact(lattice, name):
     sp = traps.SPECIES[name]
-    r = traps.red_lattice_report(sp) if lattice == "red" else traps.blue_lattice_report(sp)
+    r = traps.lattice_report(sp, traps.RedLatticeSpec() if lattice == "red" else traps.BlueLatticeSpec())
     assert math.sqrt(r.recoil_lattice_hz / r.nu_osc_hz) == pytest.approx(r.eta_lattice, rel=1e-10)
     assert r.nu_osc_hz == pytest.approx(2 * math.sqrt(r.v_max_hz * r.recoil_lattice_hz), rel=1e-12)
     k = 2 * math.pi / (traps.CO2_WAVELENGTH_M if lattice == "red" else sp.lambda0_m)
@@ -75,16 +76,16 @@ def test_caption_identity_exact(lattice, name):
 def test_depth_scaling_with_polarizability():
     base = traps.SPECIES["Rb"]
     doubled = traps.AtomSpecies("Rb2", base.mass_amu, 2 * base.alpha0_a03, base.lambda0_nm)
-    r0 = traps.red_lattice_report(base)
-    r2 = traps.red_lattice_report(doubled)
+    r0 = traps.lattice_report(base, traps.RedLatticeSpec())
+    r2 = traps.lattice_report(doubled, traps.RedLatticeSpec())
     assert r2.v_max_hz == pytest.approx(2 * r0.v_max_hz, rel=1e-12)
     assert r2.nu_osc_hz == pytest.approx(math.sqrt(2) * r0.nu_osc_hz, rel=1e-12)
 
 
 def test_monotonic_with_mass():
     order = ["Li", "Na", "K", "Rb", "Cs"]
-    red = [traps.red_lattice_report(traps.SPECIES[n]) for n in order]
-    blue = [traps.blue_lattice_report(traps.SPECIES[n]) for n in order]
+    red = [traps.lattice_report(traps.SPECIES[n], traps.RedLatticeSpec()) for n in order]
+    blue = [traps.lattice_report(traps.SPECIES[n], traps.BlueLatticeSpec()) for n in order]
     for seq in (red, blue):
         ers = [r.recoil_resonance_hz for r in seq]
         etas = [r.eta0 for r in seq]
@@ -93,7 +94,7 @@ def test_monotonic_with_mass():
 
 
 def test_first_principles_depth_discrepancy_surfaced():
-    r = traps.red_lattice_report(traps.SPECIES["Li"])
+    r = traps.lattice_report(traps.SPECIES["Li"], traps.RedLatticeSpec())
     # the stated intensity yields a ~24x shallower depth than the table
     assert r.v_max_hz / r.v_max_alt_hz == pytest.approx(24.3, rel=0.01)
     assert r.v_max_alt_hz == traps.RedLatticeSpec().first_principles_depth_hz(traps.SPECIES["Li"])
@@ -101,29 +102,56 @@ def test_first_principles_depth_discrepancy_surfaced():
 
 def test_fitted_calibration():
     spec = traps.RedLatticeSpec(depth_calibration_hz_per_a03=181e6 / traps.SPECIES["Li"].alpha0_a03)
-    assert traps.red_lattice_report(traps.SPECIES["Li"], spec).v_max_hz == pytest.approx(181e6, rel=1e-12)
+    assert traps.lattice_report(traps.SPECIES["Li"], spec).v_max_hz == pytest.approx(181e6, rel=1e-12)
 
 
 def test_blue_depth_convention_reported():
     spec = traps.BlueLatticeSpec()
     assert spec.effective_depth_hz == pytest.approx(2 * spec.quoted_depth_hz, rel=1e-12)
-    r = traps.blue_lattice_report(traps.SPECIES["Rb"], spec)
+    r = traps.lattice_report(traps.SPECIES["Rb"], spec)
     assert r.v_max_alt_hz == pytest.approx(spec.quoted_depth_hz, rel=1e-12)
 
 
 def test_unknown_species_rejected():
     with pytest.raises(DomainError):
-        traps.get_species("Xx")
-    with pytest.raises(DomainError):
-        traps.lattice_reports("green")
+        traps.get_species("Xx", traps.SPECIES)
 
 
 def test_custom_registry():
     reg = dict(traps.SPECIES)
     reg["Fr"] = traps.AtomSpecies("Fr", 223.0, 317.8, 718.0)
-    reports = traps.lattice_reports("red", ["Fr"], registry=reg)
+    reports = traps.lattice_reports(traps.RedLatticeSpec(), ["Fr"], reg)
     assert reports[0].species == "Fr"
-    assert reports[0].recoil_resonance_hz < traps.red_lattice_report(traps.SPECIES["Cs"]).recoil_resonance_hz
+    cs = traps.lattice_report(traps.SPECIES["Cs"], traps.RedLatticeSpec())
+    assert reports[0].recoil_resonance_hz < cs.recoil_resonance_hz
+
+
+# log-uniform over the positive finite floats, subnormals included
+_POSITIVE = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)
+_RB = traps.SPECIES["Rb"]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    species=st.builds(traps.AtomSpecies, st.just("X"), _POSITIVE, _POSITIVE, _POSITIVE),
+    spec=st.builds(traps.RedLatticeSpec, _POSITIVE, _POSITIVE, _POSITIVE)
+    | st.builds(traps.BlueLatticeSpec, _POSITIVE, _POSITIVE, _POSITIVE),
+)
+# a derived value that underflows to 0: the lattice recoil (so nu_osc), the mass, the resonance wavelength
+@example(_RB, traps.RedLatticeSpec(wavelength_m=1e300))
+@example(_RB.replace(mass_amu=1e-300), traps.RedLatticeSpec())
+@example(_RB.replace(mass_amu=1e-300), traps.BlueLatticeSpec())
+@example(_RB.replace(lambda0_nm=1e-320), traps.RedLatticeSpec())
+@example(_RB.replace(lambda0_nm=1e-320), traps.BlueLatticeSpec())
+@example(_RB.replace(lambda0_nm=1e300), traps.BlueLatticeSpec())
+def test_lattice_report_is_finite_or_a_numerical_error(species, spec):
+    try:
+        report = traps.lattice_report(species, spec)
+    except NumericalError as exc:
+        assert str(exc) == f"trap report is not a finite float for {species!r}, {spec!r}"
+        return
+    assert report.lattice == spec.lattice
+    assert all(math.isfinite(x) for x in vars(report).values() if isinstance(x, float))
 
 
 def test_csv_and_json_emission(capsys):
