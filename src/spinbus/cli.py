@@ -82,6 +82,9 @@ def tables(args, cfg: Config):
 
 # checked before the grid is built: every point is computed and held until written
 MAX_SCAN_POINTS = 100_000
+# the Monte Carlo scan's defaults; interactions.MAX_MC_SAMPLES caps --samples
+MC_SAMPLES = 1_000_000
+MC_SEED = 20260810
 
 
 def scan(args, cfg: Config):
@@ -111,8 +114,8 @@ def scan(args, cfg: Config):
         cfg.scattering,
         z0s,
         gamma_mode=args.gamma_mode,
-        mc_samples=(args.samples if args.samples is not None else cfg.mc["samples"]) if args.mode == "mc" else None,
-        seed=args.seed if args.seed is not None else cfg.mc["seed"],
+        mc_samples=(args.samples if args.samples is not None else MC_SAMPLES) if args.mode == "mc" else None,
+        seed=args.seed if args.seed is not None else MC_SEED,
     )
     _emit(_csv_text(interactions.SCAN_COLUMNS, rows), args.out)
 
@@ -235,8 +238,8 @@ def _parser() -> tuple[argparse.ArgumentParser, set]:
     option(p, "--points", type=int, required=True)
     option(p, "--mode", choices=["quadrature", "mc"], default="quadrature")
     option(p, "--gamma-mode", choices=list(traps.GAMMA_MODES), default="calibrated")
-    option(p, "--samples", type=int, help="MC samples per point (mc mode).")
-    option(p, "--seed", type=int)
+    option(p, "--samples", type=int, help=f"MC samples per point, 1e4 to 1e9 (mc mode; default: {MC_SAMPLES}).")
+    option(p, "--seed", type=int, help=f"Seed of the first point, each next point one more (mc mode; default: {MC_SEED}).")
     option(p, "--out")
 
     p = command("gatecheck", gatecheck)

@@ -3,10 +3,11 @@
 Every section is optional; omitted keys take the architecture defaults
 (Rb register in the CO2 lattice, the reference interaction geometry).
 Each section fills the ``Config`` attribute of its name: a record whose
-field annotations give the section's keys and their JSON types, or for
-``mc`` a dict.  A key that carries a unit its field does not (trap widths in
-a0, masses in amu) is mapped onto its field by one table.  ``scheduler``
-also holds the decoherence rates, each >= 0.  An unknown section or key, a
+field annotations give the section's keys and their JSON types.  A key
+that carries a unit its field does not (trap widths in a0, masses in amu)
+is mapped onto its field by one table.  ``scheduler`` also holds the
+decoherence rates, each >= 0.  The Monte Carlo seed and sample count are
+``scan`` flags, not config keys.  An unknown section or key, a
 missing species key, a species name that ``--species`` cannot select or a
 value of the wrong JSON type fails every command, so typos cannot silently
 fall back to defaults, and every accepted key is read by some command.
@@ -74,7 +75,6 @@ class Config:
         self.blue_lattice = BlueLatticeSpec()
         self.geometry = TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0)
         self.scattering = ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=87.0 * ATOMIC_MASS)
-        self.mc = {"seed": 20260810, "samples": 1_000_000}
         self.scheduler = CompileParams()
         self.rates_hz = {"gamma_eff_blue": 0.6, "red_scattering": 1.0 / 120.0}
 
@@ -100,7 +100,6 @@ _SECTIONS = {
     "blue_lattice": _keys(BlueLatticeSpec),
     "geometry": _keys(TrapGeometry),
     "scattering": _keys(ScatteringParams),
-    "mc": {"seed": "int", "samples": "int"},
     "scheduler": {**_keys(CompileParams), "rates_hz": "dict[str, float]"},
 }
 
@@ -123,12 +122,6 @@ def load_config(path: str | Path | None) -> Config:
         cfg.species[name] = AtomSpecies(name=name, **body)
     doc = {section: checked_fields(_SECTIONS[section], body, section) for section, body in doc.items()}
     for section in [s for s in _SECTIONS if s in doc]:
-        if section == "mc":
-            from .interactions import check_mc_args  # loaded only for a config that has an mc section
-
-            cfg.mc = {**cfg.mc, **doc["mc"]}
-            check_mc_args(cfg.mc["samples"], cfg.mc["seed"])
-            continue
         fields = {}
         for key, value in doc[section].items():
             field, factor = _UNIT_KEYS.get(key, (key, None))

@@ -44,6 +44,8 @@ GAMMA_E_FIRST_PRINCIPLES_HZ = (
 )
 
 _MC_CHUNK = 1 << 14
+# checked before numpy is imported: sampling time grows with the count, and the cap is 1000 times scan's default
+MAX_MC_SAMPLES = 10**9
 
 
 class MonteCarloAverage(Record):
@@ -313,17 +315,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def check_mc_args(n_samples: int, seed) -> None:
-    """The sampler's checks on its sample count and seed, for callers that
-    check them before sampling."""
-    import numbers
-
-    if n_samples < 10**4:
-        raise DomainError(f"need at least 1e4 samples, got {n_samples}")
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise DomainError(f"MC seed must be a non-negative integer, got {seed!r}")
-
-
 def _mc_chunk_sums(geom, z0, n_samples, seed, cut2, chunks, buffers) -> list[tuple[float, float, int]]:
     """(sum f, sum f^2, kept) for each chunk in ``chunks``, in that order.
 
@@ -421,12 +412,19 @@ def dipolar_average_mc(
     usable CPU (at most one per chunk); worker w takes chunks w, w+k, ...
     and reuses one set of buffers of about 0.4 MB, allocated here.  The
     per-chunk sums are added in chunk order, so the result is bit-identical
-    whatever the number of workers.
+    whatever the number of workers.  The sample count (10^4 to
+    ``MAX_MC_SAMPLES``) and the seed are checked before numpy is imported.
     """
-    import numpy as np
+    import numbers
 
     _finite_z0(z0)
-    check_mc_args(n_samples, seed)
+    if n_samples < 10**4:
+        raise DomainError(f"need at least 1e4 samples, got {n_samples}")
+    if n_samples > MAX_MC_SAMPLES:
+        raise DomainError(f"need at most 1e9 samples, got {n_samples}")
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise DomainError(f"MC seed must be a non-negative integer, got {seed!r}")
+    import numpy as np
     from concurrent.futures import ThreadPoolExecutor  # off the import path of every other command
 
     n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK

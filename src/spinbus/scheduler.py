@@ -546,6 +546,9 @@ def schedule_from_json(text: str) -> Schedule:
         raise DomainError(f"idle_crosstalk_phase_rad must be >= 0, got {phase!r}")
     if infidelity != 0.5 * (float(phase) * phase):
         raise DomainError(f"idle_infidelity_estimate {infidelity!r} is not 0.5 * idle_crosstalk_phase_rad ** 2")
+    # the compiler writes math.remainder(phase, 2 pi), which it leaves unchanged, +-pi included
+    if math.remainder(body["global_phase_rad"], 2.0 * math.pi) != body["global_phase_rad"]:
+        raise DomainError(f"global_phase_rad {body['global_phase_rad']!r} is not reduced into [-pi, pi]")
     params = CompileParams(**_checked_fields(CompileParams, body["params"], "params"))
     circuit = tuple(parse_circuit("\n".join(lines)))
     _check_in_register(circuit, register)

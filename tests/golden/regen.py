@@ -71,6 +71,10 @@ def _cases() -> dict:
     cases["refuse-scan-points-1e20"] = (
         None, ["scan", "--z0-min", "100", "--z0-max", "200", "--points", "100000000000000000000"]
     )
+    cases["refuse-scan-samples-1e20"] = (
+        None, ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc",
+               "--samples", "100000000000000000000"]
+    )
     every_command = {
         "tables": ["tables", "--lattice", "red"],
         "transport": ["transport"],
@@ -83,6 +87,7 @@ def _cases() -> dict:
         "mistyped": {"geometry": {"a_qr_a0": "400"}},
         "deleted-key": {"scattering": {"nu_ref_hz": 172128}},
         "transport-section": {"transport": {"nu_trap_hz": 5e5}},
+        "mc-section": {"mc": {"seed": 7}},
     }
     for config_name, config in bad_configs.items():
         for command, argv in every_command.items():

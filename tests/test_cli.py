@@ -213,6 +213,13 @@ def test_scan_mc_byte_deterministic(capsys):
     assert out1 == out2 and "monte_carlo" in out1
 
 
+def test_scan_mc_defaults_are_seed_20260810_and_1e6_samples(capsys):
+    args = ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc"]
+    default = run(capsys, *args)
+    assert default == run(capsys, *args, "--seed", "20260810", "--samples", "1000000")
+    assert default[0] == 0 and "monte_carlo" in default[1]
+
+
 def test_scan_mc_agrees_with_quadrature(capsys):
     args = ["scan", "--z0-min", "600", "--z0-max", "900", "--points", "2"]
     code, out_q, _ = run(capsys, *args)
@@ -225,23 +232,14 @@ def test_scan_mc_agrees_with_quadrature(capsys):
 MC_SCAN = ["scan", "--z0-min", "600", "--z0-max", "900", "--points", "2", "--mode", "mc"]
 
 
-@pytest.mark.parametrize("flags, config, message", [
-    (["--samples", "10000", "--seed", "-1"], None, "MC seed must be a non-negative integer, got -1"),
-    (["--samples", "10000"], {"mc": {"seed": -3}}, "MC seed must be a non-negative integer, got -3"),
-    ([], {"mc": {"seed": 1.5}}, "mc.seed must be a JSON integer, got 1.5"),
-    ([], {"mc": {"seed": True}}, "mc.seed must be a JSON integer, got true"),
-    ([], {"mc": {"samples": 1.5}}, "mc.samples must be a JSON integer, got 1.5"),
-    ([], {"mc": {"samples": True}}, "mc.samples must be a JSON integer, got true"),
-    (["--samples", "0"], None, "need at least 1e4 samples, got 0"),
-], ids=["flag-seed-negative", "config-seed-negative", "config-seed-float", "config-seed-bool",
-        "config-samples-float", "config-samples-bool", "flag-samples-zero"])
-def test_scan_mc_bad_seed_or_samples_exit_1(capsys, tmp_path, flags, config, message):
-    prefix = []
-    if config is not None:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(config))
-        prefix = ["--config", str(cfg)]
-    code, out, err = run(capsys, *prefix, *MC_SCAN, *flags)
+@pytest.mark.parametrize("flags, message", [
+    (["--samples", "10000", "--seed", "-1"], "MC seed must be a non-negative integer, got -1"),
+    (["--samples", "0"], "need at least 1e4 samples, got 0"),
+    # refused before any sampling, which would otherwise run for days
+    (["--samples", "100000000000000000000"], "need at most 1e9 samples, got 100000000000000000000"),
+], ids=["flag-seed-negative", "flag-samples-zero", "flag-samples-1e20"])
+def test_scan_mc_bad_seed_or_samples_exit_1(capsys, flags, message):
+    code, out, err = run(capsys, *MC_SCAN, *flags)
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
@@ -653,7 +651,6 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
      'scheduler.rates_hz must be a JSON object of numbers, got {"red_scattering": null}'),
     ({"blue_lattice": {"rabi_hz": True}}, "blue_lattice.rabi_hz must be a JSON number, got true"),
     ({"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8}}}, "species.Fr is missing keys: lambda0_nm"),
-    ({"mc": []}, "config.mc must be a JSON object, got []"),
     # a key is escaped as in JSON, so the message stays on one line
     ({"species": {"\n": None}}, "species.\\n must be a JSON object"),
     # names that --species could never select
@@ -669,9 +666,8 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
     ({"scheduler": {"mass_amu": 0}}, "mass_kg must be positive, got 0.0"),
     ({"scheduler": {"max_move_duration_s": -1}}, "max_move_duration_s must be positive, got -1"),
     ({"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, "scheduler.rates_hz.gamma_eff_blue must be >= 0, got -1.0"),
-    # so is the sampler's, with the sampler's own messages
-    ({"mc": {"samples": -1}}, "need at least 1e4 samples, got -1"),
-    ({"mc": {"seed": -1}}, "MC seed must be a non-negative integer, got -1"),
+    # the Monte Carlo seed and sample count are scan flags only
+    ({"mc": {"seed": 7}}, "unknown keys in config: mc"),
     # its keys moved into the scheduler section
     ({"transport": {"nu_trap_hz": 982323.0}}, "unknown keys in config: transport"),
     # keys that no command read
@@ -680,10 +676,10 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
     ({"geometry": {"z0_a0": 1000}}, "unknown keys in geometry: z0_a0"),
     ({"scattering": {"nu_ref_hz": 172128}}, "unknown keys in scattering: nu_ref_hz"),
     (None, "cannot read config: [Errno 2] No such file or directory: 'cfg.json'"),
-], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key", "section-list",
+], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key",
         "species-name-newline", "species-name-empty", "species-name-comma", "species-name-padded",
         "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
-        "frequency-negative", "mass-zero", "move-cap-negative", "rate-negative", "mc-samples-negative", "mc-seed-negative",
+        "frequency-negative", "mass-zero", "move-cap-negative", "rate-negative", "former-mc-section",
         "former-transport-section", "former-species-linewidth", "former-geometry-z0", "former-scattering-nu-ref",
         "missing-file"])
 def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, monkeypatch, config, message):
@@ -869,8 +865,6 @@ def test_fuzzed_config_key_exits_cleanly_from_every_command(capsys, tmp_path, se
 
 # a second valid value for each leaf of the fuzzed config; a number not listed here is scaled by 1.5
 _OTHER_VALUES = {
-    ("mc", "seed"): 7,
-    ("mc", "samples"): 20_000,
     ("scheduler", "single_bit_mode"): "mediated",
     ("scheduler", "swap_primitive"): "xors",
     ("scheduler", "max_move_duration_s"): 1e-4,
@@ -881,7 +875,7 @@ _KEY_PROBES = (
     ["tables", "--lattice", "red"],
     ["tables", "--lattice", "blue"],
     ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "3"],
-    ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc"],
+    ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc", "--samples", "10000"],
     ["transport"],
     ["compile", "circuit.txt"],
 )
@@ -902,15 +896,14 @@ def test_every_config_key_moves_some_output(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     # the header idles parked between sites during the first H, where gate_separation_a0 sets its coupling
     Path("circuit.txt").write_text("H q0\nXOR q0 q1\n")
-    base = _replaced(FUZZ_CONFIG, ("mc", "samples"), 10_000)  # the MC scan takes its sample count from the config
-    reference = list(_probe_outputs(capsys, base))
+    reference = list(_probe_outputs(capsys, FUZZ_CONFIG))
     assert all(code == 0 for code, _, _ in reference)
     unread = []
-    for path in _paths(base):
-        value = functools.reduce(lambda node, key: node[key], path, base)
+    for path in _paths(FUZZ_CONFIG):
+        value = functools.reduce(lambda node, key: node[key], path, FUZZ_CONFIG)
         if isinstance(value, dict):
             continue
-        changed = _replaced(base, path, _OTHER_VALUES[path] if path in _OTHER_VALUES else 1.5 * value)
+        changed = _replaced(FUZZ_CONFIG, path, _OTHER_VALUES[path] if path in _OTHER_VALUES else 1.5 * value)
         if all(got == want for got, want in zip(_probe_outputs(capsys, changed), reference)):
             unread.append(".".join(path))
     assert unread == []

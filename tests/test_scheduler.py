@@ -238,6 +238,17 @@ def test_schedule_json_refuses_idle_totals_the_compiler_cannot_write(field, valu
         sch.schedule_from_json(json.dumps(doc))
 
 
+def test_schedule_json_loads_only_a_global_phase_the_compiler_can_write():
+    doc = json.loads(sch.schedule_to_json(sch.compile_circuit(sch.parse_circuit("XOR q0 q1\nH q0"), REG2)))
+    compiled = doc["global_phase_rad"]
+    assert compiled != 0.0
+    for phase in (compiled + 4 * math.pi, 3.5, -3.2):
+        with pytest.raises(DomainError, match=re.escape(f"global_phase_rad {phase!r} is not reduced into [-pi, pi]")):
+            sch.schedule_from_json(json.dumps({**doc, "global_phase_rad": phase}))
+    for phase in (math.pi, -math.pi, compiled):
+        assert sch.schedule_from_json(json.dumps({**doc, "global_phase_rad": phase})).global_phase_rad == phase
+
+
 def test_simulation_cap():
     n = sch.SIMULATION_QUBIT_CAP + 1
     s = sch.compile_circuit(sch.parse_circuit(f"X q{n - 1}"), sch.Register(n_qubits=n))
