@@ -2,9 +2,11 @@
 
 Commands: ``tables``, ``scan``, ``gatecheck``, ``transport``, ``compile``,
 ``simulate``; the global ``--config`` goes before the command and is loaded,
-and so checked, before any command runs.  The computing modules return data;
-this module writes every output, JSON through ``jsonio.dumps`` and CSV
-through ``_csv_text``.  All commands are deterministic given the config file
+and so checked, before any command runs.  Input files are read through
+``jsonio.read_text``.  The computing modules return data; this module writes
+every output as UTF-8, to stdout or ``--out``, JSON through ``jsonio.dumps``
+and CSV through ``_csv_text``; a stdout or file that cannot be written is a
+validation failure.  All commands are deterministic given the config file
 and seed, and write byte-identical output on repeated runs.  Exit codes:
 0 success (``--help`` included), 1 validation failure, 2 numerical failure.
 A failure writes one line to stderr: ``error: ...`` for exit 1,
@@ -23,15 +25,17 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import math
+import os
 import sys
 from pathlib import Path
 
 from . import traps
 from .config import Config, load_config
 from .errors import DomainError, NumericalError, SpinBusError
-from .jsonio import dumps, key_text
+from .jsonio import dumps, key_text, read_text
 from .units import ATOMIC_MASS
 
 EXIT_VALIDATION = 1
@@ -39,13 +43,22 @@ EXIT_NUMERICAL = 2
 
 
 def _emit(text: str, out: str | None):
-    if not out:
-        sys.stdout.write(text)
-        return
+    """Write ``text`` as UTF-8, whatever the locale, to the file ``out`` or to
+    stdout.  A stdout redirected in process to a text stream gets the text."""
     try:
-        Path(out).write_text(text)
+        if out:
+            Path(out).write_bytes(text.encode())
+        elif sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        elif hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.write(text.encode())
+            sys.stdout.buffer.flush()
+        else:
+            sys.stdout.write(text)
     except OSError as exc:
-        raise DomainError(f"cannot write {key_text(out)}: {exc.strerror}") from None
+        if not out and sys.stdout is not None:  # drop the unwritten bytes, which the flush at exit would retry
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise DomainError(f"cannot write {key_text(out) if out else 'stdout'}: {exc.strerror}") from None
 
 
 def _csv_text(fields, rows: list[dict]) -> str:
@@ -57,15 +70,6 @@ def _csv_text(fields, rows: list[dict]) -> str:
     for row in rows:
         writer.writerow([repr(v) if isinstance(v, float) else v for v in map(row.get, fields)])
     return buf.getvalue()
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise DomainError(f"{key_text(path)} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
-    except OSError as exc:
-        raise DomainError(f"cannot read {key_text(path)}: {exc.strerror}") from None
 
 
 def tables(args, cfg: Config):
@@ -157,7 +161,7 @@ def compile_cmd(args, cfg: Config):
     decoherence budget attached."""
     from . import scheduler
 
-    circuit = scheduler.parse_circuit(_read_text(args.circuit_file))
+    circuit = scheduler.parse_circuit(read_text(args.circuit_file))
     qubits = args.qubits
     if qubits is None:
         qubits = max((q for g in circuit for q in g.qubits), default=0) + 1
@@ -172,7 +176,7 @@ def simulate_cmd(args, cfg: Config):
     circuit; exits 2 after writing the report if they do not match."""
     from . import scheduler
 
-    schedule = scheduler.schedule_from_json(_read_text(args.schedule_file))
+    schedule = scheduler.schedule_from_json(read_text(args.schedule_file))
     report = scheduler.verify_schedule(schedule)
     _emit(dumps(report), args.out)
     if not report["matches"]:

@@ -1,4 +1,5 @@
-"""Run configuration: one JSON file, checked whole at load; flags win.
+"""Run configuration: one JSON file, read by ``jsonio.read_text`` as every
+input file is, and checked whole at load; flags win.
 
 Every section is optional; omitted keys take the architecture defaults
 (Rb register in the CO2 lattice, the reference interaction geometry).
@@ -19,10 +20,8 @@ the ``transport`` command both read it.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .errors import ConfigError, DomainError
-from .jsonio import checked_fields, key_text, loads_finite
+from .jsonio import checked_fields, key_text, loads_finite, read_text
 from .record import Record
 from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec, ScatteringParams, TrapGeometry
 from .units import ATOMIC_MASS
@@ -104,14 +103,13 @@ _SECTIONS = {
 }
 
 
-def load_config(path: str | Path | None) -> Config:
+def load_config(path: str | None) -> Config:
     cfg = Config()
     if path is None:
         return cfg
+    text = read_text(path)
     try:
-        doc = loads_finite(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from None
+        doc = loads_finite(text)
     except ValueError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     doc = checked_fields(dict.fromkeys(["species", *_SECTIONS], "dict"), doc, "config")

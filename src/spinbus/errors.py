@@ -22,4 +22,4 @@ class CircuitParseError(DomainError):
 
 
 class ConfigError(DomainError):
-    """A configuration file that cannot be read or is not valid JSON."""
+    """A configuration file that is not valid JSON."""

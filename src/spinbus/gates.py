@@ -193,14 +193,7 @@ def rwa_fidelity(p: StirringParams, duration_s: float, steps: int) -> GateReport
     frame = ops.expm_h(_S2Z, -p.omega_s * duration_s)  # e^{+i w_s T s2z}
     achieved = ops.matmul(frame, u_exact)
     target = ops.expm_h(effective_hamiltonian(p), duration_s)
-    return GateReport(
-        name="rwa",
-        target=target,
-        achieved=achieved,
-        fidelity=ops.fidelity(achieved, target),
-        global_phase=ops.global_phase(target, achieved),
-        step_doubling_distance=conv,
-    )
+    return _report("rwa", target, achieved).replace(step_doubling_distance=conv)
 
 
 def gate_identity_reports() -> list[GateReport]:

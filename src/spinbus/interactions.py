@@ -226,16 +226,8 @@ def adaptive_gk21(f, points, epsrel: float, limit: int) -> Quadrature:
 # series of the bracket at large |z|/a_r where the two terms cancel to
 # O((a_r/z)^4) and direct evaluation loses precision.
 
-def _double_factorial(n: int) -> int:
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
-
-
 # bracket ~ -(4 a_r^4/|z|^3) * sum_k d_k (a_r/z)^(2k),  d_k = (-1)^k (2k+1)!! (k+1)
-_SERIES = [(-1) ** k * _double_factorial(2 * k + 1) * (k + 1) for k in range(13)]
+_SERIES = [(-1) ** k * math.prod(range(2 * k + 1, 0, -2)) * (k + 1) for k in range(13)]
 _SERIES_SWITCH = 8.0  # in units of |z| / (sqrt(2) a_r)
 
 

@@ -1,14 +1,26 @@
-"""JSON text in and out.  Reading, shared by the config and schedule
-loaders, is strict: finite numbers only, and objects checked field by field
-against the annotations of the records they build.  Every JSON document
-spinbus writes goes through ``dumps``."""
+"""Text in and out.  ``read_text`` reads every input file as UTF-8.  JSON
+reading, shared by the config and schedule loaders, is strict: finite
+numbers only, and objects checked by ``checked_fields`` against the
+annotations of the records they build.  Every JSON document goes out
+through ``dumps``."""
 
 from __future__ import annotations
 
 import json
 import math
+from pathlib import Path
 
 from .errors import DomainError
+
+
+def read_text(path: str) -> str:
+    """The text of the file ``path``, decoded as UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{key_text(path)} is not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except OSError as exc:
+        raise DomainError(f"cannot read {key_text(path)}: {exc.strerror}") from None
 
 
 def _reject(token: str):
@@ -54,6 +66,8 @@ _JSON_TYPES = {
     "str": ("string", lambda v: isinstance(v, str)),
     "dict": ("object", lambda v: isinstance(v, dict)),
     "dict[str, float]": ("object of numbers", lambda v: isinstance(v, dict) and all(map(_number, v.values()))),
+    "tuple[LogicalGate, ...]": ("array of strings", lambda v: isinstance(v, list) and all(type(x) is str for x in v)),
+    "tuple[Primitive, ...]": ("array", lambda v: isinstance(v, list)),
 }
 
 

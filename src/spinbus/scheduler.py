@@ -80,9 +80,9 @@ def parse_circuit(text: str) -> list[LogicalGate]:
             raise CircuitParseError(f"line {lineno}: {why}: {raw.strip()!r}")
 
         def qubit(tok: str) -> int:
-            if not tok.startswith("q") or not tok[1:].isdigit():
+            if (index := _qubit_index(tok)) is None:
                 fail(f"expected a qubit like q0, got {tok!r}")
-            return int(tok[1:])
+            return index
 
         if name not in GATES:
             fail(f"unknown gate {name!r}; valid: {', '.join(GATES)}")
@@ -105,6 +105,15 @@ def parse_circuit(text: str) -> list[LogicalGate]:
     return out
 
 
+def _qubit_index(name) -> int | None:
+    """``i`` of the qubit name ``q<i>``, ``i`` in ASCII digits; None for any other name."""
+    digits = name[1:] if isinstance(name, str) and name[:1] == "q" else ""
+    try:
+        return int(digits) if digits.isascii() and digits.isdigit() else None
+    except ValueError:  # more digits than int() reads
+        return None
+
+
 class Register(Record):
     """Qubit sites at integer coordinates (spacing lambda_CO2/2) and the one
     header atom ``h0``, parked at an inter-site midpoint."""
@@ -116,6 +125,8 @@ class Register(Record):
     def _check(self):
         if self.n_qubits < 1:
             raise DomainError("register needs at least one qubit")
+        if self.n_qubits > 2**53:  # so that every site coordinate is an exact float
+            raise DomainError(f"register needs at most 2**53 qubits, got {self.n_qubits}")
         if not math.isfinite(self.header_position):
             raise DomainError(f"header position must be finite, got {self.header_position!r}")
         if self.site_spacing_m <= 0:
@@ -343,8 +354,8 @@ def _atom_site(atom: str, register: Register) -> int:
     """Tensor site of an atom: qubit q<i> is site i, the header h0 comes last."""
     if atom == "h0":
         return register.n_qubits
-    if isinstance(atom, str) and atom[:1] == "q" and atom[1:].isdigit() and int(atom[1:]) < register.n_qubits:
-        return int(atom[1:])
+    if (index := _qubit_index(atom)) is not None and index < register.n_qubits:
+        return index
     raise DomainError(f"unknown atom {atom!r}")
 
 
@@ -482,21 +493,13 @@ def schedule_to_json(schedule: Schedule) -> str:
 _PRIMITIVE_TYPES = {"move": Move, "swap": SwapStep, "ising": IsingPulse, "onebit": OneBit}
 
 
-def _checked_fields(cls, body, what: str) -> dict:
-    """A JSON object holding exactly the fields of record ``cls``."""
-    types = cls.__annotations__
-    if isinstance(body, dict) and body.keys() != types.keys():
-        raise DomainError(f"{what} needs exactly the fields {sorted(types)}, got {sorted(body)}")
-    return checked_fields(types, body, what)
-
-
 def _primitive_from_json(body, index: int, register: Register) -> Primitive:
     what = f"primitive {index}"
     kind = body.get("kind") if isinstance(body, dict) else None
     cls = _PRIMITIVE_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise DomainError(f"{what}: unknown kind {kind!r}; valid: {', '.join(_PRIMITIVE_TYPES)}")
-    body = _checked_fields(cls, body, what)
+    body = checked_fields(cls.__annotations__, body, what, cls.__annotations__)
     if "atoms" in body:
         atoms = body["atoms"]
         if not (isinstance(atoms, list) and len(atoms) == 2 and atoms[0] != atoms[1]):
@@ -530,14 +533,11 @@ def schedule_from_json(text: str) -> Schedule:
         raise DomainError("schedule must be a JSON object")
     if doc.get("format") != SCHEDULE_FORMAT:
         raise DomainError(f"unsupported schedule format {doc.get('format')!r}")
-    body = _checked_fields(Schedule, {k: v for k, v in doc.items() if k not in ("format", "budget")}, "schedule")
-    register = Register(**_checked_fields(Register, body["register"], "register"))
-    lines, prims = body["circuit"], body["primitives"]
-    if not (isinstance(lines, list) and all(isinstance(line, str) for line in lines)):
-        raise DomainError("schedule circuit must be a list of gate lines")
-    if not isinstance(prims, list):
-        raise DomainError("schedule primitives must be a list")
-    primitives = tuple(_primitive_from_json(p, i, register) for i, p in enumerate(prims))
+    body = {k: v for k, v in doc.items() if k not in ("format", "budget")}
+    body = checked_fields(Schedule.__annotations__, body, "schedule", Schedule.__annotations__)
+    register, params = (cls(**checked_fields(cls.__annotations__, body[key], key, cls.__annotations__))
+                        for key, cls in (("register", Register), ("params", CompileParams)))
+    primitives = tuple(_primitive_from_json(p, i, register) for i, p in enumerate(body["primitives"]))
     _check_timing(primitives, body["total_time_s"])
     # the compiler writes phi >= 0 and 0.5 * (phi * phi), both exact through JSON;
     # phi is squared as a float, so a huge JSON integer overflows to inf instead of raising
@@ -549,8 +549,7 @@ def schedule_from_json(text: str) -> Schedule:
     # the compiler writes math.remainder(phase, 2 pi), which it leaves unchanged, +-pi included
     if math.remainder(body["global_phase_rad"], 2.0 * math.pi) != body["global_phase_rad"]:
         raise DomainError(f"global_phase_rad {body['global_phase_rad']!r} is not reduced into [-pi, pi]")
-    params = CompileParams(**_checked_fields(CompileParams, body["params"], "params"))
-    circuit = tuple(parse_circuit("\n".join(lines)))
+    circuit = tuple(parse_circuit("\n".join(body["circuit"])))
     _check_in_register(circuit, register)
     return Schedule(**{**body, "register": register, "params": params, "circuit": circuit, "primitives": primitives})
 

@@ -32,11 +32,17 @@ README = CORPUS.parents[1] / "README.md"
 
 # one short circuit that uses every logical gate
 CIRCUIT = "X q0\nZ q1\nH q2\nPHASE1 q1 0.3\nXOR q0 q2\nSWAP q1 q0\nPHASE q2 q1\n"
+# the cases that compile another circuit: a qubit is q then ASCII digits, in at most 2**53 sites
+CIRCUITS = {
+    "refuse-compile-qubit-superscript": "X q\u00b2\n",
+    "refuse-compile-qubit-5000-digits": f"X q{'9' * 5000}\n",
+    "refuse-compile-register-beyond-2-53": "XOR q0 q9007199254740993\n",
+}
 
 
 def readme_config() -> dict:
     """The example config of the README's "Config file" section."""
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     return json.loads(text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
 
 
@@ -75,6 +81,8 @@ def _cases() -> dict:
         None, ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc",
                "--samples", "100000000000000000000"]
     )
+    for name in CIRCUITS:
+        cases[name] = (None, ["compile", "{circuit}"])
     every_command = {
         "tables": ["tables", "--lattice", "red"],
         "transport": ["transport"],
@@ -120,7 +128,7 @@ def run_case(name: str, workdir: Path) -> tuple[bytes, str, int]:
     """The output bytes, stderr and exit code of case ``name``, run in ``workdir``."""
     config, argv = CASES[name]
     circuit, out = workdir / "circuit.txt", workdir / "out"
-    circuit.write_text(CIRCUIT)
+    circuit.write_text(CIRCUITS.get(name, CIRCUIT), encoding="utf-8")
     argv = [arg.format(circuit=circuit, out=out) for arg in argv]
     if config is not None:
         (workdir / "config.json").write_text(json.dumps(config))

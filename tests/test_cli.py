@@ -1,4 +1,5 @@
 import csv
+import errno
 import functools
 import io
 import json
@@ -339,6 +340,28 @@ def test_compile_zero_qubits_rejected(capsys, tmp_path):
     assert "at least one qubit" in err
 
 
+@pytest.mark.parametrize("circuit, flags, size", [
+    ("XOR q0 q9007199254740993\n", [], 2**53 + 2),
+    (f"XOR q0 q{'9' * 400}\n", [], 10**400),
+    ("XOR q0 q1\n", ["--qubits", str(2**53 + 1)], 2**53 + 1),
+], ids=["inferred-beyond-2**53", "inferred-400-digits", "flag"])
+def test_compile_register_beyond_2_53_sites_exit_1(capsys, tmp_path, circuit, flags, size):
+    # a site coordinate past 2**53 rounds to another site's float
+    (tmp_path / "circuit.txt").write_text(circuit)
+    code, out, err = run(capsys, "compile", str(tmp_path / "circuit.txt"), *flags)
+    assert (code, out, err) == (1, "", f"error: register needs at most 2**53 qubits, got {size}\n")
+
+
+def test_compile_register_of_2_53_sites_reaches_its_last_site_exactly(capsys, tmp_path):
+    last = 2**53 - 1
+    (tmp_path / "circuit.txt").write_text(f"XOR q0 q{last}\n")
+    code, out, _ = run(capsys, "compile", str(tmp_path / "circuit.txt"))
+    assert code == 0
+    prims = json.loads(out)["primitives"]
+    assert [p["to_pos"] for p in prims if p["kind"] == "move"] == [0.0, last, 0.0]
+    assert [p["atoms"] for p in prims if p["kind"] == "ising"] == [["h0", f"q{last}"]]
+
+
 @pytest.mark.parametrize("angle", ["nan", "inf", "-inf"])
 def test_compile_non_finite_angle_rejected(capsys, tmp_path, angle):
     circuit = tmp_path / "circuit.txt"
@@ -348,6 +371,14 @@ def test_compile_non_finite_angle_rejected(capsys, tmp_path, angle):
     assert code == 1
     assert "line 2" in err and "finite" in err
     assert not schedule_path.exists()
+
+
+def _child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports this package, with
+    its stdout buffered as in a shell, and ``extra`` on top."""
+    src = str(Path(spinbus.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
 
 
 def _loads(module, tmp_path, *commands, preload="") -> bool:
@@ -370,9 +401,9 @@ def _loads(module, tmp_path, *commands, preload="") -> bool:
     )
     for name, value in (("COMMANDS", [list(c) for c in commands]), ("PRELOAD", preload), ("MODULE", module)):
         script = script.replace(name, repr(value))
-    src = str(Path(spinbus.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=_child_env(), capture_output=True, text=True
+    )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
 
@@ -494,8 +525,14 @@ def _bare_total_time(token):
 # defect -> (schedule text from a good schedule document, fragment of the error)
 SCHEDULE_DEFECTS = {
     "array": (lambda doc: json.dumps([doc]), "must be a JSON object"),
-    "no-register": (lambda doc: json.dumps(_without(doc, "register")), "needs exactly the fields"),
-    "no-primitives": (lambda doc: json.dumps(_without(doc, "primitives")), "needs exactly the fields"),
+    "no-register": (lambda doc: json.dumps(_without(doc, "register")), "schedule is missing keys: register"),
+    "no-primitives": (lambda doc: json.dumps(_without(doc, "primitives")), "schedule is missing keys: primitives"),
+    "circuit-not-lines": (
+        lambda doc: json.dumps({**doc, "circuit": "XOR q0 q1"}), "schedule.circuit must be a JSON array of strings"
+    ),
+    "primitives-not-array": (
+        lambda doc: json.dumps({**doc, "primitives": {}}), "schedule.primitives must be a JSON array, got {}"
+    ),
     "unknown-kind": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "kind": "warp"}), "'warp'"),
     "extra-field": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "colour": 1}), "primitive 0"),
     "missing-field": (lambda doc: _first_primitive(doc, _without(doc["primitives"][0], "start_s")), "primitive 0"),
@@ -539,6 +576,15 @@ def test_simulate_malformed_schedule_exit_1(capsys, tmp_path, defect):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and fragment in err and err.count("\n") == 1, err
+
+
+def test_simulate_register_beyond_2_53_sites_exit_1(capsys, tmp_path):
+    doc = _compiled_schedule(capsys, tmp_path)
+    doc["register"]["n_qubits"] = 2**53 + 1
+    edited = tmp_path / "edited.json"
+    edited.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "simulate", str(edited))
+    assert (code, out, err) == (1, "", f"error: register needs at most 2**53 qubits, got {2**53 + 1}\n")
 
 
 def test_simulate_refuses_edited_timing(capsys, tmp_path):
@@ -675,7 +721,7 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
      "unknown keys in species.Fr: linewidth_hz"),
     ({"geometry": {"z0_a0": 1000}}, "unknown keys in geometry: z0_a0"),
     ({"scattering": {"nu_ref_hz": 172128}}, "unknown keys in scattering: nu_ref_hz"),
-    (None, "cannot read config: [Errno 2] No such file or directory: 'cfg.json'"),
+    (None, "cannot read cfg.json: No such file or directory"),
 ], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key",
         "species-name-newline", "species-name-empty", "species-name-comma", "species-name-padded",
         "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
@@ -759,7 +805,7 @@ def test_scan_refuses_the_former_reference_trap_frequency_exit_1(capsys, tmp_pat
 
 def _readme_config() -> dict:
     """The example config of the README's "Config file" section."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return json.loads(text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
 
 
@@ -964,3 +1010,52 @@ def test_schedule_the_loader_accepts_simulates_without_error(data):
     except SpinBusError:
         return
     sch.simulate_schedule(schedule)  # two qubits, under the simulator's cap: nothing may raise
+
+
+@pytest.mark.parametrize("how, error", [
+    ("dev-full", errno.ENOSPC),
+    ("closed-pipe", errno.EPIPE),
+    ("closed-fd", errno.EBADF),
+], ids=["dev-full", "closed-pipe", "closed-fd"])
+def test_stdout_that_cannot_be_written_exit_1_with_one_error_line(tmp_path, how, error):
+    argv, stdout = [sys.executable, "-m", "spinbus.cli", "tables", "--lattice", "red"], None
+    if how == "dev-full":
+        if not Path("/dev/full").exists():
+            pytest.skip("needs /dev/full")
+        stdout = os.open("/dev/full", os.O_WRONLY)
+    elif how == "closed-pipe":
+        read_end, stdout = os.pipe()
+        os.close(read_end)
+    else:  # fd 1 closed, so that Python starts with sys.stdout None
+        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+    try:
+        proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), stdout=stdout, stderr=subprocess.PIPE, text=True)
+    finally:
+        if stdout is not None:
+            os.close(stdout)
+    # nothing more: no traceback, and no failed flush reported at exit
+    assert (proc.returncode, proc.stderr) == (1, f"error: cannot write stdout: {os.strerror(error)}\n")
+
+
+_RB87_CONFIG = {"species": {"Rb\u2078\u2077": {"mass_amu": 86.909, "alpha0_a03": 319.0, "lambda0_nm": 790.0}}}
+
+
+@pytest.mark.parametrize("locale_env", [
+    {"PYTHONIOENCODING": "ascii"},
+    {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+], ids=["ascii-stdout", "c-locale"])
+def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path, locale_env):
+    (tmp_path / "u.json").write_text(json.dumps(_RB87_CONFIG, ensure_ascii=False), encoding="utf-8")
+    argv = [sys.executable, "-m", "spinbus.cli", "--config", "u.json", "tables", "--lattice", "red"]
+
+    def spinbus_run(*extra, **env):
+        return subprocess.run([*argv, *extra], cwd=tmp_path, env=_child_env(**env), capture_output=True)
+
+    utf8 = spinbus_run(PYTHONUTF8="1")
+    assert (utf8.returncode, utf8.stderr) == (0, b"")
+    assert "\nRb\u2078\u2077,red,".encode() in utf8.stdout
+    local = spinbus_run(**locale_env)
+    assert (local.returncode, local.stdout, local.stderr) == (0, utf8.stdout, b"")
+    written = spinbus_run("--out", "t.csv", **locale_env)
+    assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
+    assert (tmp_path / "t.csv").read_bytes() == utf8.stdout

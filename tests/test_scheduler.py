@@ -430,3 +430,25 @@ def test_thousands_of_gates_fit_in_coherence_window():
     s = sch.compile_circuit(sch.parse_circuit("XOR q0 q1"), REG2)
     b = sch.budget(s, {"gamma_eff_blue": 0.6})
     assert 1.0 / b.ratio > 1000
+
+
+@pytest.mark.parametrize("token", ["q²", "q٣", "q" + "9" * 5000], ids=["superscript", "arabic-indic", "5000-digits"])
+def test_a_qubit_is_q_then_ascii_digits(token):
+    with pytest.raises(CircuitParseError, match=re.escape(f"line 1: expected a qubit like q0, got {token!r}")):
+        sch.parse_circuit(f"X {token}")
+    assert sch.parse_circuit("X q007")[0].qubits == (7,)  # leading zeros are ASCII digits
+
+
+@pytest.mark.parametrize("atom", ["q²", "q١", "q" + "9" * 5000], ids=["superscript", "arabic-indic", "5000-digits"])
+def test_schedule_json_atom_is_a_qubit_by_the_circuit_rule(atom):
+    doc = json.loads(sch.schedule_to_json(sch.compile_circuit(sch.parse_circuit("XOR q0 q1"), REG2)))
+    onebit = next(p for p in doc["primitives"] if p["kind"] == "onebit" and p["atom"] == "q1")
+    onebit["atom"] = atom  # the Arabic-Indic digit one was read as q1
+    with pytest.raises(DomainError, match=re.escape(f"unknown atom {atom!r}")):
+        sch.schedule_from_json(json.dumps(doc))
+
+
+def test_register_holds_at_most_2_53_qubits():
+    assert sch.Register(n_qubits=2**53).n_qubits == 2**53
+    with pytest.raises(DomainError, match=re.escape(f"register needs at most 2**53 qubits, got {2**53 + 1}")):
+        sch.Register(n_qubits=2**53 + 1)
