@@ -3,22 +3,22 @@
 Commands: ``tables``, ``scan``, ``gatecheck``, ``transport``, ``compile``,
 ``simulate``; the global ``--config`` goes before the command and is loaded,
 and so checked, before any command runs.  Input files are read through
-``jsonio.read_text``.  The computing modules return data; this module writes
-every output as UTF-8, to stdout or ``--out``, JSON through ``jsonio.dumps``
-and CSV through ``_csv_text``; a stdout or file that cannot be written is a
-validation failure.  All commands are deterministic given the config file
-and seed, and write byte-identical output on repeated runs.  Exit codes:
-0 success (``--help`` included), 1 validation failure, 2 numerical failure.
-A failure writes one line to stderr: ``error: ...`` for exit 1,
-``numerical failure: ...`` for exit 2; a usage error (unknown command or
-option, missing or malformed value) is a validation failure.
+``jsonio.read_text``.  The computing modules return data; ``_emit`` writes
+every byte, as UTF-8 whatever the locale: results (JSON through ``dumps``,
+CSV through ``_csv_text``) to stdout or ``--out``, ``--help`` to stdout and
+failure lines to stderr.  All commands are deterministic given the config
+file and seed, and write byte-identical output on repeated runs.  Exit
+codes: 0 success (``--help`` included), 1 validation failure (a usage error
+too, and a stdout or file that cannot be written), 2 numerical failure.  A
+failure writes one line to stderr, ``error: ...`` for exit 1, ``numerical
+failure: ...`` for exit 2; a line that cannot be written is dropped, and
+the exit code kept.
 
 The front end is the standard library's ``argparse``.  Each command imports
-the modules it uses when it runs.  Only ``scan --mode mc`` and, through the
-scheduler's simulation, ``simulate`` load numpy; ``tables``, ``transport``,
-``compile``, the quadrature ``scan`` and ``gatecheck``, whose 4 x 4 gate
-algebra runs on plain complex numbers, start without it, and only
-``compile`` and ``simulate`` load the scheduler.
+the modules it uses when it runs: only ``scan --mode mc`` and ``simulate``
+(the scheduler's simulation) load numpy, and only ``compile`` and
+``simulate`` the scheduler; ``gatecheck``'s 4 x 4 gate algebra runs on plain
+complex numbers.
 """
 
 from __future__ import annotations
@@ -42,23 +42,27 @@ EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
 
 
-def _emit(text: str, out: str | None):
-    """Write ``text`` as UTF-8, whatever the locale, to the file ``out`` or to
-    stdout.  A stdout redirected in process to a text stream gets the text."""
+def _emit(text: str, out: str | None, failure: bool = False):
+    """Write ``text`` as UTF-8, whatever the locale, to the file ``out`` or stdout,
+    or as a failure line to stderr: backslash-escaped where UTF-8 cannot encode
+    it, and dropped if unwritable.  An in-process text stream gets the text."""
+    stream = sys.stderr if failure else sys.stdout
     try:
         if out:
             Path(out).write_bytes(text.encode())
-        elif sys.stdout is None:  # fd 1 was closed when Python started
+        elif stream is None:  # the fd was closed when Python started
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
-        elif hasattr(sys.stdout, "buffer"):
-            sys.stdout.buffer.write(text.encode())
-            sys.stdout.buffer.flush()
+        elif hasattr(stream, "buffer"):
+            stream.buffer.write(text.encode(errors="backslashreplace" if failure else "strict"))
+            stream.buffer.flush()
         else:
-            sys.stdout.write(text)
+            stream.write(text)
     except OSError as exc:
-        if not out and sys.stdout is not None:  # drop the unwritten bytes, which the flush at exit would retry
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise DomainError(f"cannot write {key_text(out) if out else 'stdout'}: {exc.strerror}") from None
+        if not out and stream is not None:  # drop the unwritten bytes, which the flush at exit would retry
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), stream.fileno())
+        if not failure:
+            raise DomainError(f"cannot write {key_text(out) if out else 'stdout'}: {exc.strerror}") from None
 
 
 def _csv_text(fields, rows: list[dict]) -> str:
@@ -201,10 +205,12 @@ def _fidelity_float(text: str) -> float:
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse writes nothing itself: --help goes out through _emit, a usage error is a validation failure
     def error(self, message):
-        # a usage error is a validation failure: one ``error:`` line, exit 1
-        # (argparse itself prints the usage and exits 2)
         raise DomainError(message)
+
+    def print_help(self, file=None):
+        _emit(self.format_help(), None)
 
 
 def _parser() -> tuple[argparse.ArgumentParser, set]:
@@ -293,18 +299,14 @@ def main(argv=None) -> int:
     try:
         try:
             args = parser.parse_args(_attach_values(argv, valued))
-        except SystemExit as exc:  # --help prints the usage, then argparse exits
+        except SystemExit as exc:  # argparse exits after --help
             return exc.code
         args.func(args, load_config(args.config))
-    except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except SpinBusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+    except (KeyboardInterrupt, SpinBusError) as exc:
+        numerical = isinstance(exc, NumericalError)
+        message = "interrupted" if isinstance(exc, KeyboardInterrupt) else exc
+        _emit(f"{'numerical failure' if numerical else 'error'}: {message}\n", None, failure=True)
+        return EXIT_NUMERICAL if numerical else EXIT_VALIDATION
     return 0
 
 

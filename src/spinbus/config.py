@@ -8,14 +8,14 @@ field annotations give the section's keys and their JSON types.  A key
 that carries a unit its field does not (trap widths in a0, masses in amu)
 is mapped onto its field by one table.  ``scheduler`` also holds the
 decoherence rates, each >= 0.  The Monte Carlo seed and sample count are
-``scan`` flags, not config keys.  An unknown section or key, a
-missing species key, a species name that ``--species`` cannot select or a
-value of the wrong JSON type fails every command, so typos cannot silently
-fall back to defaults, and every accepted key is read by some command.
-All sections are type-checked before any is applied, in a fixed order, so a
-file with several faults names the same one whatever its key order.  The
-header trap is described once, in ``scheduler``: the compiler's moves and
-the ``transport`` command both read it.
+``scan`` flags, not config keys.  An unknown section or key, a missing
+species key, a species name that ``--species`` cannot select or UTF-8
+cannot encode, or a value of the wrong JSON type fails every command, so
+typos cannot silently fall back to defaults, and every accepted key is read
+by some command.  All sections are type-checked before any is applied, in a
+fixed order, so a file with several faults names the same one whatever its
+key order.  The header trap is described once, in ``scheduler``: the
+compiler's moves and the ``transport`` command both read it.
 """
 
 from __future__ import annotations
@@ -117,6 +117,8 @@ def load_config(path: str | None) -> Config:
         body = checked_fields(_SPECIES, body, f"species.{key_text(name)}", _SPECIES)
         if not name or "," in name or name != name.strip():  # --species could never select it
             raise DomainError(f'species name "{key_text(name)}" must be non-empty, without commas or outer whitespace')
+        if any("\ud800" <= c <= "\udfff" for c in name):  # valid JSON, but no output could write it
+            raise DomainError(f'species name "{key_text(name)}" holds an unpaired surrogate, which UTF-8 cannot encode')
         cfg.species[name] = AtomSpecies(name=name, **body)
     doc = {section: checked_fields(_SECTIONS[section], body, section) for section, body in doc.items()}
     for section in [s for s in _SECTIONS if s in doc]:

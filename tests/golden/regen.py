@@ -114,6 +114,8 @@ def _cases() -> dict:
     # species names that --species could never select fail at load
     fr = {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0}
     cases["refuse-config-species-names-tables"] = ({"species": {"": fr, "A,B": fr}}, every_command["tables"])
+    # a lone surrogate is valid JSON, but no output could write it as UTF-8
+    cases["refuse-config-species-name-surrogate-tables"] = ({"species": {"X\udce2": fr}}, every_command["tables"])
     # a negative rate fails at load, so even under gatecheck, which reads no rate
     cases["refuse-config-negative-rate-gatecheck"] = (
         {"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, every_command["gatecheck"]

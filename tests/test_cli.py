@@ -703,6 +703,8 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
     ({"species": {"": _FR, "A,B": _FR}}, f'species name "" {_UNSELECTABLE}'),
     ({"species": {"A,B": _FR}}, f'species name "A,B" {_UNSELECTABLE}'),
     ({"species": {" Fr": _FR}}, f'species name " Fr" {_UNSELECTABLE}'),
+    # valid JSON, but UTF-8 cannot encode a lone surrogate, so no table could hold it
+    ({"species": {"X\udce2": _FR}}, 'species name "X\\udce2" holds an unpaired surrogate, which UTF-8 cannot encode'),
     ({"geometry": {"bad\nkey": 1}}, "unknown keys in geometry: bad\\nkey"),
     ({"x\ny": {}}, "unknown keys in config: x\\ny"),
     # the header trap is range-checked at load, whichever command uses it
@@ -724,6 +726,7 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
     (None, "cannot read cfg.json: No such file or directory"),
 ], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key",
         "species-name-newline", "species-name-empty", "species-name-comma", "species-name-padded",
+        "species-name-surrogate",
         "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
         "frequency-negative", "mass-zero", "move-cap-negative", "rate-negative", "former-mc-section",
         "former-transport-section", "former-species-linewidth", "former-geometry-z0", "former-scattering-nu-ref",
@@ -1012,22 +1015,34 @@ def test_schedule_the_loader_accepts_simulates_without_error(data):
     sch.simulate_schedule(schedule)  # two qubits, under the simulator's cap: nothing may raise
 
 
-@pytest.mark.parametrize("how, error", [
-    ("dev-full", errno.ENOSPC),
-    ("closed-pipe", errno.EPIPE),
-    ("closed-fd", errno.EBADF),
-], ids=["dev-full", "closed-pipe", "closed-fd"])
-def test_stdout_that_cannot_be_written_exit_1_with_one_error_line(tmp_path, how, error):
-    argv, stdout = [sys.executable, "-m", "spinbus.cli", "tables", "--lattice", "red"], None
+def _unwritable(how: str, argv: list, fd: int) -> tuple[list, int | None]:
+    """``argv``, and the fd to pass as stream ``fd``, for a stream that cannot be
+    written: /dev/full, a pipe whose reader has gone, or a fd closed at start."""
     if how == "dev-full":
         if not Path("/dev/full").exists():
             pytest.skip("needs /dev/full")
-        stdout = os.open("/dev/full", os.O_WRONLY)
-    elif how == "closed-pipe":
-        read_end, stdout = os.pipe()
+        return argv, os.open("/dev/full", os.O_WRONLY)
+    if how == "closed-pipe":
+        read_end, write_end = os.pipe()
         os.close(read_end)
-    else:  # fd 1 closed, so that Python starts with sys.stdout None
-        argv = ["sh", "-c", 'exec "$@" >&-', "sh", *argv]
+        return argv, write_end
+    # closed, so that Python starts with the sys stream None
+    return ["sh", "-c", f'exec "$@" {fd}>&-', "sh", *argv], None
+
+
+_CLI = [sys.executable, "-m", "spinbus.cli"]
+
+
+@pytest.mark.parametrize("how, error, argv", [
+    ("dev-full", errno.ENOSPC, ["tables", "--lattice", "red"]),
+    ("closed-pipe", errno.EPIPE, ["tables", "--lattice", "red"]),
+    ("closed-fd", errno.EBADF, ["tables", "--lattice", "red"]),
+    ("dev-full", errno.ENOSPC, ["--help"]),
+    ("closed-pipe", errno.EPIPE, ["--help"]),
+    ("closed-fd", errno.EBADF, ["--help"]),
+], ids=["dev-full", "closed-pipe", "closed-fd", "help-dev-full", "help-closed-pipe", "help-closed-fd"])
+def test_stdout_that_cannot_be_written_exit_1_with_one_error_line(tmp_path, how, error, argv):
+    argv, stdout = _unwritable(how, [*_CLI, *argv], 1)
     try:
         proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), stdout=stdout, stderr=subprocess.PIPE, text=True)
     finally:
@@ -1035,6 +1050,22 @@ def test_stdout_that_cannot_be_written_exit_1_with_one_error_line(tmp_path, how,
             os.close(stdout)
     # nothing more: no traceback, and no failed flush reported at exit
     assert (proc.returncode, proc.stderr) == (1, f"error: cannot write stdout: {os.strerror(error)}\n")
+
+
+@pytest.mark.parametrize("how", ["dev-full", "closed-fd"])
+@pytest.mark.parametrize("config, lattice, code", [
+    ({}, "green", 1),  # a validation failure: green is not a lattice
+    ({"red_lattice": {"wavelength_m": 1e300}}, "red", 2),  # a numerical one: nu_osc underflows to 0
+], ids=["validation", "numerical"])
+def test_failure_line_that_cannot_be_written_keeps_its_exit_code(tmp_path, how, config, lattice, code):
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    argv, stderr = _unwritable(how, [*_CLI, "--config", "cfg.json", "tables", "--lattice", lattice], 2)
+    try:
+        proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), stdout=subprocess.PIPE, stderr=stderr)
+    finally:
+        if stderr is not None:
+            os.close(stderr)
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 _RB87_CONFIG = {"species": {"Rb\u2078\u2077": {"mass_amu": 86.909, "alpha0_a03": 319.0, "lambda0_nm": 790.0}}}
@@ -1046,16 +1077,22 @@ _RB87_CONFIG = {"species": {"Rb\u2078\u2077": {"mass_amu": 86.909, "alpha0_a03":
 ], ids=["ascii-stdout", "c-locale"])
 def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path, locale_env):
     (tmp_path / "u.json").write_text(json.dumps(_RB87_CONFIG, ensure_ascii=False), encoding="utf-8")
-    argv = [sys.executable, "-m", "spinbus.cli", "--config", "u.json", "tables", "--lattice", "red"]
+    (tmp_path / "c.txt").write_text("X q\u00b2\n", encoding="utf-8")
+    table = ["--config", "u.json", "tables", "--lattice", "red"]
 
-    def spinbus_run(*extra, **env):
-        return subprocess.run([*argv, *extra], cwd=tmp_path, env=_child_env(**env), capture_output=True)
+    def spinbus_run(*argv, **env):
+        return subprocess.run([*_CLI, *argv], cwd=tmp_path, env=_child_env(**env), capture_output=True)
 
-    utf8 = spinbus_run(PYTHONUTF8="1")
+    utf8 = spinbus_run(*table, PYTHONUTF8="1")
     assert (utf8.returncode, utf8.stderr) == (0, b"")
     assert "\nRb\u2078\u2077,red,".encode() in utf8.stdout
-    local = spinbus_run(**locale_env)
+    local = spinbus_run(*table, **locale_env)
     assert (local.returncode, local.stdout, local.stderr) == (0, utf8.stdout, b"")
-    written = spinbus_run("--out", "t.csv", **locale_env)
+    written = spinbus_run(*table, "--out", "t.csv", **locale_env)
     assert (written.returncode, written.stdout, written.stderr) == (0, b"", b"")
     assert (tmp_path / "t.csv").read_bytes() == utf8.stdout
+    # a failure line too: the same bytes, not the locale's escapes
+    refused = [spinbus_run("compile", "c.txt", **env) for env in ({"PYTHONUTF8": "1"}, locale_env)]
+    assert [(r.returncode, r.stdout, r.stderr) for r in refused] == [
+        (1, b"", "error: line 1: expected a qubit like q0, got 'q\u00b2': 'X q\u00b2'\n".encode())
+    ] * 2

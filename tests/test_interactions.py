@@ -229,16 +229,21 @@ def test_dipolar_average_raises_when_the_integrator_gives_up(monkeypatch):
         ia.dipolar_average(REF_GEOM, REF_Z0)
 
 
-def test_dipolar_average_raises_on_a_large_error_estimate(monkeypatch):
-    real = ia.adaptive_gk21
+def test_dipolar_average_enforces_a_1e_10_relative_tolerance(monkeypatch):
+    # converged means an error estimate of at most 1e-10 |value|, so the
+    # quadrature needs no looser bound of its own
+    calls, real = [], ia.adaptive_gk21
 
-    def loose(*args, **kwargs):
-        quad = real(*args, **kwargs)
-        return quad.replace(abserr=1e-6 * abs(quad.value))
+    def recorded(*args, **kwargs):
+        calls.append((kwargs["epsrel"], quad := real(*args, **kwargs)))
+        return quad
 
-    monkeypatch.setattr(ia, "adaptive_gk21", loose)
-    with pytest.raises(NumericalError, match=r"value=.*abserr=.*subintervals="):
-        ia.dipolar_average(REF_GEOM, REF_Z0)
+    monkeypatch.setattr(ia, "adaptive_gk21", recorded)
+    for z0 in (1.0, REF_Z0, 1e4):
+        ia.dipolar_average(REF_GEOM, z0)
+    assert len(calls) == 3
+    for epsrel, quad in calls:
+        assert epsrel == 1e-10 and quad.converged and quad.abserr <= 1e-10 * abs(quad.value)
 
 
 # --- Gaussian-averaged dipolar integral -------------------------------------
