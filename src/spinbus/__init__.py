@@ -4,26 +4,13 @@ second species carries quantum state between them.
 
 Importing the package loads no submodule, so a command that needs no arrays
 never imports numpy; import the modules by name (``from spinbus import
-scheduler``).
+scheduler``).  Every error is a ``SpinBusError``: a ``DomainError`` when an
+input is refused, a ``NumericalError`` when computing from accepted inputs
+fails.
 """
 
-from .errors import (
-    CircuitParseError,
-    ConfigError,
-    DomainError,
-    NumericalError,
-    PlanningError,
-    SpinBusError,
-)
+from .errors import DomainError, NumericalError, SpinBusError
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SpinBusError",
-    "DomainError",
-    "NumericalError",
-    "PlanningError",
-    "CircuitParseError",
-    "ConfigError",
-    "__version__",
-]
+__all__ = ["SpinBusError", "DomainError", "NumericalError", "__version__"]

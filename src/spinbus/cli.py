@@ -8,11 +8,13 @@ every byte, as UTF-8 whatever the locale: results (JSON through ``dumps``,
 CSV through ``_csv_text``) to stdout or ``--out``, ``--help`` to stdout and
 failure lines to stderr.  All commands are deterministic given the config
 file and seed, and write byte-identical output on repeated runs.  Exit
-codes: 0 success (``--help`` included), 1 validation failure (a usage error
-too, and a stdout or file that cannot be written), 2 numerical failure.  A
-failure writes one line to stderr, ``error: ...`` for exit 1, ``numerical
-failure: ...`` for exit 2; a line that cannot be written is dropped, and
-the exit code kept.
+codes: 0 success (``--help`` included), 1 for a ``DomainError``, an input
+refused (a usage error too, a NaN or infinite float flag, and a stdout or
+file that cannot be written), 2 for a ``NumericalError``, computing from
+accepted inputs failed.  A failure writes one line to stderr, ``error: ...``
+for exit 1, ``numerical failure: ...`` for exit 2; a line that cannot be
+written is dropped, and the exit code kept.  ``transport`` plans with the
+compiler's header trap and move cap, so it fails a move as ``compile`` does.
 
 The front end is the standard library's ``argparse``.  Each command imports
 the modules it uses when it runs: only ``scan --mode mc`` and ``simulate``
@@ -152,11 +154,11 @@ def transport_cmd(args, cfg: Config):
     """Plan an adiabatic header translation and report the excitation numbers."""
     from . import transport
 
-    trap = cfg.scheduler  # the header trap the compiler's moves use
+    trap = cfg.scheduler  # the header trap and move cap the compiler's moves use
     nu = args.nu_trap_hz if args.nu_trap_hz is not None else trap.trap_frequency_hz
     mass = args.mass_amu * ATOMIC_MASS if args.mass_amu is not None else trap.mass_kg
     p_budget = args.budget if args.budget is not None else trap.p_budget
-    result = transport.plan_transport(args.distance_m, 2.0 * math.pi * nu, mass, p_budget)
+    result = transport.plan_transport(args.distance_m, 2.0 * math.pi * nu, mass, p_budget, trap.max_move_duration_s)
     _emit(dumps(result.as_dict()), args.out)
 
 
@@ -243,8 +245,8 @@ def _parser() -> tuple[argparse.ArgumentParser, set]:
     option(p, "--out")
 
     p = command("scan", scan)
-    option(p, "--z0-min", type=float, required=True, help="Smallest separation, a0.")
-    option(p, "--z0-max", type=float, required=True)
+    option(p, "--z0-min", type=_finite_float, required=True, help="Smallest separation, a0.")
+    option(p, "--z0-max", type=_finite_float, required=True)
     option(p, "--points", type=int, required=True)
     option(p, "--mode", choices=["quadrature", "mc"], default="quadrature")
     option(p, "--gamma-mode", choices=list(traps.GAMMA_MODES), default="calibrated")
@@ -258,10 +260,10 @@ def _parser() -> tuple[argparse.ArgumentParser, set]:
     option(p, "--out")
 
     p = command("transport", transport_cmd)
-    option(p, "--distance-m", type=float, default=traps.CO2_WAVELENGTH_M / 2.0, help="(default: %(default)s)")
-    option(p, "--nu-trap-hz", type=float, help="Header trap frequency, Hz (default: scheduler.trap_frequency_hz).")
-    option(p, "--mass-amu", type=float, help="Header mass (default: scheduler.mass_amu).")
-    option(p, "--budget", type=float, help="Excitation probability budget (default: scheduler.p_budget).")
+    option(p, "--distance-m", type=_finite_float, default=traps.CO2_WAVELENGTH_M / 2.0, help="(default: %(default)s)")
+    option(p, "--nu-trap-hz", type=_finite_float, help="Header trap frequency, Hz (default: scheduler.trap_frequency_hz).")
+    option(p, "--mass-amu", type=_finite_float, help="Header mass (default: scheduler.mass_amu).")
+    option(p, "--budget", type=_finite_float, help="Excitation probability budget (default: scheduler.p_budget).")
     option(p, "--out")
 
     p = command("compile", compile_cmd)

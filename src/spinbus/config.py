@@ -20,7 +20,7 @@ compiler's moves and the ``transport`` command both read it.
 
 from __future__ import annotations
 
-from .errors import ConfigError, DomainError
+from .errors import DomainError
 from .jsonio import checked_fields, key_text, loads_finite, read_text
 from .record import Record
 from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec, ScatteringParams, TrapGeometry
@@ -111,7 +111,7 @@ def load_config(path: str | None) -> Config:
     try:
         doc = loads_finite(text)
     except ValueError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from None
+        raise DomainError(f"config is not valid JSON: {exc}") from None
     doc = checked_fields(dict.fromkeys(["species", *_SECTIONS], "dict"), doc, "config")
     for name, body in doc.pop("species", {}).items():
         body = checked_fields(_SPECIES, body, f"species.{key_text(name)}", _SPECIES)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one class per CLI exit code; a
+message names what failed, and the class says only which of the two codes:
+an input refused (a flag, circuit text, a config or schedule file) or a
+computation from accepted inputs that failed (float range, convergence)."""
 
 
 class SpinBusError(Exception):
@@ -6,20 +9,8 @@ class SpinBusError(Exception):
 
 
 class DomainError(SpinBusError, ValueError):
-    """Invalid physical input, argument, or configuration (CLI exit code 1)."""
+    """An input is refused (CLI exit code 1)."""
 
 
 class NumericalError(SpinBusError, RuntimeError):
-    """A numerical procedure failed to converge or breached a threshold (CLI exit code 2)."""
-
-
-class PlanningError(NumericalError):
-    """Transport planning could not satisfy the excitation budget."""
-
-
-class CircuitParseError(DomainError):
-    """Malformed circuit text; message names the offending line."""
-
-
-class ConfigError(DomainError):
-    """A configuration file that is not valid JSON."""
+    """Computing from accepted inputs failed (CLI exit code 2)."""

@@ -15,14 +15,16 @@ the transform is analytic and the excitation scales as exp(-2 w_t tau):
 adiabaticity depends on w_t tau alone, not on the peak speed reached.
 
 Every pulse here is that Lorentzian, so each quantity is a closed form in
-plain ``math``.
+plain ``math``.  ``plan_transport`` refuses an input outside its range with
+DomainError; a plan that leaves float range, or a transit window over the
+cap, is a NumericalError, as the compiler's MOVEs and ``transport`` report it.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import DomainError, PlanningError
+from .errors import DomainError, NumericalError
 from .record import Record
 from .units import HBAR
 
@@ -130,7 +132,8 @@ def plan_transport(
     it is smooth.
 
     The plan meets the budget exactly (``p_exact <= p_budget``).  Inputs
-    whose plan overflows a float raise DomainError.
+    whose plan leaves float range, or whose transit window exceeds
+    ``max_duration_s``, raise NumericalError.
     """
     named = (("distance_m", distance_m), ("omega_t", omega_t), ("mass_kg", mass_kg), ("p_budget", p_budget))
     if max_duration_s is not None:
@@ -147,15 +150,15 @@ def plan_transport(
         raise DomainError("distance must be >= 0")
     try:
         result = _plan(distance_m, omega_t, mass_kg, p_budget)
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, DomainError):  # DomainError: an overflowed pulse amplitude
         result = None
     if result is None or not all(map(math.isfinite, result.as_dict().values())):
-        raise DomainError(
+        raise NumericalError(
             f"distance_m {distance_m}, omega_t {omega_t} and mass_kg {mass_kg} "
             "take the plan out of float range"
         )
     if max_duration_s is not None and result.transit_time_s > max_duration_s:
-        raise PlanningError(
+        raise NumericalError(
             f"budget {p_budget} needs a {result.transit_time_s:.3e} s transit window, "
             f"over the {max_duration_s:.3e} s cap"
         )

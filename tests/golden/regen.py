@@ -81,6 +81,7 @@ def _cases() -> dict:
         None, ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc",
                "--samples", "100000000000000000000"]
     )
+    cases["refuse-transport-nu-trap-hz-nan"] = (None, ["transport", "--nu-trap-hz", "nan"])
     for name in CIRCUITS:
         cases[name] = (None, ["compile", "{circuit}"])
     every_command = {
@@ -116,6 +117,10 @@ def _cases() -> dict:
     cases["refuse-config-species-names-tables"] = ({"species": {"": fr, "A,B": fr}}, every_command["tables"])
     # a lone surrogate is valid JSON, but no output could write it as UTF-8
     cases["refuse-config-species-name-surrogate-tables"] = ({"species": {"X\udce2": fr}}, every_command["tables"])
+    # a half-site move over the move cap: transport fails it as compile does
+    cases["refuse-config-move-cap-transport"] = (
+        {"scheduler": {"max_move_duration_s": 1e-5}}, ["transport", "--distance-m", "2.65e-06"]
+    )
     # a negative rate fails at load, so even under gatecheck, which reads no rate
     cases["refuse-config-negative-rate-gatecheck"] = (
         {"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, every_command["gatecheck"]

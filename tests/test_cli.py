@@ -52,6 +52,15 @@ def test_usage_error_exit_1_with_one_error_line(capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+def test_every_error_is_a_domain_or_a_numerical_error():
+    """One class per exit code: DomainError exits 1, NumericalError 2."""
+    from spinbus import errors
+
+    defined = {c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, spinbus.SpinBusError)}
+    assert defined == {spinbus.SpinBusError, spinbus.DomainError, spinbus.NumericalError}
+    assert sorted(spinbus.__all__) == sorted(["SpinBusError", "DomainError", "NumericalError", "__version__"])
+
+
 @pytest.mark.parametrize("argv, usage", [
     (["--help"], "usage: spinbus "),
     (["scan", "--help"], "usage: spinbus scan "),
@@ -320,15 +329,17 @@ def test_transport_command_meets_budget(capsys):
     assert set(doc) >= {"distance", "tau", "transit_time", "p_first_order", "p_exact", "phase"}
 
 
-@pytest.mark.parametrize(
-    "flag, value, arg",
-    [("--distance-m", "nan", "distance_m"), ("--distance-m", "inf", "distance_m"), ("--nu-trap-hz", "nan", "omega_t")],
-)
-def test_transport_non_finite_flag_named(capsys, flag, value, arg):
-    code, out, err = run(capsys, "transport", flag, value)
-    assert code == 1
-    assert out == ""
-    assert f"{arg} must be finite" in err
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("argv, flag", [
+    (["scan", "--z0-max", "2500", "--points", "2"], "--z0-min"),
+    (["scan", "--z0-min", "200", "--points", "2"], "--z0-max"),
+    (["transport"], "--distance-m"),
+    (["transport"], "--nu-trap-hz"),
+    (["transport"], "--mass-amu"),
+    (["transport"], "--budget"),
+])
+def test_transport_non_finite_flag_named(capsys, argv, flag, value):
+    assert run(capsys, *argv, flag, value) == (1, "", f"error: argument {flag}: invalid finite float value: {value!r}\n")
 
 
 def test_compile_zero_qubits_rejected(capsys, tmp_path):
@@ -756,6 +767,13 @@ def test_one_header_trap_drives_transport_and_the_compiler(capsys, tmp_path):
     first_move = next(p for p in json.loads(schedule)["primitives"] if p["kind"] == "move")
     assert abs(first_move["to_pos"] - first_move["from_pos"]) == 0.5
     assert json.loads(out)["tau"] == first_move["tau_s"]
+    # a move over the cap, or out of float range, fails both commands with one numerical failure line
+    over_cap = "numerical failure: budget 0.0001 needs a 2.012e-04 s transit window, over the 1.000e-05 s cap\n"
+    for config, err in [({"scheduler": {"max_move_duration_s": 1e-5}}, over_cap),
+                        ({"scheduler": {"trap_frequency_hz": 1e-300}}, "numerical failure: distance_m 2.65e-06, ")]:
+        failed = _run_with_config(capsys, tmp_path, config, "transport", "--distance-m", half_site)
+        assert failed == _run_with_config(capsys, tmp_path, config, "compile", str(tmp_path / "circuit.txt"))
+        assert failed[:2] == (2, "") and failed[2].startswith(err) and failed[2].count("\n") == 1, failed
 
 
 @pytest.mark.parametrize("scheduler, code, message", [

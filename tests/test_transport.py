@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from spinbus import transport as tr
 from spinbus import units
-from spinbus.errors import DomainError, PlanningError
+from spinbus.errors import DomainError, NumericalError
 
 OMEGA_T = 2 * math.pi * 982_323.0        # Rb blue-trap frequency
 MASS = 87 * units.ATOMIC_MASS
@@ -154,7 +154,7 @@ def test_plan_speed_independence():
 
 
 def test_plan_duration_cap():
-    with pytest.raises(PlanningError):
+    with pytest.raises(NumericalError, match=r"^budget 1e-12 needs a .* s transit window, over the 1\.000e-05 s cap$"):
         tr.plan_transport(5.3e-6, OMEGA_T, MASS, 1e-12, max_duration_s=1e-5)
 
 
@@ -181,7 +181,7 @@ def test_plan_rejects_non_finite_inputs(arg, bad):
 def _transit_or_none(distance, omega_t, p_budget):
     try:
         result = tr.plan_transport(distance, omega_t, MASS, p_budget)
-    except DomainError:
+    except NumericalError:
         return None
     assert all(map(math.isfinite, result.as_dict().values()))
     assert result.p_exact <= p_budget and result.adiabatic
@@ -208,16 +208,19 @@ def test_plan_meets_budget_and_transit_grows_with_distance(distances, omega_t, p
     st.floats(0.0, exclude_min=True, allow_infinity=False),
     st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
 )
-def test_plan_at_any_float_scale_meets_budget_or_raises_domain_error(distances, omega_t, p_budget):
+def test_plan_at_any_float_scale_meets_budget_or_raises_numerical_error(distances, omega_t, p_budget):
     near, far = (_transit_or_none(d, omega_t, p_budget) for d in distances)
     if near is not None and far is not None:
         assert near <= far
 
 
-def test_plan_out_of_float_range_is_a_domain_error():
+def test_plan_out_of_float_range_is_a_numerical_error():
     for args in ((1e200, OMEGA_T), (1e150, OMEGA_T), (5.3e-6, 1e-300), (5.3e-6, 1e300)):
-        with pytest.raises(DomainError, match="out of float range"):
+        with pytest.raises(NumericalError, match="out of float range"):
             tr.plan_transport(*args, MASS, 1e-4)
+    # the pulse amplitude M w_t d / pi overflows while its inputs are in range
+    with pytest.raises(NumericalError, match=r"^distance_m 1\.0, omega_t 1e\+300 .* out of float range$"):
+        tr.plan_transport(1.0, 1e300, 1e10, 1e-4)
     # a sub-femtometre move underflows n0 to 0 and takes the 0.1/w_t floor
     result = tr.plan_transport(5e-324, OMEGA_T, MASS, 1e-4)
     assert result.tau_s == 0.1 / OMEGA_T and result.p_exact == 0.0
