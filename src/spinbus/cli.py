@@ -38,7 +38,7 @@ from . import traps
 from .config import Config, load_config
 from .errors import DomainError, NumericalError, SpinBusError
 from .jsonio import dumps, key_text, read_text
-from .units import ATOMIC_MASS
+from .units import amu_to_kg
 
 EXIT_VALIDATION = 1
 EXIT_NUMERICAL = 2
@@ -155,8 +155,10 @@ def transport_cmd(args, cfg: Config):
     from . import transport
 
     trap = cfg.scheduler  # the header trap and move cap the compiler's moves use
+    if args.nu_trap_hz is not None and not args.nu_trap_hz > 0:
+        raise DomainError(f"--nu-trap-hz must be positive, got {args.nu_trap_hz!r}")
     nu = args.nu_trap_hz if args.nu_trap_hz is not None else trap.trap_frequency_hz
-    mass = args.mass_amu * ATOMIC_MASS if args.mass_amu is not None else trap.mass_kg
+    mass = amu_to_kg(args.mass_amu, "--mass-amu") if args.mass_amu is not None else trap.mass_kg
     p_budget = args.budget if args.budget is not None else trap.p_budget
     result = transport.plan_transport(args.distance_m, 2.0 * math.pi * nu, mass, p_budget, trap.max_move_duration_s)
     _emit(dumps(result.as_dict()), args.out)

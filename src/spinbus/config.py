@@ -6,16 +6,18 @@ Every section is optional; omitted keys take the architecture defaults
 Each section fills the ``Config`` attribute of its name: a record whose
 field annotations give the section's keys and their JSON types.  A key
 that carries a unit its field does not (trap widths in a0, masses in amu)
-is mapped onto its field by one table.  ``scheduler`` also holds the
-decoherence rates, each >= 0.  The Monte Carlo seed and sample count are
-``scan`` flags, not config keys.  An unknown section or key, a missing
-species key, a species name that ``--species`` cannot select or UTF-8
-cannot encode, or a value of the wrong JSON type fails every command, so
-typos cannot silently fall back to defaults, and every accepted key is read
-by some command.  All sections are type-checked before any is applied, in a
-fixed order, so a file with several faults names the same one whatever its
-key order.  The header trap is described once, in ``scheduler``: the
-compiler's moves and the ``transport`` command both read it.
+is mapped onto its field by one table, and a mass is checked in the amu
+typed: one not positive is refused, one that underflows to 0 kg is a
+numerical failure.  ``scheduler`` also holds the decoherence rates, each
+>= 0.  The Monte Carlo seed and sample count are ``scan`` flags, not config
+keys.  An unknown section or key, a missing species key, a species name
+that ``--species`` cannot select or UTF-8 cannot encode, or a value of the
+wrong JSON type fails every command, so typos cannot silently fall back to
+defaults, and every accepted key is read by some command.  All sections
+are type-checked before any is applied, in a fixed order, so a file with
+several faults names the same one whatever its key order.  The header trap
+is described once, in ``scheduler``: the compiler's moves and the
+``transport`` command both read it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from .errors import DomainError
 from .jsonio import checked_fields, key_text, loads_finite, read_text
 from .record import Record
 from .traps import SPECIES, AtomSpecies, BlueLatticeSpec, RedLatticeSpec, ScatteringParams, TrapGeometry
-from .units import ATOMIC_MASS
+from .units import ATOMIC_MASS, amu_to_kg
 
 
 class CompileParams(Record):
@@ -78,11 +80,12 @@ class Config:
         self.rates_hz = {"gamma_eff_blue": 0.6, "red_scattering": 1.0 / 120.0}
 
 
-# the keys that carry a unit their record field does not:
-# JSON key -> (field, factor into the field's unit, None where only the name differs)
+# the keys that carry a unit their record field does not: JSON key -> (field,
+# converter into the field's unit, called with the value and its name; None
+# where only the name differs)
 _UNIT_KEYS = {
     **{f"{field}_a0": (field, None) for field in ("a_qr", "a_qz", "a_hr", "a_hz")},
-    "mass_amu": ("mass_kg", ATOMIC_MASS),
+    "mass_amu": ("mass_kg", amu_to_kg),
 }
 _JSON_KEYS = {field: key for key, (field, _) in _UNIT_KEYS.items()}
 
@@ -124,8 +127,8 @@ def load_config(path: str | None) -> Config:
     for section in [s for s in _SECTIONS if s in doc]:
         fields = {}
         for key, value in doc[section].items():
-            field, factor = _UNIT_KEYS.get(key, (key, None))
-            fields[field] = value if factor is None else value * factor
+            field, convert = _UNIT_KEYS.get(key, (key, None))
+            fields[field] = value if convert is None else convert(value, f"{section}.{key}")
         cfg.rates_hz = fields.pop("rates_hz", cfg.rates_hz)  # a scheduler key beside its record
         setattr(cfg, section, getattr(cfg, section).replace(**fields))
     for source, rate in cfg.rates_hz.items():

@@ -7,7 +7,7 @@ so the two conventions never mix silently.
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, NumericalError
 
 # CODATA 2018.  h is stored as 2*pi*hbar so the pair is exactly consistent
 # in floating point (the table identities below rely on that).
@@ -24,6 +24,17 @@ VACUUM_PERMEABILITY = 1.25663706212e-6   # N/A^2
 def a0_to_m(length_a0: float) -> float:
     """Bohr radii to meters."""
     return length_a0 * BOHR_RADIUS
+
+
+def amu_to_kg(mass_amu: float, name: str) -> float:
+    """Atomic mass units to kg, for a mass the user typed as the input ``name``:
+    one not positive is refused by that name, and a positive one whose
+    product in kg underflows to 0 is a numerical failure."""
+    if not mass_amu > 0:
+        raise DomainError(f"{name} must be positive, got {mass_amu!r}")
+    if (mass_kg := mass_amu * ATOMIC_MASS) == 0.0:
+        raise NumericalError(f"{name} {mass_amu!r} underflows to 0 kg")
+    return mass_kg
 
 
 def recoil_frequency(mass_kg: float, wavelength_m: float) -> float:

@@ -81,7 +81,9 @@ def _cases() -> dict:
         None, ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc",
                "--samples", "100000000000000000000"]
     )
-    cases["refuse-transport-nu-trap-hz-nan"] = (None, ["transport", "--nu-trap-hz", "nan"])
+    # a header trap flag is refused by its name and the value typed; a mass whose kg underflows exits 2
+    for flag, value in (("--nu-trap-hz", "nan"), ("--nu-trap-hz", "0"), ("--mass-amu", "0"), ("--mass-amu", "1e-300")):
+        cases[f"refuse-transport{flag[1:]}-{value}"] = (None, ["transport", flag, value])
     for name in CIRCUITS:
         cases[name] = (None, ["compile", "{circuit}"])
     every_command = {
@@ -121,6 +123,12 @@ def _cases() -> dict:
     cases["refuse-config-move-cap-transport"] = (
         {"scheduler": {"max_move_duration_s": 1e-5}}, ["transport", "--distance-m", "2.65e-06"]
     )
+    # a mass is checked in the amu typed: exit 1 if it is not positive, 2 if its kg underflows to 0
+    for section, command in (("scheduler", "transport"), ("scattering", "scan")):
+        for label, mass in (("0", 0), ("negative", -1), ("1e-300", 1e-300)):
+            cases[f"refuse-config-{section}-mass-amu-{label}-{command}"] = (
+                {section: {"mass_amu": mass}}, every_command[command]
+            )
     # a negative rate fails at load, so even under gatecheck, which reads no rate
     cases["refuse-config-negative-rate-gatecheck"] = (
         {"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, every_command["gatecheck"]

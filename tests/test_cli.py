@@ -486,24 +486,27 @@ def test_tables_transport_compile_quadrature_scan_and_gatecheck_do_not_import_nu
     assert _loads("spinbus.scheduler", tmp_path, ["compile", "circuit.txt", "--out", "schedule.json"])
 
 
-def test_compile_then_simulate_round_trip(capsys, tmp_path):
+@pytest.mark.parametrize("mode", ["direct", "mediated"])
+@pytest.mark.parametrize("swap", ["heisenberg", "xors"])
+def test_compile_then_simulate_round_trip(capsys, tmp_path, swap, mode):
     circuit = tmp_path / "circuit.txt"
     circuit.write_text("# two-gate demo\nXOR q0 q1\nH q0\n")
     schedule_path = tmp_path / "schedule.json"
-    code, _, _ = run(capsys, "compile", str(circuit), "--out", str(schedule_path))
+    config = {"scheduler": {"swap_primitive": swap, "single_bit_mode": mode}}
+    code, _, _ = _run_with_config(capsys, tmp_path, config, "compile", str(circuit), "--out", str(schedule_path))
     assert code == 0
     doc = json.loads(schedule_path.read_text())
     assert doc["format"] == "spinbus-schedule/2"
     assert doc["budget"]["ratio"] > 0
 
-    code2, out, _ = run(capsys, "simulate", str(schedule_path))
+    code2, out, _ = _run_with_config(capsys, tmp_path, config, "simulate", str(schedule_path))
     assert code2 == 0
     rep = json.loads(out)
     assert rep["fidelity"] >= 1 - 1e-9
     assert rep["matches"] is True
 
     # re-reading reproduces the same fidelity, byte for byte
-    code3, out2, _ = run(capsys, "simulate", str(schedule_path))
+    code3, out2, _ = _run_with_config(capsys, tmp_path, config, "simulate", str(schedule_path))
     assert out == out2
 
 
@@ -572,6 +575,22 @@ SCHEDULE_DEFECTS = {
     "ising-same-atoms": (lambda doc: _edited(doc, 4, atoms=["h0", "h0"]), "primitive 4: atoms must be a pair of dist"),
     "qubit-moves": (lambda doc: _edited(doc, 0, atom="q0"), "primitive 0: only the header h0 moves"),
     "unknown-atom": (lambda doc: _edited(doc, 10, atom="q9"), "primitive 10: unknown atom 'q9'"),
+    # totals the compiler cannot write: idle infidelity other than half the phase squared, a negative phase
+    "idle-infidelity": (
+        lambda doc: json.dumps({**doc, "idle_infidelity_estimate": 5.0}),
+        "idle_infidelity_estimate 5.0 is not 0.5 * idle_crosstalk_phase_rad ** 2",
+    ),
+    "idle-phase-negative": (
+        lambda doc: json.dumps({**doc, "idle_crosstalk_phase_rad": -3.0}), "idle_crosstalk_phase_rad must be >= 0"
+    ),
+    # a global phase not reduced into [-pi, pi]: wrapped by two turns, or beyond pi
+    "global-phase-wrapped": (
+        lambda doc: json.dumps({**doc, "global_phase_rad": doc["global_phase_rad"] + 4 * math.pi}),
+        "is not reduced into [-pi, pi]",
+    ),
+    "global-phase-beyond-pi": (
+        lambda doc: json.dumps({**doc, "global_phase_rad": 3.5}), "global_phase_rad 3.5 is not reduced into [-pi, pi]"
+    ),
     "circuit-off-register": (
         lambda doc: json.dumps({**doc, "circuit": ["XOR q0 q1", "X q7"]}), "gate X q7 addresses an unreachable site q7"
     ),
@@ -722,7 +741,7 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
     ({"scheduler": {"p_budget": 2}}, "p_budget must lie in (0, 1), got 2"),
     ({"scheduler": {"p_budget": 0}}, "p_budget must lie in (0, 1), got 0"),
     ({"scheduler": {"trap_frequency_hz": -1}}, "trap_frequency_hz must be positive, got -1"),
-    ({"scheduler": {"mass_amu": 0}}, "mass_kg must be positive, got 0.0"),
+    ({"scheduler": {"mass_amu": 0}}, "scheduler.mass_amu must be positive, got 0"),
     ({"scheduler": {"max_move_duration_s": -1}}, "max_move_duration_s must be positive, got -1"),
     ({"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, "scheduler.rates_hz.gamma_eff_blue must be >= 0, got -1.0"),
     # the Monte Carlo seed and sample count are scan flags only
