@@ -157,6 +157,10 @@ def transport_cmd(args, cfg: Config):
     trap = cfg.scheduler  # the header trap and move cap the compiler's moves use
     if args.nu_trap_hz is not None and not args.nu_trap_hz > 0:
         raise DomainError(f"--nu-trap-hz must be positive, got {args.nu_trap_hz!r}")
+    if args.distance_m < 0:
+        raise DomainError(f"--distance-m must be >= 0, got {args.distance_m!r}")
+    if args.budget is not None and not 0.0 < args.budget < 1.0:
+        raise DomainError(f"--budget must lie in (0, 1), got {args.budget!r}")
     nu = args.nu_trap_hz if args.nu_trap_hz is not None else trap.trap_frequency_hz
     mass = amu_to_kg(args.mass_amu, "--mass-amu") if args.mass_amu is not None else trap.mass_kg
     p_budget = args.budget if args.budget is not None else trap.p_budget

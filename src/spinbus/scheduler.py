@@ -517,6 +517,17 @@ def _primitive_from_json(body, index: int, register: Register) -> Primitive:
     return cls(**body)
 
 
+def _gate_from_json(entry: str, index: int) -> LogicalGate:
+    """The one gate of ``circuit[index]``, an entry the compiler writes as ``LogicalGate.text()``."""
+    try:
+        gates = parse_circuit(entry)
+    except DomainError as exc:
+        raise DomainError(f"circuit[{index}]: {exc}") from None
+    if len(gates) != 1:
+        raise DomainError(f"circuit[{index}] must hold exactly one gate, got {json.dumps(entry)}")
+    return gates[0]
+
+
 def schedule_from_json(text: str) -> Schedule:
     """Read a ``schedule_to_json`` document; the ``budget`` block that
     ``compile`` adds is ignored.  This is the one check of a schedule's
@@ -546,7 +557,7 @@ def schedule_from_json(text: str) -> Schedule:
     # the compiler writes math.remainder(phase, 2 pi), which it leaves unchanged, +-pi included
     if math.remainder(body["global_phase_rad"], 2.0 * math.pi) != body["global_phase_rad"]:
         raise DomainError(f"global_phase_rad {body['global_phase_rad']!r} is not reduced into [-pi, pi]")
-    circuit = tuple(parse_circuit("\n".join(body["circuit"])))
+    circuit = tuple(_gate_from_json(entry, i) for i, entry in enumerate(body["circuit"]))
     _check_in_register(circuit, register)
     return Schedule(**{**body, "register": register, "params": params, "circuit": circuit, "primitives": primitives})
 

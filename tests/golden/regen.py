@@ -81,8 +81,9 @@ def _cases() -> dict:
         None, ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc",
                "--samples", "100000000000000000000"]
     )
-    # a header trap flag is refused by its name and the value typed; a mass whose kg underflows exits 2
-    for flag, value in (("--nu-trap-hz", "nan"), ("--nu-trap-hz", "0"), ("--mass-amu", "0"), ("--mass-amu", "1e-300")):
+    # a transport flag is refused by its name and the value typed; a mass whose kg underflows exits 2
+    for flag, value in (("--nu-trap-hz", "nan"), ("--nu-trap-hz", "0"), ("--mass-amu", "0"), ("--mass-amu", "1e-300"),
+                        ("--distance-m", "-1"), ("--budget", "2")):
         cases[f"refuse-transport{flag[1:]}-{value}"] = (None, ["transport", flag, value])
     for name in CIRCUITS:
         cases[name] = (None, ["compile", "{circuit}"])

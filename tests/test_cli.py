@@ -8,7 +8,6 @@ import os
 import re
 import subprocess
 import sys
-import textwrap
 from pathlib import Path
 
 import pytest
@@ -392,100 +391,6 @@ def _child_env(**extra) -> dict:
     return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
 
 
-def _loads(module, tmp_path, *commands, preload="") -> bool:
-    """Run CLI commands in one fresh interpreter; report whether ``module`` got imported.
-
-    ``preload`` names a module the interpreter imports first.
-    """
-    script = textwrap.dedent(
-        """
-        import importlib
-        import sys
-        from spinbus.cli import main
-        if PRELOAD:
-            importlib.import_module(PRELOAD)
-        for argv in COMMANDS:
-            if main(argv) != 0:
-                raise SystemExit(f"command failed: {argv}")
-        print(MODULE in sys.modules)
-        """
-    )
-    for name, value in (("COMMANDS", [list(c) for c in commands]), ("PRELOAD", preload), ("MODULE", module)):
-        script = script.replace(name, repr(value))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=_child_env(), capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1] == "True"
-
-
-_loads_scipy = functools.partial(_loads, "scipy")
-_loads_click = functools.partial(_loads, "click")
-
-EVERY_COMMAND = (
-    ["tables", "--lattice", "red"],
-    ["transport"],
-    ["compile", "circuit.txt", "--out", "schedule.json"],
-    ["simulate", "schedule.json"],
-    ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc", "--samples", "10000"],
-    ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"],
-    ["gatecheck"],
-)
-
-
-def test_no_command_imports_scipy(tmp_path):
-    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
-    assert not _loads_scipy(tmp_path, *EVERY_COMMAND)
-    # the probe does see scipy when something imports it
-    assert _loads_scipy(tmp_path, ["transport"], preload="scipy.special")
-
-
-def test_no_command_imports_click(tmp_path):
-    # click is not a dependency, so it may not be installed for a positive
-    # control; the scipy test above shows the probe sees an imported module
-    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
-    assert not _loads_click(tmp_path, *EVERY_COMMAND)
-
-
-def test_no_command_imports_dataclasses(tmp_path):
-    # the package's records are built without the dataclasses module, which
-    # costs every command its import of inspect, ast, dis and tokenize
-    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
-    assert not _loads("dataclasses", tmp_path, *EVERY_COMMAND)
-    # the probe does see dataclasses when something imports it
-    assert _loads("dataclasses", tmp_path, ["transport"], preload="dataclasses")
-
-
-QUAD_SCAN = ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "5"]
-
-
-def test_tables_transport_compile_quadrature_scan_and_gatecheck_do_not_import_numpy(tmp_path):
-    (tmp_path / "circuit.txt").write_text("XOR q0 q1\nPHASE1 q1 0.5\n")
-    assert not _loads(
-        "numpy",
-        tmp_path,
-        ["tables", "--lattice", "red"],
-        ["tables", "--lattice", "blue", "--format", "json"],
-        ["transport"],
-        ["compile", "circuit.txt", "--out", "schedule.json"],
-        QUAD_SCAN,
-        ["gatecheck"],
-    )
-    # the probe does see numpy when a command imports it
-    assert _loads("numpy", tmp_path, ["simulate", "schedule.json"])
-    assert _loads("numpy", tmp_path, [*QUAD_SCAN, "--mode", "mc", "--samples", "10000"])
-    # only compile and simulate load the scheduler
-    assert not _loads(
-        "spinbus.scheduler",
-        tmp_path,
-        ["tables", "--lattice", "red"],
-        ["tables", "--lattice", "blue", "--format", "json"],
-        ["transport"],
-        QUAD_SCAN,
-    )
-    assert _loads("spinbus.scheduler", tmp_path, ["compile", "circuit.txt", "--out", "schedule.json"])
-
-
 @pytest.mark.parametrize("mode", ["direct", "mediated"])
 @pytest.mark.parametrize("swap", ["heisenberg", "xors"])
 def test_compile_then_simulate_round_trip(capsys, tmp_path, swap, mode):
@@ -593,6 +498,18 @@ SCHEDULE_DEFECTS = {
     ),
     "circuit-off-register": (
         lambda doc: json.dumps({**doc, "circuit": ["XOR q0 q1", "X q7"]}), "gate X q7 addresses an unreachable site q7"
+    ),
+    # each circuit entry is one gate, as the compiler writes it: not two lines, an empty line or a comment
+    "circuit-entry-two-gates": (
+        lambda doc: json.dumps({**doc, "circuit": ["XOR q0 q1\nXOR q0 q1", "H q0"]}),
+        'circuit[0] must hold exactly one gate, got "XOR q0 q1\\nXOR q0 q1"',
+    ),
+    "circuit-entry-empty": (
+        lambda doc: json.dumps({**doc, "circuit": [*doc["circuit"], ""]}), 'circuit[2] must hold exactly one gate, got ""'
+    ),
+    "circuit-entry-comment": (
+        lambda doc: json.dumps({**doc, "circuit": [*doc["circuit"], "# note"]}),
+        'circuit[2] must hold exactly one gate, got "# note"',
     ),
 }
 
@@ -715,6 +632,16 @@ def _run_with_config(capsys, tmp_path, config, *argv):
     cfg.write_text(json.dumps(config))
     return run(capsys, "--config", str(cfg), *argv)
 
+
+EVERY_COMMAND = (
+    ["tables", "--lattice", "red"],
+    ["transport"],
+    ["compile", "circuit.txt", "--out", "schedule.json"],
+    ["simulate", "schedule.json"],
+    ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc", "--samples", "10000"],
+    ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"],
+    ["gatecheck"],
+)
 
 _FR = {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0}
 _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
