@@ -67,6 +67,8 @@ _JSON_TYPES = {
     "dict": ("object", lambda v: isinstance(v, dict)),
     "dict[str, float]": ("object of numbers", lambda v: isinstance(v, dict) and all(map(_number, v.values()))),
     "tuple[LogicalGate, ...]": ("array of strings", lambda v: isinstance(v, list) and all(type(x) is str for x in v)),
+    "tuple[str, str]": ("pair of strings",
+                        lambda v: isinstance(v, list) and len(v) == 2 and all(type(x) is str for x in v)),
     "tuple[Primitive, ...]": ("array", lambda v: isinstance(v, list)),
 }
 

@@ -19,7 +19,8 @@ left at the last gate site rather than re-parked, so a lone two-qubit gate
 compiles to exactly three MOVEs.  Every primitive is emitted in one step,
 which clocks it and charges the idle crosstalk of the parked header per
 primitive, from the qubit nearest the header, so compile time does not grow
-with the register.
+with the register.  The schedule loader re-emits a file's primitives through
+the same step, so what it loads runs on the compiler's clock.
 
 Parsing, compiling, budgeting and JSON need no arrays.  The simulation
 functions import ``gates``, which owns every gate matrix, when they are
@@ -32,7 +33,7 @@ import json
 import math
 
 from .config import CompileParams
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, SpinBusError
 from .jsonio import checked_fields, dumps, loads_finite
 from .record import Record
 from .transport import plan_transport
@@ -253,12 +254,19 @@ class _Compiler:
         """State swap between the header and the qubit at its site."""
         q = f"q{qubit}"
         if self.params.swap_primitive == "heisenberg":
-            self._emit(SwapStep, (self.header, q), duration_s=self.swap_duration)
+            self.pulse(SwapStep, (self.header, q))
             self.phase -= math.pi / 4.0  # e^{-i pi/4} of the one-pulse swap
         else:
             self.cnot_block(self.header, q)
             self.cnot_block(q, self.header)
             self.cnot_block(self.header, q)
+
+    def pulse(self, cls, atoms: tuple[str, str]):
+        """A swap, or the gate Ising pulse exp(+i pi/4 zz), between two atoms."""
+        if cls is SwapStep:
+            self._emit(SwapStep, atoms, duration_s=self.swap_duration)
+        else:
+            self._emit(IsingPulse, atoms, math.pi / 4.0, duration_s=self.ising_duration)
 
     def cnot_block(self, control: str, target: str):
         """CNOT from the Ising pulse with single-bit dressing.
@@ -266,7 +274,7 @@ class _Compiler:
         H_t . S_c . S_t . exp(+i pi/4 zz) . H_t = e^{+i pi/4} CNOT(c, t)
         """
         self.onebit(target, "H")
-        self._emit(IsingPulse, (control, target), math.pi / 4.0, duration_s=self.ising_duration)
+        self.pulse(IsingPulse, (control, target))
         self.onebit(control, "S")
         self.onebit(target, "S")
         self.onebit(target, "H")
@@ -278,7 +286,7 @@ class _Compiler:
         exp(+i pi/4 z) = e^{+i pi/4} PHASE(-pi/2), so the emitted primitives
         sit e^{-i pi/4} below the ideal gate per single-spin factor.
         """
-        self._emit(IsingPulse, (atom_a, atom_b), math.pi / 4.0, duration_s=self.ising_duration)
+        self.pulse(IsingPulse, (atom_a, atom_b))
         self.onebit(atom_a, "PHASE", -math.pi / 2.0)
         self.onebit(atom_b, "PHASE", -math.pi / 2.0)
         self.phase -= math.pi / 2.0
@@ -319,16 +327,16 @@ class _Compiler:
                 self.two_qubit(gate)
             else:
                 self.single_qubit(gate)
-        totals = {
-            "total_time_s": self.t,
-            "global_phase_rad": math.remainder(self.phase, 2.0 * math.pi),
-            "idle_crosstalk_phase_rad": self.idle_phase,
-            "idle_infidelity_estimate": 0.5 * (self.idle_phase * self.idle_phase),
-        }
+        totals = {**self.clock(), "global_phase_rad": math.remainder(self.phase, 2.0 * math.pi)}
         for name, value in totals.items():
             if not math.isfinite(value):
                 raise NumericalError(f"compiled {name} is not a finite float ({self.params})")
         return Schedule(self.register, self.params, tuple(circuit), tuple(self.prims), **totals)
+
+    def clock(self) -> dict:
+        """The schedule's time and idle charge so far, as its totals."""
+        return {"total_time_s": self.t, "idle_crosstalk_phase_rad": self.idle_phase,
+                "idle_infidelity_estimate": 0.5 * (self.idle_phase * self.idle_phase)}
 
 
 def _check_in_register(circuit, register: Register):
@@ -375,10 +383,10 @@ def simulate_schedule(schedule: Schedule) -> np.ndarray:
     """Compose the ideal primitive unitaries on the q-register + header.
 
     The schedule comes from ``compile_circuit`` or ``schedule_from_json``,
-    which check its content; only the qubit cap is checked here.  Each
-    primitive's matrix comes from ``gates``; numpy only builds their dense
-    2^(n+1) product.  Transport acts trivially on spin (spin and motion
-    factorize), so MOVE primitives contribute identity; the returned matrix
+    which replays it through the compiler; only the qubit cap is checked
+    here.  Each primitive's matrix comes from ``gates``; numpy only builds
+    their dense 2^(n+1) product.  Transport acts trivially on spin (spin and
+    motion factorize), so MOVE primitives contribute identity; the returned matrix
     includes every primitive's intrinsic phase and therefore matches the
     logical unitary times exp(i * global_phase_rad) exactly.
     """
@@ -419,7 +427,7 @@ def verify_schedule(schedule: Schedule) -> dict:
     expected = np.kron(logical_unitary(schedule.circuit, schedule.register.n_qubits), np.eye(2, dtype=complex))
     err = float(np.max(np.abs(achieved - np.exp(1j * schedule.global_phase_rad) * expected)))
     return {
-        "fidelity": float(abs(np.trace(achieved.conj().T @ expected)) / len(expected)),
+        "fidelity": float(abs(np.vdot(achieved, expected)) / len(expected)),
         "global_phase_rad": schedule.global_phase_rad,
         "max_norm_error": err,
         "total_time_s": schedule.total_time_s,
@@ -470,17 +478,9 @@ SCHEDULE_FORMAT = "spinbus-schedule/2"
 
 def schedule_doc(schedule: Schedule) -> dict:
     """The JSON document of ``schedule``, which ``schedule_from_json`` reads."""
-    return {
-        "format": SCHEDULE_FORMAT,
-        "register": schedule.register.as_dict(),
-        "params": schedule.params.as_dict(),
-        "circuit": [g.text() for g in schedule.circuit],
-        "total_time_s": schedule.total_time_s,
-        "global_phase_rad": schedule.global_phase_rad,
-        "idle_crosstalk_phase_rad": schedule.idle_crosstalk_phase_rad,
-        "idle_infidelity_estimate": schedule.idle_infidelity_estimate,
-        "primitives": [p.as_dict() for p in schedule.primitives],
-    }
+    return {**schedule.as_dict(), "format": SCHEDULE_FORMAT, "register": schedule.register.as_dict(),
+            "params": schedule.params.as_dict(), "circuit": [g.text() for g in schedule.circuit],
+            "primitives": [p.as_dict() for p in schedule.primitives]}
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -490,7 +490,9 @@ def schedule_to_json(schedule: Schedule) -> str:
 _PRIMITIVE_TYPES = {"move": Move, "swap": SwapStep, "ising": IsingPulse, "onebit": OneBit}
 
 
-def _primitive_from_json(body, index: int, register: Register) -> Primitive:
+def _primitive_from_json(body, index: int, compiler: _Compiler):
+    """Check the JSON primitive ``body``'s fields and names, then re-emit it through
+    ``compiler`` where its header and clock stand, refusing a field that differs."""
     what = f"primitive {index}"
     kind = body.get("kind") if isinstance(body, dict) else None
     cls = _PRIMITIVE_TYPES.get(kind) if isinstance(kind, str) else None
@@ -498,23 +500,43 @@ def _primitive_from_json(body, index: int, register: Register) -> Primitive:
         raise DomainError(f"{what}: unknown kind {kind!r}; valid: {', '.join(_PRIMITIVE_TYPES)}")
     body = checked_fields(cls.__annotations__, body, what, cls.__annotations__)
     if "atoms" in body:
-        atoms = body["atoms"]
-        if not (isinstance(atoms, list) and len(atoms) == 2 and atoms[0] != atoms[1]):
-            raise DomainError(f"{what}: atoms must be a pair of distinct atom names, got {json.dumps(atoms)}")
-        body["atoms"] = tuple(atoms)
+        body["atoms"] = tuple(body["atoms"])
     for atom in body.get("atoms", (body.get("atom"),)):
         try:
-            _atom_site(atom, register)
+            _atom_site(atom, compiler.register)
         except DomainError as exc:
             raise DomainError(f"{what}: {exc}") from None
-    if cls is Move and body["atom"] != "h0":
-        raise DomainError(f"{what}: only the header h0 moves, got {body['atom']!r}")
-    if cls is OneBit and body["gate"] not in ONEBIT_GATES:
-        raise DomainError(f"{what}: unknown one-bit gate {body['gate']!r}; valid: {', '.join(ONEBIT_GATES)}")
-    if cls is OneBit and (body["gate"] == "PHASE") != (body["param"] is not None):
-        takes = "a number" if body["gate"] == "PHASE" else "no"
-        raise DomainError(f"{what}: gate {body['gate']} takes {takes} param, got {json.dumps(body['param'])}")
-    return cls(**body)
+    pos = compiler.pos
+    if cls is Move:
+        _same(body["from_pos"], pos, what, "from_pos")  # before planning: a move from elsewhere is not run
+        if body["to_pos"] == pos:
+            raise DomainError(f"{what}: to_pos {float(pos)!r} is the header's position; a MOVE must move it")
+        try:
+            compiler.move_to(body["to_pos"])
+        except SpinBusError as exc:  # a move the compiler cannot plan is not one it wrote
+            raise DomainError(f"{what}: {exc}") from None
+    elif cls is OneBit:
+        if body["gate"] not in ONEBIT_GATES:
+            raise DomainError(f"{what}: unknown one-bit gate {body['gate']!r}; valid: {', '.join(ONEBIT_GATES)}")
+        if (body["gate"] == "PHASE") != (body["param"] is not None):
+            takes = "a number" if body["gate"] == "PHASE" else "no"
+            raise DomainError(f"{what}: gate {body['gate']} takes {takes} param, got {json.dumps(body['param'])}")
+        compiler.onebit(body["atom"], body["gate"], body["param"])
+    else:
+        if not (0 <= pos < compiler.register.n_qubits and pos % 1 == 0):
+            raise DomainError(f"{what}: atoms need a qubit at the header's position {float(pos)!r}")
+        atoms, pair = body["atoms"], (compiler.header, f"q{int(pos)}")  # zz is symmetric: either order
+        _same(atoms, atoms if cls is IsingPulse and atoms == pair[::-1] else pair, what, "atoms")
+        compiler.pulse(cls, atoms)
+    for name, value in compiler.prims[-1].as_dict().items():
+        _same(body[name], value, what, name)
+
+
+def _same(value, compiled, *field: str):
+    """Refuse a file's ``value`` of ``field`` (its parts joined by ": ") other than the ``compiled`` one."""
+    if value != compiled:  # a number shows as a float: a JSON integer may have 300 digits
+        value, compiled = (json.dumps(float(v) if type(v) is int else v) for v in (value, compiled))
+        raise DomainError(f"{': '.join(field)} {value} is not the compiled {compiled}")
 
 
 def _gate_from_json(entry: str, index: int) -> LogicalGate:
@@ -532,7 +554,8 @@ def schedule_from_json(text: str) -> Schedule:
     """Read a ``schedule_to_json`` document; the ``budget`` block that
     ``compile`` adds is ignored.  This is the one check of a schedule's
     content, which the simulator then trusts: malformed input raises
-    DomainError."""
+    DomainError.  Each primitive is re-emitted through a ``_Compiler`` on the file's
+    register and params, and must be, as must the totals, what the compiler writes."""
     try:
         doc = loads_finite(text)
     except ValueError as exc:
@@ -545,33 +568,16 @@ def schedule_from_json(text: str) -> Schedule:
     body = checked_fields(Schedule.__annotations__, body, "schedule", Schedule.__annotations__)
     register, params = (cls(**checked_fields(cls.__annotations__, body[key], key, cls.__annotations__))
                         for key, cls in (("register", Register), ("params", CompileParams)))
-    primitives = tuple(_primitive_from_json(p, i, register) for i, p in enumerate(body["primitives"]))
-    _check_timing(primitives, body["total_time_s"])
-    # the compiler writes phi >= 0 and 0.5 * (phi * phi), both exact through JSON;
-    # phi is squared as a float, so a huge JSON integer overflows to inf instead of raising
-    phase, infidelity = body["idle_crosstalk_phase_rad"], body["idle_infidelity_estimate"]
-    if not phase >= 0:
-        raise DomainError(f"idle_crosstalk_phase_rad must be >= 0, got {phase!r}")
-    if infidelity != 0.5 * (float(phase) * phase):
-        raise DomainError(f"idle_infidelity_estimate {infidelity!r} is not 0.5 * idle_crosstalk_phase_rad ** 2")
+    compiler = _Compiler(register, params)
+    for i, p in enumerate(body["primitives"]):
+        _primitive_from_json(p, i, compiler)
+    clock = compiler.clock()
+    for name, value in clock.items():
+        _same(body[name], value, name)
     # the compiler writes math.remainder(phase, 2 pi), which it leaves unchanged, +-pi included
     if math.remainder(body["global_phase_rad"], 2.0 * math.pi) != body["global_phase_rad"]:
-        raise DomainError(f"global_phase_rad {body['global_phase_rad']!r} is not reduced into [-pi, pi]")
+        raise DomainError(f"global_phase_rad {float(body['global_phase_rad'])!r} is not reduced into [-pi, pi]")
     circuit = tuple(_gate_from_json(entry, i) for i, entry in enumerate(body["circuit"]))
     _check_in_register(circuit, register)
-    return Schedule(**{**body, "register": register, "params": params, "circuit": circuit, "primitives": primitives})
-
-
-def _check_timing(primitives, total_time_s: float):
-    """Primitives run back to back from t = 0 and the schedule ends with the
-    last one.  The compiler accumulates ``start + duration`` and JSON floats
-    round-trip exactly, so the chain is checked for equality."""
-    end = 0.0
-    for i, p in enumerate(primitives):
-        if p.duration_s < 0:
-            raise DomainError(f"primitive {i}: negative duration_s {p.duration_s!r}")
-        if p.start_s != end:
-            raise DomainError(f"primitive {i}: start_s {p.start_s!r} is not the previous end {end!r}")
-        end = p.start_s + p.duration_s
-    if total_time_s != end:
-        raise DomainError(f"total_time_s {total_time_s!r} is not the end of the last primitive, {end!r}")
+    body.update(clock, register=register, params=params, circuit=circuit, primitives=tuple(compiler.prims))
+    return Schedule(**body)

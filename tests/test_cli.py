@@ -441,6 +441,24 @@ def _bare_total_time(token):
     return lambda doc: json.dumps({**doc, "total_time_s": "@"}).replace('"@"', token)
 
 
+def _retimed(doc, prims):
+    """``doc`` with the primitives ``prims``, started back to back from 0, and
+    its total time at the end of the last one."""
+    prims, end = [dict(p) for p in prims], 0.0
+    for prim in prims:
+        prim["start_s"], end = end, end + prim["duration_s"]
+    return json.dumps({**doc, "primitives": prims, "total_time_s": end})
+
+
+def _edited_timing(doc):
+    # a negative first duration, a broken start-time chain and a made-up total
+    # time together, as a hand-edited schedule might carry them: the first is named
+    prims = [dict(p) for p in doc["primitives"]]
+    prims[0]["duration_s"] = -1.0
+    prims[2]["start_s"] += 1e-6
+    return json.dumps({**doc, "primitives": prims, "total_time_s": 123.0})
+
+
 # defect -> (schedule text from a good schedule document, fragment of the error)
 SCHEDULE_DEFECTS = {
     "array": (lambda doc: json.dumps([doc]), "must be a JSON object"),
@@ -463,8 +481,10 @@ SCHEDULE_DEFECTS = {
     "overflow": (_bare_total_time("1e999"), "1e999 overflows"),
     "format-1": (lambda doc: json.dumps({**doc, "format": "spinbus-schedule/1"}), "unsupported schedule format"),
     "negative-duration": (
-        lambda doc: _first_primitive(doc, {**doc["primitives"][0], "duration_s": -1.0}), "negative duration_s"
+        lambda doc: _first_primitive(doc, {**doc["primitives"][0], "duration_s": -1.0}),
+        "primitive 0: duration_s -1.0 is not the compiled ",
     ),
+    "edited-timing": (_edited_timing, "primitive 0: duration_s -1.0 is not the compiled "),
     "late-first-start": (
         lambda doc: _first_primitive(doc, {**doc["primitives"][0], "start_s": 1e-9}), "primitive 0: start_s"
     ),
@@ -476,17 +496,72 @@ SCHEDULE_DEFECTS = {
     "onebit-angle-dropped": (lambda doc: _edited(doc, 10, param=0.7), "primitive 10: gate H takes no param, got 0.7"),
     "phase-without-angle": (lambda doc: _edited(doc, 10, gate="PHASE"), "primitive 10: gate PHASE takes a number"),
     "unknown-onebit-gate": (lambda doc: _edited(doc, 10, gate="Q"), "primitive 10: unknown one-bit gate 'Q'"),
-    "swap-same-atoms": (lambda doc: _edited(doc, 1, atoms=["q0", "q0"]), "primitive 1: atoms must be a pair of dist"),
-    "ising-same-atoms": (lambda doc: _edited(doc, 4, atoms=["h0", "h0"]), "primitive 4: atoms must be a pair of dist"),
-    "qubit-moves": (lambda doc: _edited(doc, 0, atom="q0"), "primitive 0: only the header h0 moves"),
+    "swap-same-atoms": (
+        lambda doc: _edited(doc, 1, atoms=["q0", "q0"]),
+        'primitive 1: atoms ["q0", "q0"] is not the compiled ["h0", "q0"]',
+    ),
+    "ising-same-atoms": (
+        lambda doc: _edited(doc, 4, atoms=["h0", "h0"]),
+        'primitive 4: atoms ["h0", "h0"] is not the compiled ["h0", "q1"]',
+    ),
+    "swap-qubit-pair": (
+        lambda doc: _edited(doc, 1, atoms=["q0", "q1"]),
+        'primitive 1: atoms ["q0", "q1"] is not the compiled ["h0", "q0"]',
+    ),
+    "atoms-not-a-pair": (
+        lambda doc: _edited(doc, 1, atoms=["h0"]), 'primitive 1.atoms must be a JSON pair of strings, got ["h0"]'
+    ),
+    "qubit-moves": (lambda doc: _edited(doc, 0, atom="q0"), 'primitive 0: atom "q0" is not the compiled "h0"'),
     "unknown-atom": (lambda doc: _edited(doc, 10, atom="q9"), "primitive 10: unknown atom 'q9'"),
-    # totals the compiler cannot write: idle infidelity other than half the phase squared, a negative phase
+    # primitives the compiler cannot write where they stand: a MOVE from elsewhere
+    # than the header, a swap away from its qubit, a MOVE's plan or an Ising area edited
+    "move-from-elsewhere": (
+        lambda doc: _edited(doc, 0, from_pos=-3, to_pos=7), "primitive 0: from_pos -3.0 is not the compiled 0.5"
+    ),
+    "header-position-edited": (
+        lambda doc: json.dumps({**doc, "register": {**doc["register"], "header_position": 1.5}}),
+        "primitive 0: from_pos 0.5 is not the compiled 1.5",
+    ),
+    "header-away-from-swap": (
+        lambda doc: _edited(doc, 0, to_pos=1.0), 'primitive 1: atoms ["h0", "q0"] is not the compiled ["h0", "q1"]'
+    ),
+    "swap-between-sites": (
+        lambda doc: _retimed(doc, doc["primitives"][1:]), "primitive 0: atoms need a qubit at the header's position 0.5"
+    ),
+    "zero-length-move": (
+        lambda doc: _retimed(doc, [doc["primitives"][0], {**doc["primitives"][0], "from_pos": 0.0, "duration_s": 0.0},
+                                   *doc["primitives"][1:]]),
+        "primitive 1: to_pos 0.0 is the header's position; a MOVE must move it",
+    ),
+    "move-unplannable": (
+        lambda doc: _edited(doc, 0, to_pos=1e300),
+        "primitive 0: distance_m 5.3e+294, omega_t 6172117.440504572 and mass_kg 1.444668987942e-25 take the plan out",
+    ),
+    "move-tau-edited": (
+        lambda doc: _edited(doc, 0, tau_s=doc["primitives"][0]["tau_s"] / 2), "primitive 0: tau_s "
+    ),
+    "move-p-exact-edited": (lambda doc: _edited(doc, 0, p_exact=0.0), "primitive 0: p_exact 0.0 is not the compiled "),
+    "move-duration-edited": (
+        lambda doc: _retimed(doc, [{**doc["primitives"][0], "duration_s": doc["primitives"][0]["duration_s"] / 2},
+                                   *doc["primitives"][1:]]),
+        "primitive 0: duration_s ",
+    ),
+    "ising-area": (
+        lambda doc: _edited(doc, 4, phase_rad=0.5), "primitive 4: phase_rad 0.5 is not the compiled 0.7853981633974483"
+    ),
+    # totals other than the replayed ones: an idle infidelity, a negative phase, a
+    # phase as a 300-digit JSON integer (shown as a float)
     "idle-infidelity": (
         lambda doc: json.dumps({**doc, "idle_infidelity_estimate": 5.0}),
-        "idle_infidelity_estimate 5.0 is not 0.5 * idle_crosstalk_phase_rad ** 2",
+        "idle_infidelity_estimate 5.0 is not the compiled ",
     ),
     "idle-phase-negative": (
-        lambda doc: json.dumps({**doc, "idle_crosstalk_phase_rad": -3.0}), "idle_crosstalk_phase_rad must be >= 0"
+        lambda doc: json.dumps({**doc, "idle_crosstalk_phase_rad": -3.0}),
+        "idle_crosstalk_phase_rad -3.0 is not the compiled ",
+    ),
+    "idle-phase-huge-int": (
+        lambda doc: json.dumps({**doc, "idle_crosstalk_phase_rad": 10**300}),
+        "idle_crosstalk_phase_rad 1e+300 is not the compiled ",
     ),
     # a global phase not reduced into [-pi, pi]: wrapped by two turns, or beyond pi
     "global-phase-wrapped": (
@@ -532,21 +607,6 @@ def test_simulate_register_beyond_2_53_sites_exit_1(capsys, tmp_path):
     edited.write_text(json.dumps(doc))
     code, out, err = run(capsys, "simulate", str(edited))
     assert (code, out, err) == (1, "", f"error: register needs at most 2**53 qubits, got {2**53 + 1}\n")
-
-
-def test_simulate_refuses_edited_timing(capsys, tmp_path):
-    # a negative first duration, a broken start-time chain and a made-up
-    # total time together, as a hand-edited schedule might carry them
-    doc = _compiled_schedule(capsys, tmp_path)
-    doc["primitives"][0]["duration_s"] = -1.0
-    doc["primitives"][2]["start_s"] += 1e-6
-    doc["total_time_s"] = 123.0
-    edited = tmp_path / "edited.json"
-    edited.write_text(json.dumps(doc))
-    code, out, err = run(capsys, "simulate", str(edited))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: primitive 0: negative duration_s")
 
 
 @pytest.mark.parametrize("command", ["compile", "simulate"])
