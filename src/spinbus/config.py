@@ -32,8 +32,8 @@ from .units import ATOMIC_MASS, amu_to_kg
 class CompileParams(Record):
     """Physical knobs used by the compiler.
 
-    Couplings are the effective Ising strengths (Hz) at the swap and gate
-    working separations; the defaults are the exchange strength at zero
+    Couplings are the effective Ising strengths (Hz, nonzero) at the swap and
+    gate working separations; the defaults are the exchange strength at zero
     separation and the dipole-only coupling at 1000 a0 for the default
     interaction geometry.  Trap frequency, mass and excitation budget
     describe the header's blue-lattice confinement for transport planning,
@@ -56,6 +56,9 @@ class CompileParams(Record):
             raise DomainError(f"swap_primitive must be heisenberg|xors, got {self.swap_primitive!r}")
         if self.single_bit_mode not in ("direct", "mediated"):
             raise DomainError(f"single_bit_mode must be direct|mediated, got {self.single_bit_mode!r}")
+        for name in ("j_swap_hz", "j_gate_hz"):  # a zero coupling realizes no pulse phase
+            if getattr(self, name) == 0:
+                raise DomainError(f"{name} must be nonzero, got {getattr(self, name)!r}")
         for name in ("gate_separation_a0", "trap_frequency_hz", "mass_kg"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")

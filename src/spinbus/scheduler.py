@@ -192,14 +192,12 @@ class Schedule(Record):
 
 
 def _duration_for_angle(c_ang: float, angle: float) -> float:
-    """Smallest t >= 0 with c*t = angle (mod 2 pi), for signed rate c (rad/s)."""
+    """Smallest t >= 0 with c*t = angle (mod 2 pi), for a nonzero signed rate c (rad/s)."""
     angle = math.fmod(angle, 2.0 * math.pi)
     if angle < 0:
         angle += 2.0 * math.pi
     if angle == 0.0:
         return 0.0
-    if c_ang == 0.0:
-        raise DomainError("zero coupling cannot realize a finite pulse phase")
     return angle / c_ang if c_ang > 0 else (angle - 2.0 * math.pi) / c_ang
 
 

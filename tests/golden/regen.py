@@ -140,20 +140,30 @@ def _cases() -> dict:
 CASES = _cases()
 
 
-def run_case(name: str, workdir: Path) -> tuple[bytes, str, int]:
-    """The output bytes, stderr and exit code of case ``name``, run in ``workdir``."""
+def case_argv(name: str, workdir: Path) -> list[str]:
+    """The command line of case ``name``, its circuit and config files written into ``workdir``."""
     config, argv = CASES[name]
-    circuit, out = workdir / "circuit.txt", workdir / "out"
+    circuit = workdir / "circuit.txt"
     circuit.write_text(CIRCUITS.get(name, CIRCUIT), encoding="utf-8")
-    argv = [arg.format(circuit=circuit, out=out) for arg in argv]
+    argv = [arg.format(circuit=circuit, out=workdir / "out") for arg in argv]
     if config is not None:
         (workdir / "config.json").write_text(json.dumps(config))
         argv = ["--config", str(workdir / "config.json"), *argv]
+    return argv
+
+
+def case_output(name: str, workdir: Path, stdout: bytes) -> bytes:
+    """The output bytes of case ``name`` once it has run in ``workdir``: the
+    file that ``--out`` names, or ``stdout``."""
+    return (workdir / "out").read_bytes() if "{out}" in CASES[name][1] else stdout
+
+
+def run_case(name: str, workdir: Path) -> tuple[bytes, str, int]:
+    """The output bytes, stderr and exit code of case ``name``, run in process in ``workdir``."""
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        code = main(argv)
-    output = out.read_bytes() if "{out}" in CASES[name][1] else stdout.getvalue().encode()
-    return output, stderr.getvalue(), code
+        code = main(case_argv(name, workdir))
+    return case_output(name, workdir, stdout.getvalue().encode()), stderr.getvalue(), code
 
 
 def regenerate() -> None:

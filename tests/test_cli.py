@@ -1,6 +1,7 @@
 import csv
 import errno
 import functools
+import gc
 import io
 import json
 import math
@@ -546,6 +547,10 @@ SCHEDULE_DEFECTS = {
                                    *doc["primitives"][1:]]),
         "primitive 0: duration_s ",
     ),
+    # the params are checked as a config's scheduler section is
+    "params-coupling-zero": (
+        lambda doc: json.dumps({**doc, "params": {**doc["params"], "j_swap_hz": 0}}), "j_swap_hz must be nonzero, got 0"
+    ),
     "ising-area": (
         lambda doc: _edited(doc, 4, phase_rad=0.5), "primitive 4: phase_rad 0.5 is not the compiled 0.7853981633974483"
     ),
@@ -730,6 +735,9 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
     ({"scheduler": {"trap_frequency_hz": -1}}, "trap_frequency_hz must be positive, got -1"),
     ({"scheduler": {"mass_amu": 0}}, "scheduler.mass_amu must be positive, got 0"),
     ({"scheduler": {"max_move_duration_s": -1}}, "max_move_duration_s must be positive, got -1"),
+    # a zero coupling realizes no pulse phase, so no compiled pulse could use it
+    ({"scheduler": {"j_gate_hz": 0}}, "j_gate_hz must be nonzero, got 0"),
+    ({"scheduler": {"j_swap_hz": 0.0}}, "j_swap_hz must be nonzero, got 0.0"),
     ({"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, "scheduler.rates_hz.gamma_eff_blue must be >= 0, got -1.0"),
     # the Monte Carlo seed and sample count are scan flags only
     ({"mc": {"seed": 7}}, "unknown keys in config: mc"),
@@ -745,7 +753,8 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
         "species-name-newline", "species-name-empty", "species-name-comma", "species-name-padded",
         "species-name-surrogate",
         "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
-        "frequency-negative", "mass-zero", "move-cap-negative", "rate-negative", "former-mc-section",
+        "frequency-negative", "mass-zero", "move-cap-negative", "gate-coupling-zero", "swap-coupling-zero",
+        "rate-negative", "former-mc-section",
         "former-transport-section", "former-species-linewidth", "former-geometry-z0", "former-scattering-nu-ref",
         "missing-file"])
 def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, monkeypatch, config, message):
@@ -1120,3 +1129,40 @@ def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path, locale
     assert [(r.returncode, r.stdout, r.stderr) for r in refused] == [
         (1, b"", "error: line 1: expected a qubit like q0, got 'q\u00b2': 'X q\u00b2'\n".encode())
     ] * 2
+
+
+# one exit path each: success, --help, exit 1 and exit 2
+_EXIT_PATHS = pytest.mark.parametrize("argv, code", [
+    (["transport"], 0),
+    (["--help"], 0),
+    (["transport", "--budget", "2"], 1),
+    (["transport", "--mass-amu", "1e-300"], 2),
+], ids=["success", "help", "exit-1", "exit-2"])
+
+
+@_EXIT_PATHS
+def test_main_with_argv_freezes_nothing(capsys, argv, code):
+    # a freeze after each in-process call would keep that call's cyclic garbage for good
+    before = gc.get_freeze_count()
+    assert run(capsys, *argv)[0] == code
+    assert gc.get_freeze_count() == before
+
+
+# main() on the interpreter's own command line, then the freeze counts before and after it
+_FREEZE_PROBE = """
+import gc, sys
+from spinbus.cli import main
+before = gc.get_freeze_count()
+code = main()
+print(before, gc.get_freeze_count())
+sys.exit(code)
+"""
+
+
+@_EXIT_PATHS
+def test_main_on_the_process_command_line_freezes_the_heap_on_every_exit_path(tmp_path, argv, code):
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv], cwd=tmp_path, env=_child_env(),
+                          capture_output=True, text=True)
+    assert proc.returncode == code, proc.stderr
+    before, after = map(int, proc.stdout.splitlines()[-1].split())
+    assert before == 0 < after

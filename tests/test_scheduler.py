@@ -119,8 +119,9 @@ def test_unreachable_site_rejected():
 
 
 def test_zero_coupling_rejected():
-    with pytest.raises(DomainError):
-        sch.compile_circuit(sch.parse_circuit("XOR q0 q1"), REG2, sch.CompileParams(j_gate_hz=0.0))
+    for name in ("j_gate_hz", "j_swap_hz"):
+        with pytest.raises(DomainError, match=f"^{name} must be nonzero, got 0.0$"):
+            sch.CompileParams(**{name: 0.0})
 
 
 def test_pulse_durations_match_couplings():
