@@ -21,6 +21,8 @@ from __future__ import annotations
 import math
 import os
 import sys
+from functools import reduce
+from operator import add
 
 from .errors import DomainError, NumericalError
 from .record import Record
@@ -169,11 +171,16 @@ def _gk21(f, lo: list, hi: list) -> tuple[list, list]:
     for a, b in zip(lo, hi):
         centre, half = 0.5 * (a + b), 0.5 * (b - a)
         fv = [f(centre + half * x) for x in KRONROD_NODES]
-        k = sum(w * v for w, v in zip(KRONROD_WEIGHTS, fv))
-        g = sum(w * v for w, v in zip(GAUSS_WEIGHTS, fv[1::2]))
+        # every float total here is summed left to right: sum() compensates since Python 3.12
+        k = s_abs = g = s_asc = 0.0
+        for w, v in zip(KRONROD_WEIGHTS, fv):
+            k += w * v
+            s_abs += w * abs(v)
+        for w, v in zip(GAUSS_WEIGHTS, fv[1::2]):
+            g += w * v
         mean = 0.5 * k
-        s_abs = sum(w * abs(v) for w, v in zip(KRONROD_WEIGHTS, fv))
-        s_asc = sum(w * abs(v - mean) for w, v in zip(KRONROD_WEIGHTS, fv))
+        for w, v in zip(KRONROD_WEIGHTS, fv):
+            s_asc += w * abs(v - mean)
         h = abs(half)
         err, s_abs, s_asc = abs(k - g) * h, s_abs * h, s_asc * h
         if s_asc != 0.0 and err != 0.0:
@@ -198,7 +205,7 @@ def adaptive_gk21(f, points, epsrel: float, limit: int) -> Quadrature:
     lo, hi = list(points[:-1]), list(points[1:])
     res, err = _gk21(f, lo, hi)
     while True:
-        value, abserr = sum(res), sum(err)
+        value, abserr = reduce(add, res, 0.0), reduce(add, err, 0.0)
         finite = math.isfinite(value) and math.isfinite(abserr)
         converged = finite and abserr <= epsrel * abs(value)
         if converged or not finite or len(res) >= limit:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import json
 import math
+from functools import reduce
+from operator import add
 
 from .config import CompileParams
 from .errors import DomainError, NumericalError, SpinBusError
@@ -463,7 +465,8 @@ def budget(schedule: Schedule, rates_hz: dict[str, float]) -> BudgetReport:
         raise DomainError("decoherence rates must be >= 0")
     worst = max(rates_hz.values(), default=0.0)
     coherence = math.inf if worst == 0.0 else 1.0 / worst
-    transport = sum((p.duration_s for p in schedule.primitives if isinstance(p, Move)), 0.0)
+    # left to right, as on every Python: sum() compensates since 3.12
+    transport = reduce(add, (p.duration_s for p in schedule.primitives if isinstance(p, Move)), 0.0)
     gate = schedule.total_time_s - transport
     ratio = 0.0 if math.isinf(coherence) else schedule.total_time_s / coherence
     return BudgetReport(gate, transport, coherence, ratio, ratio > BUDGET_FLAG_RATIO)

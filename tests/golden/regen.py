@@ -9,6 +9,12 @@ Monte Carlo scan run on numpy and stay on their tolerance tests.  The
 refusals (bad flags, bad configs) run once each, under every command a bad
 config fails; their stderr line and exit code are what they hold.
 
+``expected.json`` holds each case's exit code, its stderr and the name of
+the ``.out`` file that holds its output bytes, or ``null`` for an empty
+output, as every refusal has.  Each distinct output is stored once, in a
+file named after the first case that writes it: a ``-readme`` case whose
+config changes nothing in its output shares its default case's file.
+
 After a change that alters an output on purpose, regenerate the corpus from
 the repository root and name the changed files in CHANGES.md:
 
@@ -27,7 +33,7 @@ from pathlib import Path
 from spinbus.cli import main
 
 CORPUS = Path(__file__).resolve().parent
-EXPECTED = CORPUS / "expected.json"  # exit code and stderr of each case
+EXPECTED = CORPUS / "expected.json"  # exit code, stderr and output file of each case
 README = CORPUS.parents[1] / "README.md"
 
 # one short circuit that uses every logical gate
@@ -167,17 +173,18 @@ def run_case(name: str, workdir: Path) -> tuple[bytes, str, int]:
 
 
 def regenerate() -> None:
-    expected = {}
+    expected, files = {}, {}  # files: output bytes -> the file that holds them
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
             output, stderr, code = run_case(name, Path(tmp))
-        (CORPUS / f"{name}.out").write_bytes(output)
-        expected[name] = {"exit_code": code, "stderr": stderr}
+        file = files.setdefault(output, f"{name}.out") if output else None
+        expected[name] = {"exit_code": code, "output": file, "stderr": stderr}
+    for output, file in files.items():
+        (CORPUS / file).write_bytes(output)
     EXPECTED.write_text(json.dumps(expected, indent=2, sort_keys=True) + "\n")
-    stale = {p.name for p in CORPUS.glob("*.out")} - {f"{name}.out" for name in CASES}
-    for name in sorted(stale):
-        (CORPUS / name).unlink()
-    print(f"wrote {len(CASES)} cases to {CORPUS}", file=sys.stderr)
+    for stale in sorted({p.name for p in CORPUS.glob("*.out")} - set(files.values())):
+        (CORPUS / stale).unlink()
+    print(f"wrote {len(CASES)} cases, {len(files)} output files, to {CORPUS}", file=sys.stderr)
 
 
 if __name__ == "__main__":

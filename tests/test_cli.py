@@ -18,6 +18,7 @@ import spinbus
 from spinbus import cli
 from spinbus.cli import main
 from spinbus.traps import CO2_WAVELENGTH_M
+from test_golden import regen
 
 
 def run(capsys, *argv):
@@ -839,12 +840,6 @@ def test_scan_refuses_the_former_reference_trap_frequency_exit_1(capsys, tmp_pat
     assert (code, out, err) == (1, "", "error: unknown keys in scattering: nu_ref_hz\n")
 
 
-def _readme_config() -> dict:
-    """The example config of the README's "Config file" section."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    return json.loads(text.split("### Config file", 1)[1].split("```json\n", 1)[1].split("```", 1)[0])
-
-
 def _paths(doc, prefix=()):
     """The path to every value inside a JSON document, containers included."""
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
@@ -868,7 +863,7 @@ _JSON_VALUES = _EXTREMES | st.recursive(
     lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
     max_leaves=4,
 )
-README_CONFIG = _readme_config()
+README_CONFIG = regen.readme_config()
 # the README example plus every key it leaves out, so that the fuzz reaches each of them
 FUZZ_CONFIG = functools.reduce(lambda doc, item: _replaced(doc, *item), [
     (("red_lattice", "wavelength_m"), 10.6e-6),

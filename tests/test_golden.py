@@ -1,7 +1,10 @@
 """Byte-identity of the CLI outputs against the golden corpus in ``tests/golden``.
 
-A change that alters one of these outputs on purpose regenerates the corpus
-with ``tests/golden/regen.py`` and names the changed files in CHANGES.md.
+Each case asserts its exit code, its stderr and its exact output bytes, read
+from the ``.out`` file that ``expected.json`` names for it (none for an
+empty output); cases with the same output share one file.  A change that
+alters one of these outputs on purpose regenerates the corpus with
+``tests/golden/regen.py`` and names the changed files in CHANGES.md.
 Every case runs in process through ``main(argv)``; a few also run as fresh
 ``python -m spinbus.cli`` processes, whose ``main()`` exits another way.
 """
@@ -26,16 +29,22 @@ _SPEC.loader.exec_module(regen)
 EXPECTED = json.loads(regen.EXPECTED.read_text())
 
 
+def _expected(name: str) -> tuple[bytes, str, int]:
+    """The output bytes, stderr and exit code that the corpus holds for case ``name``."""
+    case = EXPECTED[name]
+    output = b"" if case["output"] is None else (regen.CORPUS / case["output"]).read_bytes()
+    return output, case["stderr"], case["exit_code"]
+
+
 def test_corpus_holds_exactly_the_cases():
     assert sorted(EXPECTED) == sorted(regen.CASES)
-    assert sorted(p.stem for p in regen.CORPUS.glob("*.out")) == sorted(regen.CASES)
+    named = {case["output"] for case in EXPECTED.values()} - {None}
+    assert sorted(p.name for p in regen.CORPUS.glob("*.out")) == sorted(named)
 
 
 @pytest.mark.parametrize("name", list(regen.CASES))
 def test_output_is_byte_identical_to_the_corpus(tmp_path, name):
-    output, stderr, code = regen.run_case(name, tmp_path)
-    assert (code, stderr) == (EXPECTED[name]["exit_code"], EXPECTED[name]["stderr"])
-    assert output == (regen.CORPUS / f"{name}.out").read_bytes()
+    assert regen.run_case(name, tmp_path) == _expected(name)
 
 
 # run as fresh `python -m spinbus.cli` processes: a success to stdout, one to --out, an exit 1 and an exit 2
@@ -53,8 +62,7 @@ def _process_entry(argv: list[str], workdir: Path) -> subprocess.CompletedProces
 @pytest.mark.parametrize("name", PROCESS_CASES)
 def test_process_entry_writes_the_corpus(tmp_path, name):
     proc = _process_entry(regen.case_argv(name, tmp_path), tmp_path)
-    assert (proc.returncode, proc.stderr.decode()) == (EXPECTED[name]["exit_code"], EXPECTED[name]["stderr"])
-    assert regen.case_output(name, tmp_path, proc.stdout) == (regen.CORPUS / f"{name}.out").read_bytes()
+    assert (regen.case_output(name, tmp_path, proc.stdout), proc.stderr.decode(), proc.returncode) == _expected(name)
 
 
 def test_process_entry_help_is_the_in_process_help(tmp_path, monkeypatch):

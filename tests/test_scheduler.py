@@ -318,6 +318,15 @@ def test_budget_transport_time_is_a_float_without_a_move():
     assert b.gate_time_s == s.total_time_s
 
 
+def test_budget_sums_transport_left_to_right_on_every_python():
+    # 1.0 + 2**-53 rounds to 1.0 twice; a compensated sum (sum() since Python 3.12) reads 1.0000000000000002
+    s = sch.compile_circuit(sch.parse_circuit("XOR q0 q1"), REG2)
+    durations = iter([1.0, 2.0**-53, 2.0**-53])
+    primitives = tuple(p.replace(duration_s=next(durations)) if p.kind == "move" else p for p in s.primitives)
+    assert next(durations, None) is None  # the gate has exactly three MOVEs
+    assert sch.budget(s.replace(primitives=primitives), {}).transport_time_s == 1.0
+
+
 def test_budget_worst_rate_wins():
     s = sch.compile_circuit(sch.parse_circuit("H q0"), REG2)
     b = sch.budget(s, {"a": 0.1, "b": 2.0})
