@@ -119,7 +119,7 @@ def scan(args, cfg: Config):
     if mc_flag and args.mode != "mc":  # the quadrature would ignore it
         raise DomainError(f"{mc_flag} applies to --mode mc only")
     if points < 2:
-        raise DomainError("need points >= 2")
+        raise DomainError(f"need points >= 2, got {points}")
     if points > MAX_SCAN_POINTS:
         raise DomainError(f"need points <= {MAX_SCAN_POINTS}, got {points}")
     # numpy.linspace's arithmetic, so the grid is the same to the bit

@@ -133,7 +133,7 @@ class Register(Record):
         if not math.isfinite(self.header_position):
             raise DomainError(f"header position must be finite, got {self.header_position!r}")
         if self.site_spacing_m <= 0:
-            raise DomainError("site spacing must be positive")
+            raise DomainError(f"site spacing must be positive, got {self.site_spacing_m!r}")
 
     @property
     def n_headers(self) -> int:
@@ -194,12 +194,11 @@ class Schedule(Record):
 
 
 def _duration_for_angle(c_ang: float, angle: float) -> float:
-    """Smallest t >= 0 with c*t = angle (mod 2 pi), for a nonzero signed rate c (rad/s)."""
+    """Smallest t > 0 with c*t = angle (mod 2 pi), for a nonzero signed rate c
+    (rad/s) and an angle that is not a multiple of 2 pi."""
     angle = math.fmod(angle, 2.0 * math.pi)
     if angle < 0:
         angle += 2.0 * math.pi
-    if angle == 0.0:
-        return 0.0
     return angle / c_ang if c_ang > 0 else (angle - 2.0 * math.pi) / c_ang
 
 

@@ -80,6 +80,7 @@ def _cases() -> dict:
                   ["--rwa-threshold", "-0.1"]):
         cases[f"refuse-gatecheck{flags[0][1:]}-{flags[1]}"] = (None, ["gatecheck", *flags])
     cases["refuse-tables-empty-species"] = (None, ["tables", "--lattice", "red", "--species", ""])
+    cases["refuse-scan-points-1"] = (None, ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "1"])
     cases["refuse-scan-points-1e20"] = (
         None, ["scan", "--z0-min", "100", "--z0-max", "200", "--points", "100000000000000000000"]
     )
@@ -106,6 +107,7 @@ def _cases() -> dict:
         "deleted-key": {"scattering": {"nu_ref_hz": 172128}},
         "transport-section": {"transport": {"nu_trap_hz": 5e5}},
         "mc-section": {"mc": {"seed": 7}},
+        "single-bit-mode": {"scheduler": {"single_bit_mode": "relay"}},
     }
     for config_name, config in bad_configs.items():
         for command, argv in every_command.items():

@@ -135,11 +135,6 @@ def test_scan_two_points(capsys):
     assert float(r["J_dipolar_Hz"]) / float(r["J_pointdipole_Hz"]) > 0.5
 
 
-def test_scan_validates_range(capsys):
-    code, _, err = run(capsys, "scan", "--z0-min", "-5", "--z0-max", "100", "--points", "3")
-    assert code == 1
-
-
 @pytest.mark.parametrize("z0_min, z0_max, points, message", [
     ("100", "-100", "3", "need every z0 > 0; the grid from 100.0 to -100.0 reaches 0.0"),
     ("1e-100", "1e-100", "2", "z0 = 1e-100 a0 is out of range: the point-dipole reference is not a finite float"),
@@ -150,13 +145,6 @@ def test_scan_z0_out_of_float_range_exit_1(capsys, z0_min, z0_max, points, messa
     assert code == 1
     assert out == ""
     assert err == f"error: {message}\n"
-
-
-def test_scan_refuses_points_above_the_cap_before_building_the_grid(capsys):
-    # a grid of 1e20 points would fill memory before any row is computed
-    code, out, err = run(capsys, "scan", "--z0-min", "100", "--z0-max", "200", "--points", "100000000000000000000")
-    assert (code, out) == (1, "")
-    assert err == f"error: need points <= {cli.MAX_SCAN_POINTS}, got 100000000000000000000\n"
 
 
 def test_scan_points_cap_is_inclusive(capsys, monkeypatch):
@@ -246,9 +234,7 @@ MC_SCAN = ["scan", "--z0-min", "600", "--z0-max", "900", "--points", "2", "--mod
 @pytest.mark.parametrize("flags, message", [
     (["--samples", "10000", "--seed", "-1"], "MC seed must be a non-negative integer, got -1"),
     (["--samples", "0"], "need at least 1e4 samples, got 0"),
-    # refused before any sampling, which would otherwise run for days
-    (["--samples", "100000000000000000000"], "need at most 1e9 samples, got 100000000000000000000"),
-], ids=["flag-seed-negative", "flag-samples-zero", "flag-samples-1e20"])
+], ids=["flag-seed-negative", "flag-samples-zero"])
 def test_scan_mc_bad_seed_or_samples_exit_1(capsys, flags, message):
     code, out, err = run(capsys, *MC_SCAN, *flags)
     assert code == 1
@@ -524,6 +510,10 @@ SCHEDULE_DEFECTS = {
         lambda doc: json.dumps({**doc, "register": {**doc["register"], "header_position": 1.5}}),
         "primitive 0: from_pos 0.5 is not the compiled 1.5",
     ),
+    "site-spacing-zero": (
+        lambda doc: json.dumps({**doc, "register": {**doc["register"], "site_spacing_m": 0.0}}),
+        "site spacing must be positive, got 0.0",
+    ),
     "header-away-from-swap": (
         lambda doc: _edited(doc, 0, to_pos=1.0), 'primitive 1: atoms ["h0", "q0"] is not the compiled ["h0", "q1"]'
     ),
@@ -592,6 +582,9 @@ SCHEDULE_DEFECTS = {
         lambda doc: json.dumps({**doc, "circuit": [*doc["circuit"], "# note"]}),
         'circuit[2] must hold exactly one gate, got "# note"',
     ),
+    "circuit-entry-unknown-gate": (
+        lambda doc: json.dumps({**doc, "circuit": ["FOO q0"]}), "circuit[0]: line 1: unknown gate 'FOO'"
+    ),
 }
 
 
@@ -652,14 +645,6 @@ def test_simulate_mismatch_reports_then_exits_2(capsys, tmp_path):
     assert err.startswith("numerical failure: ")
 
 
-def test_compile_malformed_circuit_names_line(capsys, tmp_path):
-    circuit = tmp_path / "bad.txt"
-    circuit.write_text("XOR q0 q1\nWOBBLE q0\n")
-    code, _, err = run(capsys, "compile", str(circuit))
-    assert code == 1
-    assert "line 2" in err
-
-
 def test_config_file_flows_through(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -668,19 +653,6 @@ def test_config_file_flows_through(capsys, tmp_path):
     code, out, _ = run(capsys, "--config", str(cfg), "tables", "--lattice", "red", "--species", "Fr")
     assert code == 0
     assert parse_csv(out)[0]["species"] == "Fr"
-
-
-def test_config_unknown_key_rejected(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"geometri": {"z0_a0": 900.0}}))
-    code, _, err = run(capsys, "--config", str(cfg), "tables", "--lattice", "red")
-    assert code == 1
-    assert "geometri" in err
-
-
-def test_missing_circuit_file_exit_1(capsys, tmp_path):
-    code, _, err = run(capsys, "compile", str(tmp_path / "nope.txt"))
-    assert code == 1
 
 
 @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
@@ -714,7 +686,6 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
 
 
 @pytest.mark.parametrize("config, message", [
-    ({"geometry": {"a_qr_a0": "400"}}, 'geometry.a_qr_a0 must be a JSON number, got "400"'),
     ({"scheduler": {"j_swap_hz": "1"}}, 'scheduler.j_swap_hz must be a JSON number, got "1"'),
     ({"scheduler": {"rates_hz": {"red_scattering": None}}},
      'scheduler.rates_hz must be a JSON object of numbers, got {"red_scattering": null}'),
@@ -740,24 +711,17 @@ _UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
     ({"scheduler": {"j_gate_hz": 0}}, "j_gate_hz must be nonzero, got 0"),
     ({"scheduler": {"j_swap_hz": 0.0}}, "j_swap_hz must be nonzero, got 0.0"),
     ({"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, "scheduler.rates_hz.gamma_eff_blue must be >= 0, got -1.0"),
-    # the Monte Carlo seed and sample count are scan flags only
-    ({"mc": {"seed": 7}}, "unknown keys in config: mc"),
-    # its keys moved into the scheduler section
-    ({"transport": {"nu_trap_hz": 982323.0}}, "unknown keys in config: transport"),
     # keys that no command read
     ({"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0, "linewidth_hz": 1e7}}},
      "unknown keys in species.Fr: linewidth_hz"),
     ({"geometry": {"z0_a0": 1000}}, "unknown keys in geometry: z0_a0"),
-    ({"scattering": {"nu_ref_hz": 172128}}, "unknown keys in scattering: nu_ref_hz"),
     (None, "cannot read cfg.json: No such file or directory"),
-], ids=["geometry-string", "scheduler-string", "rates-null", "blue-bool", "species-missing-key",
+], ids=["scheduler-string", "rates-null", "blue-bool", "species-missing-key",
         "species-name-newline", "species-name-empty", "species-name-comma", "species-name-padded",
         "species-name-surrogate",
         "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
         "frequency-negative", "mass-zero", "move-cap-negative", "gate-coupling-zero", "swap-coupling-zero",
-        "rate-negative", "former-mc-section",
-        "former-transport-section", "former-species-linewidth", "former-geometry-z0", "former-scattering-nu-ref",
-        "missing-file"])
+        "rate-negative", "former-species-linewidth", "former-geometry-z0", "missing-file"])
 def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, monkeypatch, config, message):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\n")
@@ -834,12 +798,6 @@ def test_tables_trap_inputs_out_of_float_range_exit_2(capsys, tmp_path, config, 
     assert named in err and err.count("\n") == 1, err
 
 
-def test_scan_refuses_the_former_reference_trap_frequency_exit_1(capsys, tmp_path):
-    code, out, err = _run_with_config(capsys, tmp_path, {"scattering": {"nu_ref_hz": 5e-324}},
-                                      "scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2")
-    assert (code, out, err) == (1, "", "error: unknown keys in scattering: nu_ref_hz\n")
-
-
 def _paths(doc, prefix=()):
     """The path to every value inside a JSON document, containers included."""
     for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
@@ -888,21 +846,13 @@ def _assert_clean_exit(code, out, err):
     assert not re.search(r"\b(nan|inf|infinity)\b", out, re.IGNORECASE), out
 
 
-def _assert_config_runs_every_command(capsys, tmp_path, config):
+def test_fuzzed_document_runs_every_command_unchanged(capsys, tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(config))
+    cfg.write_text(json.dumps(FUZZ_CONFIG))
     (tmp_path / "circuit.txt").write_text("XOR q0 q1\nH q0\n")
     for argv in (*_FUZZ_COMMANDS, ["compile", str(tmp_path / "circuit.txt")]):
         code, out, err = run(capsys, "--config", str(cfg), *argv)
         assert (code, err) == (0, ""), argv
-
-
-def test_readme_config_runs_every_command(capsys, tmp_path):
-    _assert_config_runs_every_command(capsys, tmp_path, README_CONFIG)
-
-
-def test_fuzzed_document_runs_every_command_unchanged(capsys, tmp_path):
-    _assert_config_runs_every_command(capsys, tmp_path, FUZZ_CONFIG)
 
 
 @settings(derandomize=True, max_examples=200, deadline=None,

@@ -180,6 +180,11 @@ def test_alignment_validation():
         _params(alignment=1.5)
 
 
+def test_stirring_params_refuse_a_non_finite_field():
+    with pytest.raises(DomainError, match="rabi must be finite"):
+        _params(rabi=math.nan)
+
+
 def test_rwa_exact_when_undriven_uncoupled():
     p = _params(rabi=0.0, gamma_e_hz=0.0, omega_s=12345.0)
     rep = gates.rwa_fidelity(p, duration_s=1e-3, steps=64)

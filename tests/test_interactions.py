@@ -150,18 +150,6 @@ def test_dipole_strength_domain():
         ia.gamma_prefactor_hz_m3("nonsense")
 
 
-def test_erfc_matches_high_precision_reference():
-    # the quadrature's working range, vs 50-digit mpmath; points at or above
-    # the series switch are left out because the kernel never calls _erfcx there
-    x = np.linspace(0.05, 9.5, 20)
-    x = x[x < ia._SERIES_SWITCH]
-    with mpmath.workdps(50):
-        for xi in x.tolist():
-            got = ia._erfcx(xi)
-            ref = float(mpmath.erfc(mpmath.mpf(xi)) * mpmath.exp(mpmath.mpf(xi) ** 2))
-            assert got == pytest.approx(ref, rel=1e-14)
-
-
 def test_erfcx_matches_high_precision_reference_over_kernel_range():
     # the kernel calls erfcx only below the series switch at x = 8
     x = np.linspace(0.0, ia._SERIES_SWITCH, 2001)[:-1]
@@ -476,6 +464,21 @@ def test_dipolar_mc_core_rejection_counted():
     geom = ia.TrapGeometry(1.0, 1.0, 1.0, 1.0)
     mc = ia.dipolar_average_mc(geom, 0.1, 20_000, seed=3, core_cutoff_a0=1.0)
     assert mc.n_rejected > 0
+
+
+def test_dipolar_mc_refuses_when_every_sample_is_rejected():
+    # widths far inside the default 0.1 a0 core cutoff, at zero separation
+    geom = ia.TrapGeometry(1e-3, 1e-3, 1e-3, 1e-3)
+    with pytest.raises(NumericalError, match="all samples rejected by the core cutoff"):
+        ia.dipolar_average_mc(geom, 0.0, 10_000, seed=1)
+
+
+def test_usable_cpus_without_an_affinity_call_is_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(ia.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(ia.os, "cpu_count", lambda: 3)
+    assert ia._usable_cpus() == 3
+    monkeypatch.setattr(ia.os, "cpu_count", lambda: None)  # the count is unknown
+    assert ia._usable_cpus() == 1
 
 
 # --- effective coupling -----------------------------------------------------

@@ -186,6 +186,15 @@ def test_fidelity_dim_mismatch():
         ops.fidelity(np.eye(2), np.eye(4))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: ops.embed([[1]], [0], 2), "operator of dimension 1 does not match 1 sites"),
+    (lambda: ops.fidelity(np.diag([2.0, 1.0]), np.eye(2)), "fidelity is defined for unitary operators"),
+], ids=["embed-dimension", "fidelity-non-unitary"])
+def test_operator_of_the_wrong_kind_refused(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 def test_operator_distance_phase_aligned():
     u = np.asarray(ops.expm_h(ops.pauli("y", 0, 1), 0.3))
     assert ops.operator_distance(u, np.exp(1j * 1.1) * u) < 1e-12

@@ -1,11 +1,10 @@
 """The frozen value records: repr, immutability, checks on ``replace``, field
-errors, equality by type and the schedule JSON round trip."""
+errors and equality by type."""
 
 import json
 
 import pytest
 
-from spinbus import scheduler as sch
 from spinbus.cli import main
 from spinbus.errors import DomainError
 from spinbus.record import Record
@@ -80,15 +79,8 @@ def equal_only_within_a_type(capsys, tmp_path):
     assert A(1.0) != {"x": 1.0, "y": 2.0}
 
 
-def schedule_round_trips(capsys, tmp_path):
-    circuit = sch.parse_circuit("XOR q0 q1\nPHASE1 q1 0.5\nSWAP q0 q2\n")
-    schedule = sch.compile_circuit(circuit, sch.Register(n_qubits=3), sch.CompileParams(single_bit_mode="mediated"))
-    assert sch.schedule_from_json(sch.schedule_to_json(schedule)) == schedule
-    assert schedule.replace(total_time_s=0.0) != schedule
-
-
 CASES = [repr_lists_every_field, fields_are_frozen, replace_checks_again, missing_field, unknown_field,
-         repeated_field, equal_only_within_a_type, schedule_round_trips]
+         repeated_field, equal_only_within_a_type]
 
 
 @pytest.mark.parametrize("case", CASES, ids=[case.__name__ for case in CASES])

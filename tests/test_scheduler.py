@@ -202,21 +202,6 @@ def test_schedule_wellformed_non_overlapping_and_continuous():
         pos = m.to_pos
 
 
-def test_compile_deterministic_byte_for_byte():
-    circ = sch.parse_circuit("XOR q0 q1\nH q0")
-    a = sch.schedule_to_json(sch.compile_circuit(circ, REG2))
-    b = sch.schedule_to_json(sch.compile_circuit(circ, REG2))
-    assert a == b
-
-
-def test_schedule_json_round_trip():
-    s = sch.compile_circuit(sch.parse_circuit("XOR q0 q1\nPHASE q0 q1"), REG2)
-    text = sch.schedule_to_json(s)
-    s2 = sch.schedule_from_json(text)
-    assert sch.schedule_to_json(s2) == text
-    assert sch.verify_schedule(s2)["fidelity"] == pytest.approx(sch.verify_schedule(s)["fidelity"], abs=1e-15)
-
-
 def test_schedule_json_rejects_bad_format():
     with pytest.raises(DomainError):
         sch.schedule_from_json('{"format": "other/9"}')

@@ -51,6 +51,11 @@ def test_fourier_magnitude_lorentzian_vs_quadrature():
     assert got == pytest.approx(tr.fourier_magnitude(pulse, OMEGA_T / 4), rel=1e-4)
 
 
+def test_fourier_magnitude_refuses_a_non_positive_omega():
+    with pytest.raises(DomainError, match="omega must be positive, got 0.0"):
+        tr.fourier_magnitude(tr.LorentzianPulse(f0_n=1e-22, tau_s=2e-6), 0.0)
+
+
 def test_excitation_first_order_definition():
     pulse = tr.LorentzianPulse(f0_n=3e-22, tau_s=1.5e-6)
     ft = math.pi * 3e-22 * math.exp(-OMEGA_T * 1.5e-6)

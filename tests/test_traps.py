@@ -168,3 +168,9 @@ def test_csv_and_json_emission(capsys):
 def test_species_validation():
     with pytest.raises(DomainError):
         traps.AtomSpecies("bad", -1.0, 100.0, 700.0)
+
+
+def test_scattering_mass_validation():
+    # the config refuses a mass_amu that is not positive first; the record checks its own kg
+    with pytest.raises(DomainError, match="scattering mass must be positive"):
+        traps.ScatteringParams(a_t_a0=110.0, a_s_a0=10.0, mass_kg=0.0)
