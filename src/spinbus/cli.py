@@ -265,7 +265,7 @@ def _parser() -> tuple[argparse.ArgumentParser, set]:
     option(p, "--points", type=int, required=True)
     option(p, "--mode", choices=["quadrature", "mc"], default="quadrature")
     option(p, "--gamma-mode", choices=list(traps.GAMMA_MODES), default="calibrated")
-    option(p, "--samples", type=int, help=f"MC samples per point, 1e4 to 1e9 (mc mode; default: {MC_SAMPLES}).")
+    option(p, "--samples", type=int, help=f"MC kernel evaluations per point, 1e4 to 1e9 (mc mode; default: {MC_SAMPLES}).")
     option(p, "--seed", type=int, help=f"Seed of the first point, each next point one more (mc mode; default: {MC_SEED}).")
     option(p, "--out")
 

@@ -45,13 +45,14 @@ GAMMA_E_FIRST_PRINCIPLES_HZ = (
     VACUUM_PERMEABILITY / (4 * math.pi) * BOHR_MAGNETON**2 / (H_PLANCK * BOHR_RADIUS**3)
 )
 
-_MC_CHUNK = 1 << 14
+# pairs of kernel evaluations per Monte Carlo chunk; a pair shares one draw (E, z)
+_MC_CHUNK = 1 << 13
 # checked before numpy is imported: sampling time grows with the count, and the cap is 1000 times scan's default
 MAX_MC_SAMPLES = 10**9
 
 
 class MonteCarloAverage(Record):
-    """``dipolar_average_mc``'s estimate in m^-3 and the samples its core cutoff rejected."""
+    """``dipolar_average_mc``'s estimate in m^-3 and the kernel evaluations its core cutoff rejected."""
 
     value_m3: float
     stderr_m3: float
@@ -310,53 +311,70 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_chunk_sums(geom, z0, n_samples, seed, cut2, chunks, buffers) -> list[tuple[float, float, int]]:
-    """(sum f, sum f^2, kept) for each chunk in ``chunks``, in that order.
+def _mc_chunk_sums(geom, z0, n_pairs, seed, cut2, chunks, buffers) -> list[tuple[float, float, int, float, float]]:
+    """(sum s, sum s^2, sum k, sum k^2, sum s k) for each chunk in ``chunks``,
+    in that order, over its pairs of kernel evaluations: k of a pair's two
+    evaluations are kept and s is the sum of their kernel values.
 
     Draws R = r_q - r_h - z0 zhat = (a_r x, a_r y, a_z z - z0) for standard
     normals x, y, z, whose transverse part enters only as rho^2 = a_r^2 (x^2 +
     y^2) = 2 a_r^2 E with E ~ Exp(1) (chi-squared with 2 degrees of freedom):
-    each chunk's generator fills E, then z, two draws per sample.  Works in
-    the caller's ``buffers`` (a float block of 3 * size and a bool keep mask
-    of size) with in-place ufuncs, which release the GIL, in the order of the
-    plain expressions r2 = E (2 a_r^2) + (a_z z - z0)^2 and
-    (1 - 3 (a_z z - z0)^2 / r2) / (r2 sqrt(r2)), so each chunk's sums are
-    bit-identical to evaluating those on fresh arrays.
+    each chunk's generator fills E, then z, one of each per pair.  The normal
+    law is symmetric, so the pair takes the axial offsets w = a_z z - z0 and
+    w = -a_z z - z0 at the same rho^2.  Works in the caller's ``buffers`` (a
+    float block of 6 * size and a bool block of 2 * size) with in-place
+    ufuncs, which release the GIL, in the order of the plain expressions
+    r2 = E (2 a_r^2) + w^2 and (1 - 3 w^2 / r2) / (r2 sqrt(r2)), an evaluation
+    with r2 <= ``cut2`` counting as 0, so each chunk's sums are bit-identical
+    to evaluating those on fresh arrays.
     """
     import numpy as np
 
-    block, keep = buffers
+    block, flags = buffers
     rho2_per_e, a_z = 2.0 * geom.a_r * geom.a_r, geom.a_z
     sums = []
     for chunk in chunks:
-        n = min(_MC_CHUNK, n_samples - chunk * _MC_CHUNK)
-        x, y, z = block[:3 * n].reshape(3, n)
-        kp = keep[:n]
+        n = min(_MC_CHUNK, n_pairs - chunk * _MC_CHUNK)
+        # each of r2, f and t holds a value of the first evaluation of every pair, then of the second
+        r2, f, t = block[:6 * n].reshape(3, 2 * n)
+        rho2, az = r2[n:], f[n:]  # until each becomes the second evaluation's r2 and w^2
         rng = np.random.default_rng([seed, chunk])
-        rng.standard_exponential(out=x)
-        rng.standard_normal(out=z)
-        # x becomes r2 and y becomes z^2; z is then spent
-        x *= rho2_per_e
-        z *= a_z
-        z -= z0
-        np.square(z, out=y)
-        x += y
-        np.greater(x, cut2, out=kp)
-        m = int(np.count_nonzero(kp))
-        if m == n:  # nothing rejected: no compress, whose index array each thread would allocate
-            r2, f, tmp = x, y, z
-        else:
-            r2, f, tmp = z[:m], x[:m], y[:m]
-            np.compress(kp, x, out=r2)
-            np.compress(kp, y, out=f)
+        rng.standard_exponential(out=rho2)
+        rng.standard_normal(out=az)
+        rho2 *= rho2_per_e
+        az *= a_z
+        np.subtract(az, z0, out=f[:n])
+        np.subtract(-z0, az, out=az)  # -a_z z - z0, bit for bit
+        np.square(f, out=f)
+        np.add(rho2, f[:n], out=r2[:n])
+        rho2 += f[n:]
         f *= 3.0
         f /= r2
         np.subtract(1.0, f, out=f)
-        np.sqrt(r2, out=tmp)
-        tmp *= r2
-        f /= tmp
-        np.square(f, out=tmp)
-        sums.append((float(f.sum()), float(tmp.sum()), m))
+        np.sqrt(r2, out=t)
+        t *= r2
+        f /= t
+        s = f[:n]
+        if r2.min() > cut2:  # nothing rejected: k = 2 for every pair
+            s += f[n:]
+            np.square(s, out=t[:n])
+            total = float(s.sum())
+            sums.append((total, float(t[:n].sum()), 2 * n, 4.0 * n, 2.0 * total))
+            continue
+        rejected = flags[:2 * n]
+        np.less_equal(r2, cut2, out=rejected)
+        kept = 2 * n - int(np.count_nonzero(rejected))
+        np.copyto(f, 0.0, where=rejected)
+        s += f[n:]
+        # t becomes k and k^2, r2 s k and s^2
+        k, k2 = t.reshape(2, n)
+        np.add(*rejected.reshape(2, n), out=k, dtype=float)
+        np.subtract(2.0, k, out=k)
+        np.square(k, out=k2)
+        sk, s2 = r2.reshape(2, n)
+        np.multiply(s, k, out=sk)
+        np.square(s, out=s2)
+        sums.append((float(s.sum()), float(s2.sum()), kept, float(k2.sum()), float(sk.sum())))
     return sums
 
 
@@ -391,28 +409,39 @@ def dipolar_average_mc(
     with the combined widths (a_r, a_r, a_z), and averages the dipolar
     kernel over it.  The kernel depends on the transverse part of R only
     through rho^2, which is drawn as 2 a_r^2 E with E ~ Exp(1), the law of
-    a_r^2 (x^2 + y^2) for standard normals x and y.  Samples with |R| below
-    the core cutoff are rejected and counted: the 1/R^3 kernel has a
-    divergent variance contribution from the overlap region.  Excluding a small sphere makes the sample
+    a_r^2 (x^2 + y^2) for standard normals x and y.  Each draw (E, z) gives
+    a pair of kernel evaluations, at the axial offsets a_z z - z0 and
+    -a_z z - z0: the reflection z -> -z keeps the normal law, so the second
+    evaluation costs no draw (antithetic variates; Hammersley & Morton, Proc.
+    Camb. Phil. Soc. 52, 449 (1956)).  ``n_samples`` counts evaluations; an
+    odd count evaluates one more.  Evaluations with |R| below the core
+    cutoff are rejected and counted: the 1/R^3 kernel has a divergent
+    variance contribution from the overlap region.  Excluding a small sphere makes the sample
     mean the spherical principal value, whose core contributes nothing by
     the angular average.  ``dipolar_average`` is the slab principal value,
     so the spherical mean has the contact term (8 pi/3) p_R(0) subtracted
     (``contact_density_a0``; Jackson, Classical Electrodynamics, 3rd ed.,
-    sec. 5.6), and both functions return the same slab average.  The
-    stderr is that of the sample mean.
+    sec. 5.6), and both functions return the same slab average.  The pair
+    is the sampling unit of the stderr: with s the sum of a pair's kept
+    evaluations and k their number, the mean is sum s / sum k and the stderr
+    is the ratio estimator's, sqrt(sum (s - mean k)^2 / ((P - 1) P)) /
+    (sum k / P) over the P pairs, which is the stderr of the pair means when
+    nothing is rejected.
 
-    Deterministic for a fixed non-negative integer seed: samples are drawn
+    Deterministic for a fixed non-negative integer seed: pairs are drawn
     in fixed-size chunks, each chunk's generator seeded by
     (seed, chunk_index).  The chunks run on a thread pool of one worker per
     usable CPU (at most one per chunk); worker w takes chunks w, w+k, ...
     and reuses one set of buffers of about 0.4 MB, allocated here.  The
     per-chunk sums are added in chunk order, so the result is bit-identical
-    whatever the number of workers.  The sample count (10^4 to
-    ``MAX_MC_SAMPLES``) and the seed are checked before numpy is imported.
+    whatever the number of workers.  The sample count (an integer from 10^4
+    to ``MAX_MC_SAMPLES``) and the seed are checked before numpy is imported.
     """
     import numbers
 
     _finite_z0(z0)
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise DomainError(f"MC sample count must be an integer, got {n_samples!r}")
     if n_samples < 10**4:
         raise DomainError(f"need at least 1e4 samples, got {n_samples}")
     if n_samples > MAX_MC_SAMPLES:
@@ -422,37 +451,40 @@ def dipolar_average_mc(
     import numpy as np
     from concurrent.futures import ThreadPoolExecutor  # off the import path of every other command
 
-    n_chunks = (n_samples + _MC_CHUNK - 1) // _MC_CHUNK
+    n_pairs = (int(n_samples) + 1) // 2
+    n_chunks = (n_pairs + _MC_CHUNK - 1) // _MC_CHUNK
     workers = min(n_chunks, _usable_cpus())
-    size = min(_MC_CHUNK, n_samples)
-    buffers = [(np.empty(3 * size), np.empty(size, dtype=bool)) for _ in range(workers)]
+    size = min(_MC_CHUNK, n_pairs)
+    buffers = [(np.empty(6 * size), np.empty(2 * size, dtype=bool)) for _ in range(workers)]
 
     def work(w: int):
-        with np.errstate(over="ignore", invalid="ignore"):  # a width out of float range is refused below
-            return _mc_chunk_sums(geom, z0, n_samples, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
+        # a width out of float range is refused below; a rejected evaluation may divide by zero
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _mc_chunk_sums(geom, z0, n_pairs, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
 
     with ThreadPoolExecutor(workers) as pool:
         per_worker = list(pool.map(work, range(workers)))
 
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = total_k2 = total_sk = 0.0
     kept = 0
     for chunk in range(n_chunks):
-        s, s2, m = per_worker[chunk % workers][chunk // workers]
+        s, s2, k, k2, sk = per_worker[chunk % workers][chunk // workers]
         total += s
         total_sq += s2
-        kept += m
+        kept += k
+        total_k2 += k2
+        total_sk += sk
     if not math.isfinite(total_sq):  # a width whose square leaves float range
         raise NumericalError(f"Monte Carlo oracle cannot evaluate trap widths a_r={geom.a_r} a0, a_z={geom.a_z} a0")
     if kept < 2:
         raise NumericalError("all samples rejected by the core cutoff")
     mean = total / kept
-    var = max(0.0, (total_sq - kept * mean * mean) / (kept - 1))
-    stderr = math.sqrt(var / kept)
+    spread = max(0.0, total_sq - 2.0 * mean * total_sk + mean * mean * total_k2)
+    stderr = math.sqrt(spread / ((n_pairs - 1) * n_pairs)) / (kept / n_pairs)
     return MonteCarloAverage(
         value_m3=(mean - 8.0 * math.pi / 3.0 * contact_density_a0(geom, z0)) / BOHR_RADIUS**3,
         stderr_m3=stderr / BOHR_RADIUS**3,
-        n_rejected=n_samples - kept,
+        n_rejected=2 * n_pairs - kept,
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import statistics
 import sys
 import tracemalloc
 
@@ -346,30 +347,47 @@ def test_dipolar_mc_point_trap_limit():
 def serial_mc_reference(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: int, core_cutoff_a0: float = 0.1):
     """(value_m3, stderr_m3, n_rejected) of the Monte Carlo oracle, computed
     one chunk after another on fresh arrays: the seeded stream that
-    ``dipolar_average_mc`` must reproduce bit for bit.  Each chunk draws
-    R = r_q - r_h - z0 zhat from its own generator as n standard
-    exponentials E, then n standard normals z: the transverse radius squared
-    is 2 a_r^2 E and the axial part a_z z - z0.  The spherical mean then
-    loses the contact term (8 pi/3) p_R(0)."""
+    ``dipolar_average_mc`` must reproduce bit for bit, and the number of
+    pairs that keep 0, 1 and 2 of their evaluations.
+
+    The oracle evaluates ceil(n_samples / 2) pairs.  Each chunk of pairs
+    draws R = r_q - r_h - z0 zhat from its own generator as n standard
+    exponentials E, then n standard normals z: both evaluations of a pair
+    take the transverse radius squared 2 a_r^2 E, one the axial part
+    a_z z - z0 and the other -a_z z - z0.  An evaluation inside the core
+    cutoff counts as 0 and is not kept.  With s the sum of a pair's kept
+    values and k their number, the mean is sum s / sum k and its stderr the
+    ratio estimator's over pairs; the spherical mean then loses the contact
+    term (8 pi/3) p_R(0)."""
+    n_pairs = (n_samples + 1) // 2
     chunk_size = ia._MC_CHUNK
-    total, total_sq, kept, rejected = 0.0, 0.0, 0, 0
-    for chunk in range((n_samples + chunk_size - 1) // chunk_size):
-        n = min(chunk_size, n_samples - chunk * chunk_size)
+    total, total_sq, total_k, total_k2, total_sk = 0.0, 0.0, 0, 0.0, 0.0
+    pairs_keeping = np.zeros(3, dtype=int)
+    for chunk in range((n_pairs + chunk_size - 1) // chunk_size):
+        n = min(chunk_size, n_pairs - chunk * chunk_size)
         rng = np.random.default_rng([seed, chunk])
         e, z = rng.standard_exponential(n), rng.standard_normal(n)
-        z = z * geom.a_z - z0
-        r2 = e * (2.0 * geom.a_r * geom.a_r) + z * z
-        keep = r2 > core_cutoff_a0**2
-        rejected += int(n - keep.sum())
-        r2 = r2[keep]
-        f = (1.0 - 3.0 * z[keep] ** 2 / r2) / (r2 * np.sqrt(r2))
-        total += float(f.sum())
-        total_sq += float((f * f).sum())
-        kept += int(keep.sum())
-    mean = total / kept
-    var = max(0.0, (total_sq - kept * mean * mean) / (kept - 1))
+        rho2 = e * (2.0 * geom.a_r * geom.a_r)
+        az = z * geom.a_z
+        s = np.zeros(n)
+        k = np.zeros(n)
+        for w in (az - z0, -az - z0):
+            r2 = rho2 + w**2
+            keep = r2 > core_cutoff_a0**2
+            s = s + np.where(keep, (1.0 - 3.0 * w**2 / r2) / (r2 * np.sqrt(r2)), 0.0)
+            k = k + keep
+        total += float(s.sum())
+        total_sq += float((s * s).sum())
+        total_k += int(k.sum())
+        total_k2 += float((k * k).sum())
+        total_sk += float((s * k).sum())
+        pairs_keeping += np.bincount(k.astype(int), minlength=3)
+    mean = total / total_k
+    spread = max(0.0, total_sq - 2.0 * mean * total_sk + mean * mean * total_k2)
+    stderr = math.sqrt(spread / ((n_pairs - 1) * n_pairs)) / (total_k / n_pairs)
     value = mean - 8.0 * math.pi / 3.0 * ia.contact_density_a0(geom, z0)
-    return value / units.BOHR_RADIUS**3, math.sqrt(var / kept) / units.BOHR_RADIUS**3, rejected
+    triple = (value / units.BOHR_RADIUS**3, stderr / units.BOHR_RADIUS**3, 2 * n_pairs - total_k)
+    return triple, tuple(int(c) for c in pairs_keeping)
 
 
 def three_normal_mc(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: int):
@@ -396,6 +414,16 @@ def test_dipolar_mc_exponential_radius_agrees_with_three_normals(z0):
     assert abs(mc.value_m3 - ref) <= 4.0 * math.hypot(mc.stderr_m3, ref_stderr)
 
 
+@pytest.mark.parametrize("z0", [2100.0, 2400.0])
+def test_dipolar_mc_pairs_cost_no_precision_where_the_benchmark_samples(z0):
+    # each pair spends one draw on two evaluations, and at the benchmark's
+    # separations the stderr per evaluation still falls below the unpaired one
+    seeds = range(1, 11)
+    paired = [ia.dipolar_average_mc(REF_GEOM, z0, 200_000, seed).stderr_m3 for seed in seeds]
+    unpaired = [three_normal_mc(REF_GEOM, z0, 200_000, seed)[1] for seed in seeds]
+    assert statistics.median(paired) < statistics.median(unpaired)
+
+
 def _mc_triple(result: ia.MonteCarloAverage):
     return result.value_m3, result.stderr_m3, result.n_rejected
 
@@ -404,7 +432,7 @@ def test_dipolar_mc_deterministic_and_chunk_invariant():
     a = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=42)
     b = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=42)
     assert a == b
-    assert _mc_triple(a) == serial_mc_reference(REF_GEOM, REF_Z0, 150_000, 42)
+    assert _mc_triple(a) == serial_mc_reference(REF_GEOM, REF_Z0, 150_000, 42)[0]
     c = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=43)
     assert c.value_m3 != a.value_m3
 
@@ -415,19 +443,24 @@ MC_STREAM_CASES = {
     "cutoff=1": (ia.TrapGeometry(1.0, 1.0, 1.0, 1.0), 0.0, 1.0),
     "cutoff=50": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0), 0.0, 50.0),
     "anisotropic": (ia.TrapGeometry(300.0, 150.0, 120.0, 80.0), 600.0, 0.1),
+    # the two evaluations of a pair sit at different |R|, so some pairs keep one
+    "z0=1,cutoff=1": (ia.TrapGeometry(1.0, 1.0, 1.0, 1.0), 1.0, 1.0),
 }
 
 
 @pytest.mark.parametrize(
     "n_samples",
-    [10_000, 2**17, 2**17 + 1, 3 * 2**17 + 5, ia._MC_CHUNK, ia._MC_CHUNK + 1, 3 * ia._MC_CHUNK + 5],
+    # evaluations: exactly one chunk of pairs, then odd counts that reach one pair into a second and a fourth chunk
+    [10_000, 2**17, 2**17 + 1, 3 * 2**17 + 5, 2 * ia._MC_CHUNK, 2 * ia._MC_CHUNK + 1, 6 * ia._MC_CHUNK + 5],
 )
 @pytest.mark.parametrize("case", list(MC_STREAM_CASES))
 def test_dipolar_mc_bit_identical_to_serial_reference_for_any_pool_size(monkeypatch, case, n_samples):
     geom, z0, cutoff = MC_STREAM_CASES[case]
-    want = serial_mc_reference(geom, z0, n_samples, 42, cutoff)
+    want, pairs_keeping = serial_mc_reference(geom, z0, n_samples, 42, cutoff)
     if cutoff > 0.1:
         assert want[2] > 0  # the rejecting path is exercised
+    if z0 != 0.0 and cutoff > 0.1:
+        assert pairs_keeping[1] > 0  # pairs that keep one evaluation of two
     for cpus in (1, 2, 3):
         monkeypatch.setattr(ia, "_usable_cpus", lambda: cpus)
         got = ia.dipolar_average_mc(geom, z0, n_samples, seed=42, core_cutoff_a0=cutoff)
@@ -436,7 +469,8 @@ def test_dipolar_mc_bit_identical_to_serial_reference_for_any_pool_size(monkeypa
 
 def test_dipolar_mc_buffers_stay_small(monkeypatch):
     # numpy reports its array buffers to tracemalloc; two workers with 2^17-sample
-    # chunks peaked at 6.6e6 bytes here, with 2^14-sample chunks at 0.85e6
+    # chunks peaked at 6.6e6 bytes here, with 2^14-sample chunks at 0.85e6, and
+    # with chunks of 2^13 pairs of evaluations at 0.85e6 too
     monkeypatch.setattr(ia, "_usable_cpus", lambda: 2)
     ia.dipolar_average_mc(REF_GEOM, 2100.0, 10_000, seed=1)  # imports numpy.random and the thread pool
     tracemalloc.start()
@@ -448,9 +482,17 @@ def test_dipolar_mc_buffers_stay_small(monkeypatch):
     assert peak < 1.5e6
 
 
-def test_dipolar_mc_validates_sample_count():
-    with pytest.raises(DomainError):
-        ia.dipolar_average_mc(REF_GEOM, REF_Z0, 100, seed=1)
+@pytest.mark.parametrize("n_samples, message", [
+    (100, "need at least 1e4 samples, got 100"),
+    (1e5, "MC sample count must be an integer, got 100000.0"),
+    (100000.5, "MC sample count must be an integer, got 100000.5"),
+    (True, "MC sample count must be an integer, got True"),
+], ids=["below-1e4", "float-1e5", "fraction", "bool"])
+def test_dipolar_mc_validates_sample_count(monkeypatch, n_samples, message):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # refused before numpy is imported
+    with pytest.raises(DomainError) as refused:
+        ia.dipolar_average_mc(REF_GEOM, REF_Z0, n_samples, seed=1)
+    assert str(refused.value) == message
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
