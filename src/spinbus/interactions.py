@@ -430,11 +430,13 @@ def dipolar_average_mc(
 
     Deterministic for a fixed non-negative integer seed: pairs are drawn
     in fixed-size chunks, each chunk's generator seeded by
-    (seed, chunk_index).  The chunks run on a thread pool of one worker per
-    usable CPU (at most one per chunk); worker w takes chunks w, w+k, ...
-    and reuses one set of buffers of about 0.4 MB, allocated here.  The
-    per-chunk sums are added in chunk order, so the result is bit-identical
-    whatever the number of workers.  The sample count (an integer from 10^4
+    (seed, chunk_index).  The chunks run on one worker per usable CPU (at
+    most one per chunk): worker 0 in the calling thread, each other one on a
+    thread of its own.  Worker w takes chunks w, w+k, ... and reuses one set
+    of buffers of about 0.4 MB, allocated here; an exception that a worker
+    raises is raised here, once every worker has finished.  The per-chunk
+    sums are added in chunk order, so the result is bit-identical whatever
+    the number of workers.  The sample count (an integer from 10^4
     to ``MAX_MC_SAMPLES``) and the seed are checked before numpy is imported.
     """
     import numbers
@@ -448,22 +450,35 @@ def dipolar_average_mc(
         raise DomainError(f"need at most 1e9 samples, got {n_samples}")
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
         raise DomainError(f"MC seed must be a non-negative integer, got {seed!r}")
+    import threading
+
     import numpy as np
-    from concurrent.futures import ThreadPoolExecutor  # off the import path of every other command
 
     n_pairs = (int(n_samples) + 1) // 2
     n_chunks = (n_pairs + _MC_CHUNK - 1) // _MC_CHUNK
     workers = min(n_chunks, _usable_cpus())
     size = min(_MC_CHUNK, n_pairs)
     buffers = [(np.empty(6 * size), np.empty(2 * size, dtype=bool)) for _ in range(workers)]
+    per_worker: list = [None] * workers  # each worker's chunk sums, or the exception it raised
 
-    def work(w: int):
-        # a width out of float range is refused below; a rejected evaluation may divide by zero
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _mc_chunk_sums(geom, z0, n_pairs, seed, core_cutoff_a0**2, range(w, n_chunks, workers), buffers[w])
+    def work(w: int) -> None:
+        try:
+            # a width out of float range is refused below; a rejected evaluation may divide by zero
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                chunks = range(w, n_chunks, workers)
+                per_worker[w] = _mc_chunk_sums(geom, z0, n_pairs, seed, core_cutoff_a0**2, chunks, buffers[w])
+        except BaseException as error:
+            per_worker[w] = error
 
-    with ThreadPoolExecutor(workers) as pool:
-        per_worker = list(pool.map(work, range(workers)))
+    threads = [threading.Thread(target=work, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    work(0)
+    for thread in threads:
+        thread.join()
+    for result in per_worker:
+        if isinstance(result, BaseException):
+            raise result
 
     total = total_sq = total_k2 = total_sk = 0.0
     kept = 0

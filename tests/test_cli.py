@@ -31,17 +31,11 @@ def parse_csv(text):
     return list(csv.DictReader(io.StringIO(text)))
 
 
+# argparse's invalid-choice line quotes the choices on some Pythons only (3.11: 'red', 'blue'; 3.13: red, blue),
+# so these stay out of the golden corpus, whose other usage lines it holds to the byte
 USAGE_ERRORS = {
-    "no-command": [],
     "unknown-command": ["frobnicate"],
-    "unknown-option": ["tables", "--lattice", "red", "--colour", "blue"],
-    "missing-required-option": ["tables"],
-    "missing-value": ["tables", "--lattice"],
     "bad-choice": ["tables", "--lattice", "green"],
-    "non-numeric-float": ["scan", "--z0-min", "near", "--z0-max", "2500", "--points", "3"],
-    "non-numeric-int": ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "3.5"],
-    "abbreviated-option": ["scan", "--z0-min", "200", "--z0-max", "2500", "--poi", "3"],
-    "abbreviated-optional-option": ["tables", "--lattice", "red", "--form", "json"],
 }
 
 
@@ -92,27 +86,6 @@ def test_tables_blue_has_all_species(capsys):
     assert float(rows[3]["gamma_eff_Hz"]) == pytest.approx(0.6, rel=0.1)
 
 
-def test_tables_unknown_species_exit_1(capsys):
-    code, _, err = run(capsys, "tables", "--lattice", "red", "--species", "Xx")
-    assert code == 1
-    assert "Xx" in err
-
-
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_tables_species_named_twice_exit_1(capsys, fmt):
-    # csv would write the row twice and json once, under one key
-    assert run(capsys, "tables", "--lattice", "red", "--species", "Rb,Cs, Rb", "--format", fmt) == (
-        1, "", "error: --species names Rb twice\n")
-
-
-@pytest.mark.parametrize("species", ["", " ", "Rb,"], ids=["empty", "blank", "trailing-comma"])
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_tables_empty_species_name_exit_1(capsys, species, fmt):
-    # an empty --species is a name that matches no species, not a missing --species
-    assert run(capsys, "tables", "--lattice", "red", "--species", species, "--format", fmt) == (
-        1, "", "error: unknown species ''; known: Cs, K, Li, Na, Rb\n")
-
-
 def test_tables_json_and_determinism(capsys):
     code, out1, _ = run(capsys, "tables", "--lattice", "red", "--format", "json")
     assert code == 0
@@ -135,18 +108,6 @@ def test_scan_two_points(capsys):
     assert float(r["J_dipolar_Hz"]) / float(r["J_pointdipole_Hz"]) > 0.5
 
 
-@pytest.mark.parametrize("z0_min, z0_max, points, message", [
-    ("100", "-100", "3", "need every z0 > 0; the grid from 100.0 to -100.0 reaches 0.0"),
-    ("1e-100", "1e-100", "2", "z0 = 1e-100 a0 is out of range: the point-dipole reference is not a finite float"),
-    ("1e200", "1e200", "2", "z0 = 1e+200 a0 is out of range: the point-dipole reference is not a finite float"),
-], ids=["grid-crosses-zero", "cube-underflows", "cube-overflows"])
-def test_scan_z0_out_of_float_range_exit_1(capsys, z0_min, z0_max, points, message):
-    code, out, err = run(capsys, "scan", "--z0-min", z0_min, "--z0-max", z0_max, "--points", points)
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {message}\n"
-
-
 def test_scan_points_cap_is_inclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_SCAN_POINTS", 3)
     code, out, _ = run(capsys, "scan", "--z0-min", "800", "--z0-max", "1200", "--points", "3")
@@ -155,30 +116,21 @@ def test_scan_points_cap_is_inclusive(capsys, monkeypatch):
         1, "", "error: need points <= 3, got 4\n")
 
 
-def test_scan_negative_value_in_scientific_notation_is_read_as_a_value(capsys):
-    # a value-taking option takes the next token even when it looks like an option
-    code, out, err = run(capsys, "scan", "--z0-min", "-1e-100", "--z0-max", "2500", "--points", "3")
-    assert code == 1
-    assert out == ""
-    assert err == "error: need every z0 > 0; the grid from -1e-100 to 2500.0 reaches -1e-100\n"
-
-
-@pytest.mark.parametrize("geometry, stages, widths", [
+# the quadrature scan's refusals of these widths are golden cases; the Monte Carlo scan samples with numpy first
+@pytest.mark.parametrize("geometry, stage, widths", [
     # the contact density is finite here (a_r^2 a_z is 1.7e205 a0^3); the dipolar part's a_z^2 overflows
-    ({"a_qz_a0": 1e200}, ("dipolar quadrature", "Monte Carlo oracle"), "a_r=412.31056256176606 a0, a_z=1e+200 a0"),
-    ({"a_qr_a0": 1e-200, "a_hr_a0": 1e-200}, ("contact density",) * 2,
+    ({"a_qz_a0": 1e200}, "Monte Carlo oracle", "a_r=412.31056256176606 a0, a_z=1e+200 a0"),
+    ({"a_qr_a0": 1e-200, "a_hr_a0": 1e-200}, "contact density",
      "a_r=1.414213562373095e-200 a0, a_z=412.31056256176606 a0"),
-    ({"a_qr_a0": 1e-150, "a_hr_a0": 1e-150}, ("contact density",) * 2,
+    ({"a_qr_a0": 1e-150, "a_hr_a0": 1e-150}, "contact density",
      "a_r=1.414213562373095e-150 a0, a_z=412.31056256176606 a0"),
 ], ids=["square-overflows", "square-underflows", "coupling-overflows"])
-def test_scan_trap_widths_out_of_float_range_exit_2(capsys, tmp_path, geometry, stages, widths):
+def test_scan_mc_trap_widths_out_of_float_range_exit_2(capsys, tmp_path, geometry, stage, widths):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"geometry": geometry}))
-    for mode, stage in zip((["quadrature"], ["mc", "--samples", "10000"]), stages):
-        code, out, err = run(capsys, "--config", str(cfg), "scan", "--z0-min", "200", "--z0-max", "2500",
-                             "--points", "2", "--mode", *mode)
-        assert (code, out) == (2, ""), mode
-        assert err == f"numerical failure: {stage} cannot evaluate trap widths {widths}\n"
+    assert run(capsys, "--config", str(cfg), "scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2",
+               "--mode", "mc", "--samples", "10000") == (
+        2, "", f"numerical failure: {stage} cannot evaluate trap widths {widths}\n")
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -228,20 +180,6 @@ def test_scan_mc_agrees_with_quadrature(capsys):
         assert abs(float(rm["J_dipolar_Hz"]) - float(rq["J_dipolar_Hz"])) <= 3 * float(rm["stderr_Hz"])
 
 
-MC_SCAN = ["scan", "--z0-min", "600", "--z0-max", "900", "--points", "2", "--mode", "mc"]
-
-
-@pytest.mark.parametrize("flags, message", [
-    (["--samples", "10000", "--seed", "-1"], "MC seed must be a non-negative integer, got -1"),
-    (["--samples", "0"], "need at least 1e4 samples, got 0"),
-], ids=["flag-seed-negative", "flag-samples-zero"])
-def test_scan_mc_bad_seed_or_samples_exit_1(capsys, flags, message):
-    code, out, err = run(capsys, *MC_SCAN, *flags)
-    assert code == 1
-    assert out == ""
-    assert err == f"error: {message}\n"
-
-
 @pytest.mark.parametrize("flags, flag", [
     (["--samples", "5", "--seed", "-4"], "--samples"),
     (["--seed", "7"], "--seed"),
@@ -282,13 +220,6 @@ def test_gatecheck_passes_and_reports(capsys, tmp_path):
     assert all(b <= a + 1e-3 for a, b in zip(fids, fids[1:]))
 
 
-def test_gatecheck_impossible_tolerance_fails_cleanly(capsys):
-    # a fidelity of 1 is a valid threshold that the RWA scan cannot meet
-    code, _, err = run(capsys, "gatecheck", "--rwa-threshold", "1.0")
-    assert code == 2
-    assert "threshold" in err
-
-
 @pytest.mark.parametrize("flag, value, why", [
     ("--tolerance", "nan", "invalid finite float value"),
     ("--rwa-threshold", "inf", "invalid finite float value"),
@@ -314,40 +245,6 @@ def test_transport_command_meets_budget(capsys):
     assert doc["p_exact"] <= 1e-4 * (1 + 1e-9)
     assert doc["adiabatic"] is True
     assert set(doc) >= {"distance", "tau", "transit_time", "p_first_order", "p_exact", "phase"}
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
-@pytest.mark.parametrize("argv, flag", [
-    (["scan", "--z0-max", "2500", "--points", "2"], "--z0-min"),
-    (["scan", "--z0-min", "200", "--points", "2"], "--z0-max"),
-    (["transport"], "--distance-m"),
-    (["transport"], "--nu-trap-hz"),
-    (["transport"], "--mass-amu"),
-    (["transport"], "--budget"),
-])
-def test_transport_non_finite_flag_named(capsys, argv, flag, value):
-    assert run(capsys, *argv, flag, value) == (1, "", f"error: argument {flag}: invalid finite float value: {value!r}\n")
-
-
-def test_compile_zero_qubits_rejected(capsys, tmp_path):
-    circuit = tmp_path / "circuit.txt"
-    circuit.write_text("H q0\n")
-    code, out, err = run(capsys, "compile", str(circuit), "--qubits", "0")
-    assert code == 1
-    assert out == ""
-    assert "at least one qubit" in err
-
-
-@pytest.mark.parametrize("circuit, flags, size", [
-    ("XOR q0 q9007199254740993\n", [], 2**53 + 2),
-    (f"XOR q0 q{'9' * 400}\n", [], 10**400),
-    ("XOR q0 q1\n", ["--qubits", str(2**53 + 1)], 2**53 + 1),
-], ids=["inferred-beyond-2**53", "inferred-400-digits", "flag"])
-def test_compile_register_beyond_2_53_sites_exit_1(capsys, tmp_path, circuit, flags, size):
-    # a site coordinate past 2**53 rounds to another site's float
-    (tmp_path / "circuit.txt").write_text(circuit)
-    code, out, err = run(capsys, "compile", str(tmp_path / "circuit.txt"), *flags)
-    assert (code, out, err) == (1, "", f"error: register needs at most 2**53 qubits, got {size}\n")
 
 
 def test_compile_register_of_2_53_sites_reaches_its_last_site_exactly(capsys, tmp_path):
@@ -655,81 +552,10 @@ def test_config_file_flows_through(capsys, tmp_path):
     assert parse_csv(out)[0]["species"] == "Fr"
 
 
-@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
-def test_config_non_finite_number_rejected(capsys, tmp_path, token):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text('{"red_lattice": {"intensity_w_cm2": %s}}' % token)
-    code, out, err = run(capsys, "--config", str(cfg), "tables", "--lattice", "red")
-    assert code == 1
-    assert out == ""
-    assert "config is not valid JSON" in err and token in err
-
-
 def _run_with_config(capsys, tmp_path, config, *argv):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     return run(capsys, "--config", str(cfg), *argv)
-
-
-EVERY_COMMAND = (
-    ["tables", "--lattice", "red"],
-    ["transport"],
-    ["compile", "circuit.txt", "--out", "schedule.json"],
-    ["simulate", "schedule.json"],
-    ["scan", "--z0-min", "2100", "--z0-max", "2400", "--points", "2", "--mode", "mc", "--samples", "10000"],
-    ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "2"],
-    ["gatecheck"],
-)
-
-_FR = {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0}
-_UNSELECTABLE = "must be non-empty, without commas or outer whitespace"
-
-
-@pytest.mark.parametrize("config, message", [
-    ({"scheduler": {"j_swap_hz": "1"}}, 'scheduler.j_swap_hz must be a JSON number, got "1"'),
-    ({"scheduler": {"rates_hz": {"red_scattering": None}}},
-     'scheduler.rates_hz must be a JSON object of numbers, got {"red_scattering": null}'),
-    ({"blue_lattice": {"rabi_hz": True}}, "blue_lattice.rabi_hz must be a JSON number, got true"),
-    ({"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8}}}, "species.Fr is missing keys: lambda0_nm"),
-    # a key is escaped as in JSON, so the message stays on one line
-    ({"species": {"\n": None}}, "species.\\n must be a JSON object"),
-    # names that --species could never select
-    ({"species": {"": _FR, "A,B": _FR}}, f'species name "" {_UNSELECTABLE}'),
-    ({"species": {"A,B": _FR}}, f'species name "A,B" {_UNSELECTABLE}'),
-    ({"species": {" Fr": _FR}}, f'species name " Fr" {_UNSELECTABLE}'),
-    # valid JSON, but UTF-8 cannot encode a lone surrogate, so no table could hold it
-    ({"species": {"X\udce2": _FR}}, 'species name "X\\udce2" holds an unpaired surrogate, which UTF-8 cannot encode'),
-    ({"geometry": {"bad\nkey": 1}}, "unknown keys in geometry: bad\\nkey"),
-    ({"x\ny": {}}, "unknown keys in config: x\\ny"),
-    # the header trap is range-checked at load, whichever command uses it
-    ({"scheduler": {"p_budget": 2}}, "p_budget must lie in (0, 1), got 2"),
-    ({"scheduler": {"p_budget": 0}}, "p_budget must lie in (0, 1), got 0"),
-    ({"scheduler": {"trap_frequency_hz": -1}}, "trap_frequency_hz must be positive, got -1"),
-    ({"scheduler": {"mass_amu": 0}}, "scheduler.mass_amu must be positive, got 0"),
-    ({"scheduler": {"max_move_duration_s": -1}}, "max_move_duration_s must be positive, got -1"),
-    # a zero coupling realizes no pulse phase, so no compiled pulse could use it
-    ({"scheduler": {"j_gate_hz": 0}}, "j_gate_hz must be nonzero, got 0"),
-    ({"scheduler": {"j_swap_hz": 0.0}}, "j_swap_hz must be nonzero, got 0.0"),
-    ({"scheduler": {"rates_hz": {"gamma_eff_blue": -1.0}}}, "scheduler.rates_hz.gamma_eff_blue must be >= 0, got -1.0"),
-    # keys that no command read
-    ({"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 718.0, "linewidth_hz": 1e7}}},
-     "unknown keys in species.Fr: linewidth_hz"),
-    ({"geometry": {"z0_a0": 1000}}, "unknown keys in geometry: z0_a0"),
-    (None, "cannot read cfg.json: No such file or directory"),
-], ids=["scheduler-string", "rates-null", "blue-bool", "species-missing-key",
-        "species-name-newline", "species-name-empty", "species-name-comma", "species-name-padded",
-        "species-name-surrogate",
-        "section-key-newline", "top-level-key-newline", "budget-above-1", "budget-zero",
-        "frequency-negative", "mass-zero", "move-cap-negative", "gate-coupling-zero", "swap-coupling-zero",
-        "rate-negative", "former-species-linewidth", "former-geometry-z0", "missing-file"])
-def test_config_bad_value_in_any_section_fails_every_command(capsys, tmp_path, monkeypatch, config, message):
-    monkeypatch.chdir(tmp_path)
-    (tmp_path / "circuit.txt").write_text("XOR q0 q1\n")
-    assert run(capsys, "compile", "circuit.txt", "--out", "schedule.json")[0] == 0  # for simulate
-    if config is not None:  # None: no config file at all
-        (tmp_path / "cfg.json").write_text(json.dumps(config))
-    for argv in EVERY_COMMAND:
-        assert run(capsys, "--config", "cfg.json", *argv) == (1, "", f"error: {message}\n"), argv
 
 
 def test_one_header_trap_drives_transport_and_the_compiler(capsys, tmp_path):
@@ -754,48 +580,6 @@ def test_one_header_trap_drives_transport_and_the_compiler(capsys, tmp_path):
         failed = _run_with_config(capsys, tmp_path, config, "transport", "--distance-m", half_site)
         assert failed == _run_with_config(capsys, tmp_path, config, "compile", str(tmp_path / "circuit.txt"))
         assert failed[:2] == (2, "") and failed[2].startswith(err) and failed[2].count("\n") == 1, failed
-
-
-@pytest.mark.parametrize("scheduler, code, message", [
-    ({"gate_separation_a0": 0}, 1, "error: gate_separation_a0 must be positive, got 0"),
-    ({"gate_separation_a0": -5}, 1, "error: gate_separation_a0 must be positive, got -5"),
-    ({"onebit_time_s": -1e-5}, 1, "error: onebit_time_s must be >= 0, got -1e-05"),
-    ({"j_gate_hz": 1e308}, 2, "numerical failure: compiled idle_crosstalk_phase_rad is not a finite float"),
-    ({"j_gate_hz": 1e200}, 2, "numerical failure: compiled idle_infidelity_estimate is not a finite float"),
-    ({"onebit_time_s": 1e300}, 2, "numerical failure: compiled idle_infidelity_estimate is not a finite float"),
-], ids=["separation-zero", "separation-negative", "onebit-negative", "crosstalk-infinite",
-        "infidelity-overflows", "onebit-huge"])
-def test_compile_scheduler_values_it_cannot_use(capsys, tmp_path, scheduler, code, message):
-    circuit = tmp_path / "circuit.txt"
-    circuit.write_text("XOR q0 q1\nH q0\n")
-    got, out, err = _run_with_config(capsys, tmp_path, {"scheduler": scheduler}, "compile", str(circuit))
-    assert (got, out) == (code, "")
-    assert err.startswith(message) and err.count("\n") == 1, err
-
-
-_FR_TINY_LAMBDA = {"species": {"Fr": {"mass_amu": 223.0, "alpha0_a03": 317.8, "lambda0_nm": 1e-150}}}
-
-
-@pytest.mark.parametrize("config, argv, named", [
-    ({"blue_lattice": {"detuning_hz": 1e300}}, ["tables", "--lattice", "blue"], "detuning_hz=1e+300"),
-    ({"blue_lattice": {"rabi_hz": 1e300}}, ["tables", "--lattice", "blue"], "rabi_hz=1e+300"),
-    (_FR_TINY_LAMBDA, ["tables", "--lattice", "red", "--species", "Fr"], "lambda0_nm=1e-150"),
-    (_FR_TINY_LAMBDA, ["tables", "--lattice", "blue", "--species", "Fr"], "lambda0_nm=1e-150"),
-    # a derived value underflows to 0: the lattice recoil (so nu_osc), the mass, the resonance wavelength
-    ({"red_lattice": {"wavelength_m": 1e300}}, ["tables", "--lattice", "red"], "wavelength_m=1e+300"),
-    ({"species": {"Fr": {**_FR, "mass_amu": 1e-300}}}, ["tables", "--lattice", "red", "--species", "Fr"],
-     "mass_amu=1e-300"),
-    ({"species": {"Fr": {**_FR, "lambda0_nm": 1e-320}}}, ["tables", "--lattice", "blue", "--species", "Fr"],
-     "lambda0_nm=1e-320"),
-    ({"species": {"Fr": {**_FR, "lambda0_nm": 1e300}}}, ["tables", "--lattice", "blue", "--species", "Fr"],
-     "lambda0_nm=1e+300"),
-], ids=["detuning-huge", "rabi-huge", "lambda0-tiny-red", "lambda0-tiny-blue", "wavelength-huge-red", "mass-tiny-red",
-        "lambda0-subnormal-blue", "lambda0-huge-blue"])
-def test_tables_trap_inputs_out_of_float_range_exit_2(capsys, tmp_path, config, argv, named):
-    code, out, err = _run_with_config(capsys, tmp_path, config, *argv)
-    assert (code, out) == (2, "")
-    assert err.startswith("numerical failure: trap report is not a finite float for AtomSpecies(")
-    assert named in err and err.count("\n") == 1, err
 
 
 def _paths(doc, prefix=()):

@@ -18,7 +18,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-WATCHED = ("numpy", "scipy", "click", "dataclasses", "spinbus.scheduler")
+WATCHED = ("numpy", "scipy", "click", "dataclasses", "logging", "concurrent.futures", "spinbus.scheduler")
 
 # name -> argv, run in this order in one interpreter
 COMMANDS = {
@@ -45,6 +45,9 @@ RULES = (
     (tuple(COMMANDS), "scipy", False),
     (tuple(COMMANDS), "click", False),
     (tuple(COMMANDS), "dataclasses", False),
+    # no command logs; the Monte Carlo workers are threads, not a concurrent.futures pool, which imports logging
+    (tuple(COMMANDS), "logging", False),
+    (tuple(COMMANDS), "concurrent.futures", False),
     # the controls: the probe sees a module once a command imports it
     (("compile",), "spinbus.scheduler", True),
     (("simulate",), "numpy", True),

@@ -1,6 +1,7 @@
 import math
 import statistics
 import sys
+import threading
 import tracemalloc
 
 import mpmath
@@ -472,7 +473,7 @@ def test_dipolar_mc_buffers_stay_small(monkeypatch):
     # chunks peaked at 6.6e6 bytes here, with 2^14-sample chunks at 0.85e6, and
     # with chunks of 2^13 pairs of evaluations at 0.85e6 too
     monkeypatch.setattr(ia, "_usable_cpus", lambda: 2)
-    ia.dipolar_average_mc(REF_GEOM, 2100.0, 10_000, seed=1)  # imports numpy.random and the thread pool
+    ia.dipolar_average_mc(REF_GEOM, 2100.0, 10_000, seed=1)  # imports numpy.random
     tracemalloc.start()
     try:
         ia.dipolar_average_mc(REF_GEOM, 2100.0, 1_000_000, seed=1)
@@ -480,6 +481,24 @@ def test_dipolar_mc_buffers_stay_small(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6
+
+
+def test_dipolar_mc_error_in_one_worker_reaches_the_caller(monkeypatch):
+    # two chunks on two workers; the one of the second chunk, on a thread of its own, fails
+    failure, hooked, real = RuntimeError("worker 1 failed"), [], ia._mc_chunk_sums
+
+    def fail_in_worker_1(geom, z0, n_pairs, seed, cut2, chunks, buffers):
+        if chunks.start == 1:
+            raise failure
+        return real(geom, z0, n_pairs, seed, cut2, chunks, buffers)
+
+    monkeypatch.setattr(ia, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(ia, "_mc_chunk_sums", fail_in_worker_1)
+    monkeypatch.setattr(threading, "excepthook", hooked.append)  # a thread's uncaught exception, printed
+    with pytest.raises(RuntimeError) as raised:
+        ia.dipolar_average_mc(REF_GEOM, 2100.0, 4 * ia._MC_CHUNK, seed=1)
+    assert raised.value is failure
+    assert hooked == []
 
 
 @pytest.mark.parametrize("n_samples, message", [
