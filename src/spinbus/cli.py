@@ -23,12 +23,19 @@ the modules it uses when it runs: only ``scan --mode mc`` and ``simulate``
 complex numbers.
 
 ``main()`` serves the process's own command line (``python -m spinbus.cli``
-and the ``spinbus`` script) and ends with ``gc.freeze()`` whatever the exit
-code, so the interpreter's exit neither collects nor frees what the command
-loaded: about 10 ms of each fresh command, 25-35 ms of ``simulate`` and the
-Monte Carlo scan.  ``main(argv)``, the in-process call, keeps the ordinary
-exit: frozen objects are never collected, and a freeze after each of 300
-in-process ``transport`` calls grew peak RSS from 15.4 to 28.9 MB.
+and the ``spinbus`` script).  It first sets ``OMP_NUM_THREADS=1`` unless the
+variable is set, so the BLAS that numpy's first import loads runs one
+thread: OpenBLAS would start a busy-waiting worker per further CPU, which
+takes a CPU from the Monte Carlo workers and speeds up none of the
+package's small matrix products.  ``OPENBLAS_NUM_THREADS`` or
+``MKL_NUM_THREADS``, read by the library itself, still win.  It ends with
+``gc.freeze()`` whatever the exit code, so the interpreter's exit neither
+collects nor frees what the command loaded: about 10 ms of each fresh
+command, 25-35 ms of ``simulate`` and the Monte Carlo scan.
+``main(argv)``, the in-process call, leaves ``os.environ`` alone (numpy is
+usually loaded already) and keeps the ordinary exit: frozen objects are
+never collected, and a freeze after each of 300 in-process ``transport``
+calls grew peak RSS from 15.4 to 28.9 MB.
 """
 
 from __future__ import annotations
@@ -314,14 +321,18 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     ``argv=None`` serves the process's own command line, as ``python -m
-    spinbus.cli`` and the ``spinbus`` script do.  The process exits next, so
-    on every path (success, exit 1, exit 2, ``--help``) ``gc.freeze()``
-    moves what the command loaded out of the collector's reach, and the
-    interpreter's exit skips collecting and freeing it.  An in-process
-    caller passes ``argv`` and keeps the ordinary exit, because a freeze
-    after each call would keep that call's cyclic garbage for good.
+    spinbus.cli`` and the ``spinbus`` script do.  numpy is not loaded yet,
+    so ``OMP_NUM_THREADS`` defaults to 1 for the BLAS it will load.  The
+    process exits next, so on every path (success, exit 1, exit 2,
+    ``--help``) ``gc.freeze()`` moves what the command loaded out of the
+    collector's reach, and the interpreter's exit skips collecting and
+    freeing it.  An in-process caller passes ``argv``; its environment is
+    left alone, and it keeps the ordinary exit, because a freeze after each
+    call would keep that call's cyclic garbage for good.
     """
     own = argv is None
+    if own:  # read by the BLAS that numpy's first import loads; OPENBLAS_/MKL_NUM_THREADS still win
+        os.environ.setdefault("OMP_NUM_THREADS", "1")
     parser, valued = _parser()
     try:
         args = parser.parse_args(_attach_values(sys.argv[1:] if own else list(argv), valued))

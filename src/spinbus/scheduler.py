@@ -426,7 +426,8 @@ def verify_schedule(schedule: Schedule) -> dict:
     expected = np.kron(logical_unitary(schedule.circuit, schedule.register.n_qubits), np.eye(2, dtype=complex))
     err = float(np.max(np.abs(achieved - np.exp(1j * schedule.global_phase_rad) * expected)))
     return {
-        "fidelity": float(abs(np.vdot(achieved, expected)) / len(expected)),
+        # numpy's pairwise sum, not np.vdot: a threaded BLAS sums in an order set by its thread count
+        "fidelity": float(abs((achieved.conj() * expected).sum()) / len(expected)),
         "global_phase_rad": schedule.global_phase_rad,
         "max_norm_error": err,
         "total_time_s": schedule.total_time_s,

@@ -42,6 +42,8 @@ ALLOWLIST = [
      "an unwritable stdout or stderr fd: tests/test_cli.py reaches it in a fresh process"),
     ("cli.py", "os.dup2(null.fileno(), stream.fileno())",
      "an unwritable stdout or stderr fd: tests/test_cli.py reaches it in a fresh process"),
+    ("cli.py", 'os.environ.setdefault("OMP_NUM_THREADS", "1")',
+     "main() without argv, the process entry: tests/test_imports.py reaches it in a fresh process"),
     ("cli.py", "gc.freeze()", "main() without argv, the process entry: reached only in a fresh process"),
     ("cli.py", "sys.exit(main())", "python -m spinbus.cli: reached only in a fresh process"),
 ]

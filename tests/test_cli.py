@@ -895,3 +895,13 @@ def test_main_on_the_process_command_line_freezes_the_heap_on_every_exit_path(tm
     assert proc.returncode == code, proc.stderr
     before, after = map(int, proc.stdout.splitlines()[-1].split())
     assert before == 0 < after
+
+
+def test_simulate_writes_the_same_bytes_whatever_the_blas_thread_count(capsys, tmp_path):
+    # a 7-site register: its 128 x 128 unitaries are large enough for a threaded BLAS to split a sum
+    (tmp_path / "c.txt").write_text("XOR q0 q5\nH q2\nPHASE q1 q4\nSWAP q3 q0\nXOR q2 q4\nH q5\nPHASE q0 q3\nXOR q1 q2\n")
+    assert run(capsys, "compile", str(tmp_path / "c.txt"), "--out", str(tmp_path / "s.json"))[0] == 0
+    outs = [subprocess.run([*_CLI, "simulate", "s.json"], cwd=tmp_path, env=_child_env(OPENBLAS_NUM_THREADS=n),
+                           capture_output=True) for n in ("1", "2")]
+    assert [(p.returncode, p.stderr) for p in outs] == [(0, b"")] * 2
+    assert outs[0].stdout == outs[1].stdout
