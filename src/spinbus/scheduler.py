@@ -19,8 +19,9 @@ left at the last gate site rather than re-parked, so a lone two-qubit gate
 compiles to exactly three MOVEs.  Every primitive is emitted in one step,
 which clocks it and charges the idle crosstalk of the parked header per
 primitive, from the qubit nearest the header, so compile time does not grow
-with the register.  The schedule loader re-emits a file's primitives through
-the same step, so what it loads runs on the compiler's clock.
+with the register.  The schedule loader compiles a file's circuit on the
+file's register and params, and loads the file only if its primitives and
+totals are, field by field, what that compile writes.
 
 Parsing, compiling, budgeting and JSON need no arrays.  The simulation
 functions import ``gates``, which owns every gate matrix, when they are
@@ -49,7 +50,6 @@ BUDGET_FLAG_RATIO = 0.1  # a schedule longer than this share of the coherence ti
 GATES = {"X": (1, False), "Z": (1, False), "H": (1, False), "PHASE1": (1, True),
          "XOR": (2, False), "SWAP": (2, False), "PHASE": (2, False)}
 TWO_QUBIT_GATES = tuple(name for name, (n_qubits, _) in GATES.items() if n_qubits == 2)
-ONEBIT_GATES = ("X", "Z", "H", "S", "PHASE")  # gates of a one-bit primitive; only PHASE takes an angle
 
 
 class LogicalGate(Record):
@@ -170,7 +170,7 @@ class IsingPulse(Record):
 
 class OneBit(Record):
     atom: str
-    gate: str             # one of ONEBIT_GATES
+    gate: str             # X, Z, H, S or PHASE, as the compiler emits them; only PHASE takes a param
     param: float | None
     start_s: float
     duration_s: float
@@ -253,19 +253,16 @@ class _Compiler:
         """State swap between the header and the qubit at its site."""
         q = f"q{qubit}"
         if self.params.swap_primitive == "heisenberg":
-            self.pulse(SwapStep, (self.header, q))
+            self._emit(SwapStep, (self.header, q), duration_s=self.swap_duration)
             self.phase -= math.pi / 4.0  # e^{-i pi/4} of the one-pulse swap
         else:
             self.cnot_block(self.header, q)
             self.cnot_block(q, self.header)
             self.cnot_block(self.header, q)
 
-    def pulse(self, cls, atoms: tuple[str, str]):
-        """A swap, or the gate Ising pulse exp(+i pi/4 zz), between two atoms."""
-        if cls is SwapStep:
-            self._emit(SwapStep, atoms, duration_s=self.swap_duration)
-        else:
-            self._emit(IsingPulse, atoms, math.pi / 4.0, duration_s=self.ising_duration)
+    def ising(self, atom_a: str, atom_b: str):
+        """The gate Ising pulse exp(+i pi/4 zz) between two atoms."""
+        self._emit(IsingPulse, (atom_a, atom_b), math.pi / 4.0, duration_s=self.ising_duration)
 
     def cnot_block(self, control: str, target: str):
         """CNOT from the Ising pulse with single-bit dressing.
@@ -273,7 +270,7 @@ class _Compiler:
         H_t . S_c . S_t . exp(+i pi/4 zz) . H_t = e^{+i pi/4} CNOT(c, t)
         """
         self.onebit(target, "H")
-        self.pulse(IsingPulse, (control, target))
+        self.ising(control, target)
         self.onebit(control, "S")
         self.onebit(target, "S")
         self.onebit(target, "H")
@@ -285,7 +282,7 @@ class _Compiler:
         exp(+i pi/4 z) = e^{+i pi/4} PHASE(-pi/2), so the emitted primitives
         sit e^{-i pi/4} below the ideal gate per single-spin factor.
         """
-        self.pulse(IsingPulse, (atom_a, atom_b))
+        self.ising(atom_a, atom_b)
         self.onebit(atom_a, "PHASE", -math.pi / 2.0)
         self.onebit(atom_b, "PHASE", -math.pi / 2.0)
         self.phase -= math.pi / 2.0
@@ -316,7 +313,10 @@ class _Compiler:
         self.move_to(park)
 
     def run(self, circuit: list[LogicalGate]) -> Schedule:
-        _check_in_register(circuit, self.register)
+        for gate in circuit:
+            for q in gate.qubits:
+                if not (0 <= q < self.register.n_qubits):
+                    raise DomainError(f"gate {gate.text()} addresses an unreachable site q{q}")
         for gate in circuit:
             if gate.name == "SWAP":
                 a, b = gate.qubits
@@ -326,24 +326,13 @@ class _Compiler:
                 self.two_qubit(gate)
             else:
                 self.single_qubit(gate)
-        totals = {**self.clock(), "global_phase_rad": math.remainder(self.phase, 2.0 * math.pi)}
+        totals = {"total_time_s": self.t, "idle_crosstalk_phase_rad": self.idle_phase,
+                  "idle_infidelity_estimate": 0.5 * (self.idle_phase * self.idle_phase),
+                  "global_phase_rad": math.remainder(self.phase, 2.0 * math.pi)}
         for name, value in totals.items():
             if not math.isfinite(value):
                 raise NumericalError(f"compiled {name} is not a finite float ({self.params})")
         return Schedule(self.register, self.params, tuple(circuit), tuple(self.prims), **totals)
-
-    def clock(self) -> dict:
-        """The schedule's time and idle charge so far, as its totals."""
-        return {"total_time_s": self.t, "idle_crosstalk_phase_rad": self.idle_phase,
-                "idle_infidelity_estimate": 0.5 * (self.idle_phase * self.idle_phase)}
-
-
-def _check_in_register(circuit, register: Register):
-    """Every qubit a gate of ``circuit`` addresses is a site of ``register``."""
-    for gate in circuit:
-        for q in gate.qubits:
-            if not (0 <= q < register.n_qubits):
-                raise DomainError(f"gate {gate.text()} addresses an unreachable site q{q}")
 
 
 def compile_circuit(
@@ -358,12 +347,8 @@ def compile_circuit(
 # --- simulation -------------------------------------------------------------
 
 def _atom_site(atom: str, register: Register) -> int:
-    """Tensor site of an atom: qubit q<i> is site i, the header h0 comes last."""
-    if atom == "h0":
-        return register.n_qubits
-    if (index := _qubit_index(atom)) is not None and index < register.n_qubits:
-        return index
-    raise DomainError(f"unknown atom {atom!r}")
+    """Tensor site of a compiled atom: qubit q<i> is site i, the header h0 comes last."""
+    return register.n_qubits if atom == "h0" else int(atom[1:])
 
 
 def _product(steps, n_sites: int) -> np.ndarray:
@@ -382,12 +367,13 @@ def simulate_schedule(schedule: Schedule) -> np.ndarray:
     """Compose the ideal primitive unitaries on the q-register + header.
 
     The schedule comes from ``compile_circuit`` or ``schedule_from_json``,
-    which replays it through the compiler; only the qubit cap is checked
-    here.  Each primitive's matrix comes from ``gates``; numpy only builds
-    their dense 2^(n+1) product.  Transport acts trivially on spin (spin and
-    motion factorize), so MOVE primitives contribute identity; the returned matrix
-    includes every primitive's intrinsic phase and therefore matches the
-    logical unitary times exp(i * global_phase_rad) exactly.
+    which loads only what the compiler writes for the file's circuit; only
+    the qubit cap is checked here.  Each primitive's matrix comes from
+    ``gates``; numpy only builds their dense 2^(n+1) product.  Transport acts
+    trivially on spin (spin and motion factorize), so MOVE primitives
+    contribute identity; the returned matrix includes every primitive's
+    intrinsic phase and therefore matches the logical unitary times
+    exp(i * global_phase_rad) exactly.
     """
     from . import gates as gatelib
 
@@ -469,6 +455,9 @@ def budget(schedule: Schedule, rates_hz: dict[str, float]) -> BudgetReport:
     transport = reduce(add, (p.duration_s for p in schedule.primitives if isinstance(p, Move)), 0.0)
     gate = schedule.total_time_s - transport
     ratio = 0.0 if math.isinf(coherence) else schedule.total_time_s / coherence
+    if not math.isfinite(ratio):
+        raise NumericalError(f"budget ratio overflows: total time {schedule.total_time_s!r} s"
+                             f" at the worst rate {worst!r} Hz")
     return BudgetReport(gate, transport, coherence, ratio, ratio > BUDGET_FLAG_RATIO)
 
 
@@ -486,51 +475,6 @@ def schedule_doc(schedule: Schedule) -> dict:
 
 def schedule_to_json(schedule: Schedule) -> str:
     return dumps(schedule_doc(schedule))
-
-
-_PRIMITIVE_TYPES = {"move": Move, "swap": SwapStep, "ising": IsingPulse, "onebit": OneBit}
-
-
-def _primitive_from_json(body, index: int, compiler: _Compiler):
-    """Check the JSON primitive ``body``'s fields and names, then re-emit it through
-    ``compiler`` where its header and clock stand, refusing a field that differs."""
-    what = f"primitive {index}"
-    kind = body.get("kind") if isinstance(body, dict) else None
-    cls = _PRIMITIVE_TYPES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise DomainError(f"{what}: unknown kind {kind!r}; valid: {', '.join(_PRIMITIVE_TYPES)}")
-    body = checked_fields(cls.__annotations__, body, what, cls.__annotations__)
-    if "atoms" in body:
-        body["atoms"] = tuple(body["atoms"])
-    for atom in body.get("atoms", (body.get("atom"),)):
-        try:
-            _atom_site(atom, compiler.register)
-        except DomainError as exc:
-            raise DomainError(f"{what}: {exc}") from None
-    pos = compiler.pos
-    if cls is Move:
-        _same(body["from_pos"], pos, what, "from_pos")  # before planning: a move from elsewhere is not run
-        if body["to_pos"] == pos:
-            raise DomainError(f"{what}: to_pos {float(pos)!r} is the header's position; a MOVE must move it")
-        try:
-            compiler.move_to(body["to_pos"])
-        except SpinBusError as exc:  # a move the compiler cannot plan is not one it wrote
-            raise DomainError(f"{what}: {exc}") from None
-    elif cls is OneBit:
-        if body["gate"] not in ONEBIT_GATES:
-            raise DomainError(f"{what}: unknown one-bit gate {body['gate']!r}; valid: {', '.join(ONEBIT_GATES)}")
-        if (body["gate"] == "PHASE") != (body["param"] is not None):
-            takes = "a number" if body["gate"] == "PHASE" else "no"
-            raise DomainError(f"{what}: gate {body['gate']} takes {takes} param, got {json.dumps(body['param'])}")
-        compiler.onebit(body["atom"], body["gate"], body["param"])
-    else:
-        if not (0 <= pos < compiler.register.n_qubits and pos % 1 == 0):
-            raise DomainError(f"{what}: atoms need a qubit at the header's position {float(pos)!r}")
-        atoms, pair = body["atoms"], (compiler.header, f"q{int(pos)}")  # zz is symmetric: either order
-        _same(atoms, atoms if cls is IsingPulse and atoms == pair[::-1] else pair, what, "atoms")
-        compiler.pulse(cls, atoms)
-    for name, value in compiler.prims[-1].as_dict().items():
-        _same(body[name], value, what, name)
 
 
 def _same(value, compiled, *field: str):
@@ -555,8 +499,10 @@ def schedule_from_json(text: str) -> Schedule:
     """Read a ``schedule_to_json`` document; the ``budget`` block that
     ``compile`` adds is ignored.  This is the one check of a schedule's
     content, which the simulator then trusts: malformed input raises
-    DomainError.  Each primitive is re-emitted through a ``_Compiler`` on the file's
-    register and params, and must be, as must the totals, what the compiler writes."""
+    DomainError.  The file's circuit is compiled by a ``_Compiler`` on the
+    file's register and params, and each primitive and total must be, field
+    by field, what that compile writes.  The phase ledger ``global_phase_rad``
+    is the one value taken from the file, so that simulation checks it."""
     try:
         doc = loads_finite(text)
     except ValueError as exc:
@@ -569,16 +515,27 @@ def schedule_from_json(text: str) -> Schedule:
     body = checked_fields(Schedule.__annotations__, body, "schedule", Schedule.__annotations__)
     register, params = (cls(**checked_fields(cls.__annotations__, body[key], key, cls.__annotations__))
                         for key, cls in (("register", Register), ("params", CompileParams)))
-    compiler = _Compiler(register, params)
-    for i, p in enumerate(body["primitives"]):
-        _primitive_from_json(p, i, compiler)
-    clock = compiler.clock()
-    for name, value in clock.items():
-        _same(body[name], value, name)
+    circuit = [_gate_from_json(entry, i) for i, entry in enumerate(body["circuit"])]
+    try:
+        compiled = _Compiler(register, params).run(circuit)
+    except SpinBusError as exc:  # a circuit that does not compile here: the compiler did not write this file
+        raise DomainError(str(exc)) from None
+    for i, (entry, prim) in enumerate(zip(body["primitives"], compiled.primitives)):
+        what = f"primitive {i}"
+        if not isinstance(entry, dict):
+            raise DomainError(f"{what} must be a JSON object")
+        _same(entry.get("kind"), prim.kind, what, "kind")
+        entry = checked_fields(type(prim).__annotations__, entry, what, type(prim).__annotations__)
+        if "atoms" in entry:
+            entry["atoms"] = tuple(entry["atoms"])
+        for name, value in prim.as_dict().items():
+            _same(entry[name], value, what, name)
+    if len(body["primitives"]) != len(compiled.primitives):
+        raise DomainError(f"schedule has {len(body['primitives'])} primitives; its circuit compiles to "
+                          f"{len(compiled.primitives)}")
+    for name in ("total_time_s", "idle_crosstalk_phase_rad", "idle_infidelity_estimate"):
+        _same(body[name], getattr(compiled, name), name)
     # the compiler writes math.remainder(phase, 2 pi), which it leaves unchanged, +-pi included
     if math.remainder(body["global_phase_rad"], 2.0 * math.pi) != body["global_phase_rad"]:
         raise DomainError(f"global_phase_rad {float(body['global_phase_rad'])!r} is not reduced into [-pi, pi]")
-    circuit = tuple(_gate_from_json(entry, i) for i, entry in enumerate(body["circuit"]))
-    _check_in_register(circuit, register)
-    body.update(clock, register=register, params=params, circuit=circuit, primitives=tuple(compiler.prims))
-    return Schedule(**body)
+    return compiled.replace(global_phase_rad=body["global_phase_rad"])

@@ -253,6 +253,10 @@ def _cases() -> dict:
                              ("infidelity-overflows", {"j_gate_hz": 1e200}),
                              ("onebit-huge", {"onebit_time_s": 1e300})):
         cases[f"refuse-config-{label}-compile"] = ({"scheduler": scheduler}, every_command["compile"])
+    # a schedule that compiles, but whose time over the coherence time of its worst rate overflows
+    cases["refuse-config-budget-ratio-overflows-compile"] = (
+        {"scheduler": {"rates_hz": {"x": 1e308}, "onebit_time_s": 1e10}}, every_command["compile"]
+    )
     return cases
 
 

@@ -18,6 +18,7 @@ import spinbus
 from spinbus import cli
 from spinbus.cli import main
 from spinbus.traps import CO2_WAVELENGTH_M
+from conftest import child_env
 from test_golden import regen
 
 
@@ -268,14 +269,6 @@ def test_compile_non_finite_angle_rejected(capsys, tmp_path, angle):
     assert not schedule_path.exists()
 
 
-def _child_env(**extra) -> dict:
-    """The environment of a fresh interpreter that imports this package, with
-    its stdout buffered as in a shell, and ``extra`` on top."""
-    src = str(Path(spinbus.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    return {**env, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra}
-
-
 @pytest.mark.parametrize("mode", ["direct", "mediated"])
 @pytest.mark.parametrize("swap", ["heisenberg", "xors"])
 def test_compile_then_simulate_round_trip(capsys, tmp_path, swap, mode):
@@ -355,11 +348,15 @@ SCHEDULE_DEFECTS = {
     "primitives-not-array": (
         lambda doc: json.dumps({**doc, "primitives": {}}), "schedule.primitives must be a JSON array, got {}"
     ),
-    "unknown-kind": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "kind": "warp"}), "'warp'"),
+    "unknown-kind": (
+        lambda doc: _first_primitive(doc, {**doc["primitives"][0], "kind": "warp"}),
+        'primitive 0: kind "warp" is not the compiled "move"',
+    ),
     "extra-field": (lambda doc: _first_primitive(doc, {**doc["primitives"][0], "colour": 1}), "primitive 0"),
     "missing-field": (lambda doc: _first_primitive(doc, _without(doc["primitives"][0], "start_s")), "primitive 0"),
     "unknown-header": (
-        lambda doc: _first_primitive(doc, {**doc["primitives"][0], "atom": "h1"}), "primitive 0: unknown atom 'h1'"
+        lambda doc: _first_primitive(doc, {**doc["primitives"][0], "atom": "h1"}),
+        'primitive 0: atom "h1" is not the compiled "h0"',
     ),
     "nan": (_bare_total_time("NaN"), "non-finite number NaN"),
     "infinity": (_bare_total_time("-Infinity"), "non-finite number -Infinity"),
@@ -377,10 +374,19 @@ SCHEDULE_DEFECTS = {
         lambda doc: _edited(doc, 1, start_s=doc["primitives"][1]["start_s"] + 1e-6), "primitive 1: start_s"
     ),
     "total-time": (lambda doc: json.dumps({**doc, "total_time_s": 123.0}), "total_time_s 123.0"),
-    # primitive 10 is the one-bit H on q0, 1 the first swap, 4 the Ising pulse, 0 the first move
-    "onebit-angle-dropped": (lambda doc: _edited(doc, 10, param=0.7), "primitive 10: gate H takes no param, got 0.7"),
-    "phase-without-angle": (lambda doc: _edited(doc, 10, gate="PHASE"), "primitive 10: gate PHASE takes a number"),
-    "unknown-onebit-gate": (lambda doc: _edited(doc, 10, gate="Q"), "primitive 10: unknown one-bit gate 'Q'"),
+    # primitive 10 is the one-bit H on q0, 1 the first swap, 4 the Ising pulse, 0 the first move,
+    # 5 and 6 the commuting S on h0 and on q1
+    "onebit-angle-dropped": (
+        lambda doc: _edited(doc, 10, param=0.7), "primitive 10: param 0.7 is not the compiled null"
+    ),
+    "phase-without-angle": (
+        lambda doc: _edited(doc, 10, gate="PHASE"), 'primitive 10: gate "PHASE" is not the compiled "H"'
+    ),
+    "unknown-onebit-gate": (lambda doc: _edited(doc, 10, gate="Q"), 'primitive 10: gate "Q" is not the compiled "H"'),
+    "onebits-reordered": (
+        lambda doc: _edited(json.loads(_edited(doc, 5, atom="q1")), 6, atom="h0"),
+        'primitive 5: atom "q1" is not the compiled "h0"',
+    ),
     "swap-same-atoms": (
         lambda doc: _edited(doc, 1, atoms=["q0", "q0"]),
         'primitive 1: atoms ["q0", "q0"] is not the compiled ["h0", "q0"]',
@@ -397,7 +403,7 @@ SCHEDULE_DEFECTS = {
         lambda doc: _edited(doc, 1, atoms=["h0"]), 'primitive 1.atoms must be a JSON pair of strings, got ["h0"]'
     ),
     "qubit-moves": (lambda doc: _edited(doc, 0, atom="q0"), 'primitive 0: atom "q0" is not the compiled "h0"'),
-    "unknown-atom": (lambda doc: _edited(doc, 10, atom="q9"), "primitive 10: unknown atom 'q9'"),
+    "unknown-atom": (lambda doc: _edited(doc, 10, atom="q9"), 'primitive 10: atom "q9" is not the compiled "q0"'),
     # primitives the compiler cannot write where they stand: a MOVE from elsewhere
     # than the header, a swap away from its qubit, a MOVE's plan or an Ising area edited
     "move-from-elsewhere": (
@@ -412,19 +418,18 @@ SCHEDULE_DEFECTS = {
         "site spacing must be positive, got 0.0",
     ),
     "header-away-from-swap": (
-        lambda doc: _edited(doc, 0, to_pos=1.0), 'primitive 1: atoms ["h0", "q0"] is not the compiled ["h0", "q1"]'
+        lambda doc: _edited(doc, 0, to_pos=1.0), "primitive 0: to_pos 1.0 is not the compiled 0.0"
     ),
     "swap-between-sites": (
-        lambda doc: _retimed(doc, doc["primitives"][1:]), "primitive 0: atoms need a qubit at the header's position 0.5"
+        lambda doc: _retimed(doc, doc["primitives"][1:]), 'primitive 0: kind "swap" is not the compiled "move"'
     ),
     "zero-length-move": (
         lambda doc: _retimed(doc, [doc["primitives"][0], {**doc["primitives"][0], "from_pos": 0.0, "duration_s": 0.0},
                                    *doc["primitives"][1:]]),
-        "primitive 1: to_pos 0.0 is the header's position; a MOVE must move it",
+        'primitive 1: kind "move" is not the compiled "swap"',
     ),
     "move-unplannable": (
-        lambda doc: _edited(doc, 0, to_pos=1e300),
-        "primitive 0: distance_m 5.3e+294, omega_t 6172117.440504572 and mass_kg 1.444668987942e-25 take the plan out",
+        lambda doc: _edited(doc, 0, to_pos=1e300), "primitive 0: to_pos 1e+300 is not the compiled 0.0"
     ),
     "move-tau-edited": (
         lambda doc: _edited(doc, 0, tau_s=doc["primitives"][0]["tau_s"] / 2), "primitive 0: tau_s "
@@ -442,7 +447,7 @@ SCHEDULE_DEFECTS = {
     "ising-area": (
         lambda doc: _edited(doc, 4, phase_rad=0.5), "primitive 4: phase_rad 0.5 is not the compiled 0.7853981633974483"
     ),
-    # totals other than the replayed ones: an idle infidelity, a negative phase, a
+    # totals other than the compiled ones: an idle infidelity, a negative phase, a
     # phase as a 300-digit JSON integer (shown as a float)
     "idle-infidelity": (
         lambda doc: json.dumps({**doc, "idle_infidelity_estimate": 5.0}),
@@ -481,6 +486,18 @@ SCHEDULE_DEFECTS = {
     ),
     "circuit-entry-unknown-gate": (
         lambda doc: json.dumps({**doc, "circuit": ["FOO q0"]}), "circuit[0]: line 1: unknown gate 'FOO'"
+    ),
+    # a circuit other than the one the primitives compile, or primitives added or dropped with the time kept
+    "circuit-entry-edited": (
+        lambda doc: json.dumps({**doc, "circuit": ["XOR q0 q1", "X q0"]}),
+        'primitive 10: gate "H" is not the compiled "X"',
+    ),
+    "primitive-appended": (
+        lambda doc: _retimed(doc, [*doc["primitives"], doc["primitives"][-1]]),
+        "schedule has 12 primitives; its circuit compiles to 11",
+    ),
+    "primitive-dropped": (
+        lambda doc: _retimed(doc, doc["primitives"][:-1]), "schedule has 10 primitives; its circuit compiles to 11"
     ),
 }
 
@@ -806,7 +823,7 @@ _CLI = [sys.executable, "-m", "spinbus.cli"]
 def test_stdout_that_cannot_be_written_exit_1_with_one_error_line(tmp_path, how, error, argv):
     argv, stdout = _unwritable(how, [*_CLI, *argv], 1)
     try:
-        proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), stdout=stdout, stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run(argv, cwd=tmp_path, env=child_env(), stdout=stdout, stderr=subprocess.PIPE, text=True)
     finally:
         if stdout is not None:
             os.close(stdout)
@@ -823,7 +840,7 @@ def test_failure_line_that_cannot_be_written_keeps_its_exit_code(tmp_path, how, 
     (tmp_path / "cfg.json").write_text(json.dumps(config))
     argv, stderr = _unwritable(how, [*_CLI, "--config", "cfg.json", "tables", "--lattice", lattice], 2)
     try:
-        proc = subprocess.run(argv, cwd=tmp_path, env=_child_env(), stdout=subprocess.PIPE, stderr=stderr)
+        proc = subprocess.run(argv, cwd=tmp_path, env=child_env(), stdout=subprocess.PIPE, stderr=stderr)
     finally:
         if stderr is not None:
             os.close(stderr)
@@ -843,7 +860,7 @@ def test_files_are_read_and_written_as_utf8_whatever_the_locale(tmp_path, locale
     table = ["--config", "u.json", "tables", "--lattice", "red"]
 
     def spinbus_run(*argv, **env):
-        return subprocess.run([*_CLI, *argv], cwd=tmp_path, env=_child_env(**env), capture_output=True)
+        return subprocess.run([*_CLI, *argv], cwd=tmp_path, env=child_env(**env), capture_output=True)
 
     utf8 = spinbus_run(*table, PYTHONUTF8="1")
     assert (utf8.returncode, utf8.stderr) == (0, b"")
@@ -890,7 +907,7 @@ sys.exit(code)
 
 @_EXIT_PATHS
 def test_main_on_the_process_command_line_freezes_the_heap_on_every_exit_path(tmp_path, argv, code):
-    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv], cwd=tmp_path, env=_child_env(),
+    proc = subprocess.run([sys.executable, "-c", _FREEZE_PROBE, *argv], cwd=tmp_path, env=child_env(),
                           capture_output=True, text=True)
     assert proc.returncode == code, proc.stderr
     before, after = map(int, proc.stdout.splitlines()[-1].split())
@@ -901,7 +918,7 @@ def test_simulate_writes_the_same_bytes_whatever_the_blas_thread_count(capsys, t
     # a 7-site register: its 128 x 128 unitaries are large enough for a threaded BLAS to split a sum
     (tmp_path / "c.txt").write_text("XOR q0 q5\nH q2\nPHASE q1 q4\nSWAP q3 q0\nXOR q2 q4\nH q5\nPHASE q0 q3\nXOR q1 q2\n")
     assert run(capsys, "compile", str(tmp_path / "c.txt"), "--out", str(tmp_path / "s.json"))[0] == 0
-    outs = [subprocess.run([*_CLI, "simulate", "s.json"], cwd=tmp_path, env=_child_env(OPENBLAS_NUM_THREADS=n),
+    outs = [subprocess.run([*_CLI, "simulate", "s.json"], cwd=tmp_path, env=child_env(OPENBLAS_NUM_THREADS=n),
                            capture_output=True) for n in ("1", "2")]
     assert [(p.returncode, p.stderr) for p in outs] == [(0, b"")] * 2
     assert outs[0].stdout == outs[1].stdout

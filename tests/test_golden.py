@@ -13,7 +13,6 @@ import contextlib
 import importlib.util
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -21,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from spinbus.cli import main
+from conftest import child_env
 
 _SPEC = importlib.util.spec_from_file_location("golden_regen", Path(__file__).resolve().parent / "golden" / "regen.py")
 regen = importlib.util.module_from_spec(_SPEC)
@@ -53,10 +53,8 @@ PROCESS_CASES = ["tables-red", "compile-xors-mediated", "refuse-transport-budget
 
 
 def _process_entry(argv: list[str], workdir: Path) -> subprocess.CompletedProcess:
-    # the interpreter imports the package from where this one finds it: src/ or the install
-    src = str(Path(importlib.util.find_spec("spinbus").origin).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, "-m", "spinbus.cli", *argv], cwd=workdir, env=env, capture_output=True)
+    return subprocess.run([sys.executable, "-m", "spinbus.cli", *argv], cwd=workdir, env=child_env(),
+                          capture_output=True)
 
 
 @pytest.mark.parametrize("name", PROCESS_CASES)

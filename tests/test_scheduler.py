@@ -424,9 +424,9 @@ def test_a_qubit_is_q_then_ascii_digits(token):
 @pytest.mark.parametrize("atom", ["q²", "q١", "q" + "9" * 5000], ids=["superscript", "arabic-indic", "5000-digits"])
 def test_schedule_json_atom_is_a_qubit_by_the_circuit_rule(atom):
     doc = json.loads(sch.schedule_to_json(sch.compile_circuit(sch.parse_circuit("XOR q0 q1"), REG2)))
-    onebit = next(p for p in doc["primitives"] if p["kind"] == "onebit" and p["atom"] == "q1")
+    i, onebit = next((i, p) for i, p in enumerate(doc["primitives"]) if p["kind"] == "onebit" and p["atom"] == "q1")
     onebit["atom"] = atom  # the Arabic-Indic digit one was read as q1
-    with pytest.raises(DomainError, match=re.escape(f"unknown atom {atom!r}")):
+    with pytest.raises(DomainError, match=re.escape(f'primitive {i}: atom {json.dumps(atom)} is not the compiled "q1"')):
         sch.schedule_from_json(json.dumps(doc))
 
 
