@@ -139,7 +139,6 @@ def scan(args, cfg: Config):
         cfg.geometry,
         cfg.scattering,
         z0s,
-        gamma_mode=args.gamma_mode,
         mc_samples=(args.samples if args.samples is not None else MC_SAMPLES) if args.mode == "mc" else None,
         seed=args.seed if args.seed is not None else MC_SEED,
     )
@@ -271,7 +270,6 @@ def _parser() -> tuple[argparse.ArgumentParser, set]:
     option(p, "--z0-max", type=_finite_float, required=True)
     option(p, "--points", type=int, required=True)
     option(p, "--mode", choices=["quadrature", "mc"], default="quadrature")
-    option(p, "--gamma-mode", choices=list(traps.GAMMA_MODES), default="calibrated")
     option(p, "--samples", type=int, help=f"MC kernel evaluations per point, 1e4 to 1e9 (mc mode; default: {MC_SAMPLES}).")
     option(p, "--seed", type=int, help=f"Seed of the first point, each next point one more (mc mode; default: {MC_SEED}).")
     option(p, "--out")

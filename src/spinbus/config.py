@@ -35,9 +35,13 @@ class CompileParams(Record):
     Couplings are the effective Ising strengths (Hz, nonzero) at the swap and
     gate working separations; the defaults are the exchange strength at zero
     separation and the dipole-only coupling at 1000 a0 for the default
-    interaction geometry.  Trap frequency, mass and excitation budget
-    describe the header's blue-lattice confinement for transport planning,
-    by the compiler's moves and by the ``transport`` command.
+    interaction geometry.  The gate default, -882.5 Hz, is that coupling
+    under a retired dipole constant 5.708 times ``GAMMA_E_A0_HZ``; the one
+    constant in ``interactions`` gives -154.6 Hz there, and the compiler
+    keeps -882.5 Hz until the coupling is derived.  Trap frequency, mass and
+    excitation budget describe the header's blue-lattice confinement for
+    transport planning, by the compiler's moves and by the ``transport``
+    command.
     """
 
     j_swap_hz: float = 4.7227e4

@@ -7,9 +7,10 @@ centers sit a distance z0 apart on the z axis:
 * a contact exchange term, proportional to the triplet/singlet scattering
   length difference and to the overlap of the two Gaussian ground-state
   densities -- it decays as exp(-z0^2 / (2 a_z^2));
-* the magnetic electron dipole-dipole term, whose ground-state average
-  <(1/R^3)(1 - 3 (z/R)^2)> reduces to a single z-integral involving the
-  complementary error function and falls off as -2/z0^3 at large z0.
+* the magnetic dipole-dipole term, ``GAMMA_E_A0_HZ`` (two Bohr-magneton
+  moments at R = a0) times a0^3 times the ground-state average
+  <(1/R^3)(1 - 3 (z/R)^2)>, which reduces to a single z-integral involving
+  the complementary error function and falls off as -2/z0^3 at large z0.
 
 Lengths in this module's public API are in Bohr radii (a0) unless a name
 says otherwise; returned couplings are in Hz.  Each coupling takes a finite
@@ -26,7 +27,7 @@ from operator import add
 
 from .errors import DomainError, NumericalError
 from .record import Record
-from .traps import GAMMA_MODES, ScatteringParams, TrapGeometry
+from .traps import ScatteringParams, TrapGeometry
 from .units import (
     BOHR_MAGNETON,
     BOHR_RADIUS,
@@ -36,14 +37,11 @@ from .units import (
     a0_to_m,
 )
 
-# Dipole strength at R = a0.  "calibrated" is the architecture's quoted
-# constant; "first_principles" evaluates (mu0/4pi) mu_B^2 / (h R^3), which
-# comes out ~5.7x smaller.  Both modes are exposed; the discrepancy is a
-# property of the quoted constant, not of this implementation.
-GAMMA_E_CALIBRATED_HZ = 5.0e11
-GAMMA_E_FIRST_PRINCIPLES_HZ = (
-    VACUUM_PERMEABILITY / (4 * math.pi) * BOHR_MAGNETON**2 / (H_PLANCK * BOHR_RADIUS**3)
-)
+# The sigma_z sigma_z dipole strength gamma_e(a0) = (mu0/4pi) mu_B^2 / (h a0^3)
+# of two Bohr-magneton moments at R = a0, in Hz (8.759e10 Hz), from the
+# CODATA 2018 values in units.  It is the one dipole constant: the README
+# says why the architecture's quoted value, an angular rate, is not kept.
+GAMMA_E_A0_HZ = VACUUM_PERMEABILITY / (4 * math.pi) * BOHR_MAGNETON**2 / (H_PLANCK * BOHR_RADIUS**3)
 
 # pairs of kernel evaluations per Monte Carlo chunk; a pair shares one draw (E, z)
 _MC_CHUNK = 1 << 13
@@ -88,15 +86,6 @@ def exchange_strength(geom: TrapGeometry, z0: float, scat: ScatteringParams) -> 
     if not math.isfinite(value_hz):  # a scattering length or mass at the ends of the float range
         raise NumericalError(f"exchange coupling is not a finite float for {scat!r}")
     return value_hz
-
-
-def gamma_prefactor_hz_m3(mode: str = "calibrated") -> float:
-    """gamma_e(R) * R^3 in Hz m^3; multiplies the dipolar average (m^-3)."""
-    if mode == "calibrated":
-        return GAMMA_E_CALIBRATED_HZ * BOHR_RADIUS**3
-    if mode == "first_principles":
-        return GAMMA_E_FIRST_PRINCIPLES_HZ * BOHR_RADIUS**3
-    raise DomainError(f"gamma mode must be one of {GAMMA_MODES}, got {mode!r}")
 
 
 def _point_dipole_hz(pref: float, z0: float) -> float:
@@ -510,7 +499,6 @@ def scan_couplings(
     geom: TrapGeometry,
     scat: ScatteringParams,
     z0_values_a0,
-    gamma_mode: str = "calibrated",
     mc_samples: int | None = None,
     seed: int = 0,
 ) -> list[dict]:
@@ -522,7 +510,7 @@ def scan_couplings(
     The dipolar part is Monte Carlo with ``mc_samples`` per point (point i
     seeded ``seed + i``) when ``mc_samples`` is given, quadrature otherwise.
     """
-    pref = gamma_prefactor_hz_m3(gamma_mode)
+    pref = GAMMA_E_A0_HZ * BOHR_RADIUS**3  # gamma_e(R) R^3 in Hz m^3; multiplies the dipolar average (m^-3)
     z0s = [float(z0) for z0 in z0_values_a0]
     point_dipole = [_point_dipole_hz(pref, z0) for z0 in z0s]
     rows = []

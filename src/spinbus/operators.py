@@ -19,7 +19,6 @@ from .errors import DomainError, NumericalError
 MAX_SITES = 12  # dense cap for pauli()
 
 _SINGLE = {
-    "i": ((1, 0), (0, 1)),
     "x": ((0, 1), (1, 0)),
     "y": ((0, -1j), (1j, 0)),
     "z": ((1, 0), (0, -1)),

@@ -8,8 +8,8 @@ parameters, and (blue lattice) the effective photon-scattering rate that
 sets the dominant decoherence budget.  ``lattice_report`` builds every
 report from a species and a lattice spec, which names its lattice.  The
 module also holds the inputs of the coupling model in
-``spinbus.interactions``: the four trap widths, the scattering parameters
-and the names of the dipole-strength conventions.
+``spinbus.interactions``: the four trap widths and the scattering
+parameters.
 
 Caption identities used throughout (all energies as frequencies in Hz):
 
@@ -77,11 +77,12 @@ def get_species(name: str, registry: dict[str, AtomSpecies]) -> AtomSpecies:
 
 
 class RedLatticeSpec(Record):
-    """CO2 lattice.  The depth is calibrated as a single constant (Hz per a0^3
-    of polarizability), fitted once to Li's 181 MHz; the table's exact
+    """CO2 lattice.  The depth is a fitted constant (Hz per a0^3 of
+    polarizability), fitted once to Li's 181 MHz; the table's exact
     proportionality to alpha(0) makes that one number reproduce every
     species.  A first-principles depth alpha(0) E0^2/4 at the stated
-    intensity comes out ~24x smaller and is reported alongside, not used.
+    intensity comes out 24.26 times smaller for every species, a ratio that
+    no unit factor explains; it is reported alongside, not used.
     """
 
     lattice = "red"  # the label of its reports; not annotated, so not a field
@@ -221,11 +222,6 @@ def lattice_reports(
 
 
 # --- inputs of the coupling model (spinbus.interactions) ---------------------
-
-#: gamma_e(a0) conventions for the dipole strength; see
-#: interactions.gamma_prefactor_hz_m3
-GAMMA_MODES = ("calibrated", "first_principles")
-
 
 class TrapGeometry(Record):
     """Gaussian ground-state sizes of the two traps, in a0.

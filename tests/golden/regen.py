@@ -72,9 +72,6 @@ def _cases() -> dict:
         "tables-blue-json": ({}, ["tables", "--lattice", "blue", "--format", "json"]),
         "transport": ({}, ["transport"]),
         "scan-quadrature-60": ({}, ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "60"]),
-        "scan-quadrature-60-first-principles": (
-            {}, ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "60", "--gamma-mode", "first_principles"]
-        ),
         "gatecheck": ({}, ["gatecheck"]),
     }
     for swap in ("heisenberg", "xors"):
@@ -101,6 +98,8 @@ def _cases() -> dict:
         "non-numeric-int": ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "3.5"],
         "abbreviated-option": ["scan", "--z0-min", "200", "--z0-max", "2500", "--poi", "3"],
         "abbreviated-optional-option": ["tables", "--lattice", "red", "--form", "json"],
+        # the scan has one dipole constant, so no flag chooses it
+        "gamma-mode": ["scan", "--z0-min", "200", "--z0-max", "2500", "--points", "5", "--gamma-mode", "calibrated"],
     }
     for label, argv in usage.items():
         cases[f"refuse-usage-{label}"] = (None, argv)

@@ -101,8 +101,8 @@ def test_criterion_coupling_vs_separation():
             prod = ia.dipolar_average(geom0, ratio * amax) * units.a0_to_m(ratio * amax) ** 3
             c.check(abs(prod + 2.0) <= 0.02, f"ratio {ratio}: {prod:.4f}")
 
-        # (c) |J| at 1000 a0 with the calibrated dipole constant: kHz range
-        j_hz = ia.gamma_prefactor_hz_m3("calibrated") * ia.dipolar_average(geom0, 1000.0)
+        # (c) |J| at 1000 a0 with the CODATA dipole constant: in the 100 Hz - 10 kHz window
+        j_hz = ia.GAMMA_E_A0_HZ * units.BOHR_RADIUS**3 * ia.dipolar_average(geom0, 1000.0)
         c.check(100.0 <= abs(j_hz) <= 10_000.0, f"|J| = {abs(j_hz):.1f} Hz")
 
 

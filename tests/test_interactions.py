@@ -125,15 +125,20 @@ def test_exchange_against_delta_counting_monte_carlo():
 
 # --- bare dipole strength ---------------------------------------------------
 
-def dipole_strength_hz(r_a0, mode="calibrated"):
-    """gamma_e(R) = gamma_e(a0) (a0/R)^3 from the package prefactor, in Hz."""
-    return ia.gamma_prefactor_hz_m3(mode) / units.a0_to_m(r_a0) ** 3
+def dipole_strength_hz(r_a0):
+    """gamma_e(R) = gamma_e(a0) (a0/R)^3 from the package constant, in Hz."""
+    return ia.GAMMA_E_A0_HZ * units.BOHR_RADIUS**3 / units.a0_to_m(r_a0) ** 3
 
 
-def test_dipole_strength_calibrated_values():
-    assert dipole_strength_hz(1.0) == pytest.approx(5e11, rel=1e-12)
-    assert dipole_strength_hz(1000.0) == pytest.approx(500.0, rel=1e-12)
-    assert dipole_strength_hz(10.0) == pytest.approx(5e8, rel=1e-12)
+def test_dipole_strength_is_the_codata_expression_in_hz():
+    # (mu0/4pi) mu_B^2 / (h a0^3) at 30 digits, from the CODATA 2018 digits of units, h = 2 pi hbar
+    with mpmath.workdps(30):
+        mu0 = mpmath.mpf("1.25663706212e-6")
+        mu_b = mpmath.mpf("9.2740100783e-24")
+        h = 2 * mpmath.pi * mpmath.mpf("1.054571817e-34")
+        a0 = mpmath.mpf("5.29177210903e-11")
+        expected = float(mu0 / (4 * mpmath.pi) * mu_b**2 / (h * a0**3))
+    assert ia.GAMMA_E_A0_HZ == pytest.approx(expected, rel=1e-15)
 
 
 def test_dipole_strength_first_principles():
@@ -141,15 +146,8 @@ def test_dipole_strength_first_principles():
         codata.mu_0 / (4 * math.pi) * codata.value("Bohr magneton") ** 2
         / (codata.h * codata.value("Bohr radius") ** 3)
     )
-    got = dipole_strength_hz(1.0, mode="first_principles")
-    assert got == pytest.approx(expected, rel=1e-6)
-    # the calibrated constant sits a factor ~5.7 above first principles
-    assert 5e11 / got == pytest.approx(5.71, rel=0.01)
-
-
-def test_dipole_strength_domain():
-    with pytest.raises(DomainError):
-        ia.gamma_prefactor_hz_m3("nonsense")
+    assert dipole_strength_hz(1.0) == pytest.approx(expected, rel=1e-6)
+    assert dipole_strength_hz(1000.0) == pytest.approx(expected / 1e9, rel=1e-6)
 
 
 def test_erfcx_matches_high_precision_reference_over_kernel_range():
@@ -599,7 +597,6 @@ def test_coupling_inputs_are_the_trap_module_definitions():
 
     assert ia.TrapGeometry is traps.TrapGeometry
     assert ia.ScatteringParams is traps.ScatteringParams
-    assert ia.GAMMA_MODES is traps.GAMMA_MODES
 
 
 def test_monte_carlo_average_invariants():
@@ -626,7 +623,7 @@ def test_every_coupling_refuses_a_non_finite_z0(call, z0):
 def test_scan_rows_hold_exactly_the_scan_columns(mc_samples):
     rows = ia.scan_couplings(REF_GEOM, RB_SCAT, [500.0, 1000.0], mc_samples=mc_samples)
     assert [tuple(row) for row in rows] == [ia.SCAN_COLUMNS] * 2
-    assert rows[1]["J_pointdipole_Hz"] == -2.0 * ia.gamma_prefactor_hz_m3() / units.a0_to_m(1000.0) ** 3
+    assert rows[1]["J_pointdipole_Hz"] == -2.0 * ia.GAMMA_E_A0_HZ * units.BOHR_RADIUS**3 / units.a0_to_m(1000.0) ** 3
 
 
 def test_scan_rows_and_csv(capsys):

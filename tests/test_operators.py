@@ -46,13 +46,11 @@ def test_pauli_site_ordering_site0_most_significant():
     assert np.array_equal(np.diag(ops.pauli("z", 1, 2)), np.array([1, -1, 1, -1], dtype=complex))
 
 
-def test_pauli_domain_errors():
+@pytest.mark.parametrize("axis, site, n_sites", [("z", 2, 2), ("z", 0, 13), ("q", 0, 1), ("i", 0, 1)],
+                         ids=["site-out-of-range", "too-many-sites", "axis-q", "axis-i"])
+def test_pauli_domain_errors(axis, site, n_sites):
     with pytest.raises(DomainError):
-        ops.pauli("z", 2, 2)
-    with pytest.raises(DomainError):
-        ops.pauli("z", 0, 13)
-    with pytest.raises(DomainError):
-        ops.pauli("q", 0, 1)
+        ops.pauli(axis, site, n_sites)
 
 
 def test_embed_matches_kron_on_contiguous_sites():
