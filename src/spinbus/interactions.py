@@ -45,12 +45,15 @@ GAMMA_E_A0_HZ = VACUUM_PERMEABILITY / (4 * math.pi) * BOHR_MAGNETON**2 / (H_PLAN
 
 # pairs of kernel evaluations per Monte Carlo chunk; a pair shares one draw (E, z)
 _MC_CHUNK = 1 << 13
+# the Monte Carlo oracle counts a kernel evaluation with |R| <= this radius (a0) as 0
+MC_CORE_CUTOFF_A0 = 0.1
 # checked before numpy is imported: sampling time grows with the count, and the cap is 1000 times scan's default
 MAX_MC_SAMPLES = 10**9
 
 
 class MonteCarloAverage(Record):
-    """``dipolar_average_mc``'s estimate in m^-3 and the kernel evaluations its core cutoff rejected."""
+    """``dipolar_average_mc``'s estimate in m^-3 and the number of kernel
+    evaluations inside its core cutoff, each counted as 0."""
 
     value_m3: float
     stderr_m3: float
@@ -300,26 +303,27 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _mc_chunk_sums(geom, z0, n_pairs, seed, cut2, chunks, buffers) -> list[tuple[float, float, int, float, float]]:
-    """(sum s, sum s^2, sum k, sum k^2, sum s k) for each chunk in ``chunks``,
-    in that order, over its pairs of kernel evaluations: k of a pair's two
-    evaluations are kept and s is the sum of their kernel values.
+def _mc_chunk_sums(geom, z0, n_pairs, seed, chunks) -> list[tuple[float, float, int]]:
+    """(sum s, sum s^2, rejected) for each chunk in ``chunks``, in that order,
+    over its pairs of kernel evaluations: s is the sum of a pair's two kernel
+    values, with an evaluation inside the core cutoff ``MC_CORE_CUTOFF_A0``
+    counted as 0, and ``rejected`` the number of such evaluations.
 
     Draws R = r_q - r_h - z0 zhat = (a_r x, a_r y, a_z z - z0) for standard
     normals x, y, z, whose transverse part enters only as rho^2 = a_r^2 (x^2 +
     y^2) = 2 a_r^2 E with E ~ Exp(1) (chi-squared with 2 degrees of freedom):
     each chunk's generator fills E, then z, one of each per pair.  The normal
     law is symmetric, so the pair takes the axial offsets w = a_z z - z0 and
-    w = -a_z z - z0 at the same rho^2.  Works in the caller's ``buffers`` (a
-    float block of 6 * size and a bool block of 2 * size) with in-place
-    ufuncs, which release the GIL, in the order of the plain expressions
-    r2 = E (2 a_r^2) + w^2 and (1 - 3 w^2 / r2) / (r2 sqrt(r2)), an evaluation
-    with r2 <= ``cut2`` counting as 0, so each chunk's sums are bit-identical
+    w = -a_z z - z0 at the same rho^2.  Works in one float block of 6 * size,
+    allocated here, with in-place ufuncs, which release the GIL, in the order
+    of the plain expressions r2 = E (2 a_r^2) + w^2 and
+    (1 - 3 w^2 / r2) / (r2 sqrt(r2)), so each chunk's sums are bit-identical
     to evaluating those on fresh arrays.
     """
     import numpy as np
 
-    block, flags = buffers
+    cut2 = MC_CORE_CUTOFF_A0**2
+    block = np.empty(6 * min(_MC_CHUNK, n_pairs))
     rho2_per_e, a_z = 2.0 * geom.a_r * geom.a_r, geom.a_z
     sums = []
     for chunk in chunks:
@@ -343,27 +347,15 @@ def _mc_chunk_sums(geom, z0, n_pairs, seed, cut2, chunks, buffers) -> list[tuple
         np.sqrt(r2, out=t)
         t *= r2
         f /= t
+        rejected = 0
+        if r2.min() <= cut2:  # count every evaluation inside the core as 0
+            inside = r2 <= cut2
+            rejected = int(np.count_nonzero(inside))
+            f[inside] = 0.0
         s = f[:n]
-        if r2.min() > cut2:  # nothing rejected: k = 2 for every pair
-            s += f[n:]
-            np.square(s, out=t[:n])
-            total = float(s.sum())
-            sums.append((total, float(t[:n].sum()), 2 * n, 4.0 * n, 2.0 * total))
-            continue
-        rejected = flags[:2 * n]
-        np.less_equal(r2, cut2, out=rejected)
-        kept = 2 * n - int(np.count_nonzero(rejected))
-        np.copyto(f, 0.0, where=rejected)
         s += f[n:]
-        # t becomes k and k^2, r2 s k and s^2
-        k, k2 = t.reshape(2, n)
-        np.add(*rejected.reshape(2, n), out=k, dtype=float)
-        np.subtract(2.0, k, out=k)
-        np.square(k, out=k2)
-        sk, s2 = r2.reshape(2, n)
-        np.multiply(s, k, out=sk)
-        np.square(s, out=s2)
-        sums.append((float(s.sum()), float(s2.sum()), kept, float(k2.sum()), float(sk.sum())))
+        np.square(s, out=t[:n])
+        sums.append((float(s.sum()), float(t[:n].sum()), rejected))
     return sums
 
 
@@ -385,13 +377,7 @@ def contact_density_a0(geom: TrapGeometry, z0: float) -> float:
     return density
 
 
-def dipolar_average_mc(
-    geom: TrapGeometry,
-    z0: float,
-    n_samples: int,
-    seed: int,
-    core_cutoff_a0: float = 0.1,
-) -> MonteCarloAverage:
+def dipolar_average_mc(geom: TrapGeometry, z0: float, n_samples: int, seed: int) -> MonteCarloAverage:
     """Monte Carlo oracle for ``dipolar_average``, in m^-3.
 
     Samples R = r_q - r_h - z0 zhat directly, as one anisotropic Gaussian
@@ -403,26 +389,25 @@ def dipolar_average_mc(
     -a_z z - z0: the reflection z -> -z keeps the normal law, so the second
     evaluation costs no draw (antithetic variates; Hammersley & Morton, Proc.
     Camb. Phil. Soc. 52, 449 (1956)).  ``n_samples`` counts evaluations; an
-    odd count evaluates one more.  Evaluations with |R| below the core
-    cutoff are rejected and counted: the 1/R^3 kernel has a divergent
-    variance contribution from the overlap region.  Excluding a small sphere makes the sample
-    mean the spherical principal value, whose core contributes nothing by
+    odd count evaluates one more.  An evaluation with |R| <=
+    ``MC_CORE_CUTOFF_A0`` counts as 0 and is counted in ``n_rejected``: the
+    1/R^3 kernel has a divergent variance contribution from the overlap
+    region.  The sample mean is then the kernel's integral outside a small
+    sphere, the spherical principal value, whose core contributes nothing by
     the angular average.  ``dipolar_average`` is the slab principal value,
     so the spherical mean has the contact term (8 pi/3) p_R(0) subtracted
     (``contact_density_a0``; Jackson, Classical Electrodynamics, 3rd ed.,
     sec. 5.6), and both functions return the same slab average.  The pair
-    is the sampling unit of the stderr: with s the sum of a pair's kept
-    evaluations and k their number, the mean is sum s / sum k and the stderr
-    is the ratio estimator's, sqrt(sum (s - mean k)^2 / ((P - 1) P)) /
-    (sum k / P) over the P pairs, which is the stderr of the pair means when
-    nothing is rejected.
+    is the sampling unit of the stderr: with s the sum of a pair's two
+    evaluations, the mean is sum s / 2P and the stderr that of the pair
+    means s / 2 over the P pairs, sqrt(sum (s - 2 mean)^2 / ((P - 1) P)) / 2.
 
     Deterministic for a fixed non-negative integer seed: pairs are drawn
     in fixed-size chunks, each chunk's generator seeded by
     (seed, chunk_index).  The chunks run on one worker per usable CPU (at
     most one per chunk): worker 0 in the calling thread, each other one on a
-    thread of its own.  Worker w takes chunks w, w+k, ... and reuses one set
-    of buffers of about 0.4 MB, allocated here; an exception that a worker
+    thread of its own.  Worker w takes chunks w, w+k, ... and reuses one
+    buffer of about 0.4 MB that it allocates; an exception that a worker
     raises is raised here, once every worker has finished.  The per-chunk
     sums are added in chunk order, so the result is bit-identical whatever
     the number of workers.  The sample count (an integer from 10^4
@@ -446,16 +431,13 @@ def dipolar_average_mc(
     n_pairs = (int(n_samples) + 1) // 2
     n_chunks = (n_pairs + _MC_CHUNK - 1) // _MC_CHUNK
     workers = min(n_chunks, _usable_cpus())
-    size = min(_MC_CHUNK, n_pairs)
-    buffers = [(np.empty(6 * size), np.empty(2 * size, dtype=bool)) for _ in range(workers)]
     per_worker: list = [None] * workers  # each worker's chunk sums, or the exception it raised
 
     def work(w: int) -> None:
         try:
-            # a width out of float range is refused below; a rejected evaluation may divide by zero
+            # a width out of float range is refused below; an evaluation inside the core may divide by zero
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                chunks = range(w, n_chunks, workers)
-                per_worker[w] = _mc_chunk_sums(geom, z0, n_pairs, seed, core_cutoff_a0**2, chunks, buffers[w])
+                per_worker[w] = _mc_chunk_sums(geom, z0, n_pairs, seed, range(w, n_chunks, workers))
         except BaseException as error:
             per_worker[w] = error
 
@@ -469,26 +451,24 @@ def dipolar_average_mc(
         if isinstance(result, BaseException):
             raise result
 
-    total = total_sq = total_k2 = total_sk = 0.0
-    kept = 0
+    total = total_sq = 0.0
+    rejected = 0
     for chunk in range(n_chunks):
-        s, s2, k, k2, sk = per_worker[chunk % workers][chunk // workers]
+        s, s2, r = per_worker[chunk % workers][chunk // workers]
         total += s
         total_sq += s2
-        kept += k
-        total_k2 += k2
-        total_sk += sk
+        rejected += r
     if not math.isfinite(total_sq):  # a width whose square leaves float range
         raise NumericalError(f"Monte Carlo oracle cannot evaluate trap widths a_r={geom.a_r} a0, a_z={geom.a_z} a0")
-    if kept < 2:
+    if rejected == 2 * n_pairs:
         raise NumericalError("all samples rejected by the core cutoff")
-    mean = total / kept
-    spread = max(0.0, total_sq - 2.0 * mean * total_sk + mean * mean * total_k2)
-    stderr = math.sqrt(spread / ((n_pairs - 1) * n_pairs)) / (kept / n_pairs)
+    mean = total / (2 * n_pairs)
+    spread = max(0.0, total_sq - 2.0 * mean * (2.0 * total) + mean * mean * (4.0 * n_pairs))
+    stderr = math.sqrt(spread / ((n_pairs - 1) * n_pairs)) / 2.0
     return MonteCarloAverage(
         value_m3=(mean - 8.0 * math.pi / 3.0 * contact_density_a0(geom, z0)) / BOHR_RADIUS**3,
         stderr_m3=stderr / BOHR_RADIUS**3,
-        n_rejected=2 * n_pairs - kept,
+        n_rejected=rejected,
     )
 
 

@@ -12,7 +12,7 @@ from scipy import constants as codata
 
 from spinbus import interactions as ia
 from spinbus import units
-from spinbus.cli import main
+from spinbus.cli import MC_SEED, main
 from spinbus.errors import DomainError, NumericalError
 
 REF_GEOM = ia.TrapGeometry(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0)
@@ -343,25 +343,22 @@ def test_dipolar_mc_point_trap_limit():
     assert abs(mc.value_m3 - target) <= 3.0 * mc.stderr_m3 + 1e-6 * abs(target)
 
 
-def serial_mc_reference(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: int, core_cutoff_a0: float = 0.1):
+def serial_mc_reference(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: int):
     """(value_m3, stderr_m3, n_rejected) of the Monte Carlo oracle, computed
     one chunk after another on fresh arrays: the seeded stream that
-    ``dipolar_average_mc`` must reproduce bit for bit, and the number of
-    pairs that keep 0, 1 and 2 of their evaluations.
+    ``dipolar_average_mc`` must reproduce bit for bit.
 
-    The oracle evaluates ceil(n_samples / 2) pairs.  Each chunk of pairs
+    The oracle evaluates P = ceil(n_samples / 2) pairs.  Each chunk of pairs
     draws R = r_q - r_h - z0 zhat from its own generator as n standard
     exponentials E, then n standard normals z: both evaluations of a pair
     take the transverse radius squared 2 a_r^2 E, one the axial part
     a_z z - z0 and the other -a_z z - z0.  An evaluation inside the core
-    cutoff counts as 0 and is not kept.  With s the sum of a pair's kept
-    values and k their number, the mean is sum s / sum k and its stderr the
-    ratio estimator's over pairs; the spherical mean then loses the contact
-    term (8 pi/3) p_R(0)."""
+    cutoff ``ia.MC_CORE_CUTOFF_A0`` counts as 0.  With s the sum of a pair's
+    two values, the mean is sum s / 2P and its stderr that of the pair means
+    s / 2; the spherical mean then loses the contact term (8 pi/3) p_R(0)."""
     n_pairs = (n_samples + 1) // 2
     chunk_size = ia._MC_CHUNK
-    total, total_sq, total_k, total_k2, total_sk = 0.0, 0.0, 0, 0.0, 0.0
-    pairs_keeping = np.zeros(3, dtype=int)
+    total, total_sq, rejected = 0.0, 0.0, 0
     for chunk in range((n_pairs + chunk_size - 1) // chunk_size):
         n = min(chunk_size, n_pairs - chunk * chunk_size)
         rng = np.random.default_rng([seed, chunk])
@@ -369,24 +366,18 @@ def serial_mc_reference(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: 
         rho2 = e * (2.0 * geom.a_r * geom.a_r)
         az = z * geom.a_z
         s = np.zeros(n)
-        k = np.zeros(n)
         for w in (az - z0, -az - z0):
             r2 = rho2 + w**2
-            keep = r2 > core_cutoff_a0**2
-            s = s + np.where(keep, (1.0 - 3.0 * w**2 / r2) / (r2 * np.sqrt(r2)), 0.0)
-            k = k + keep
+            inside = r2 <= ia.MC_CORE_CUTOFF_A0**2
+            s = s + np.where(inside, 0.0, (1.0 - 3.0 * w**2 / r2) / (r2 * np.sqrt(r2)))
+            rejected += int(inside.sum())
         total += float(s.sum())
         total_sq += float((s * s).sum())
-        total_k += int(k.sum())
-        total_k2 += float((k * k).sum())
-        total_sk += float((s * k).sum())
-        pairs_keeping += np.bincount(k.astype(int), minlength=3)
-    mean = total / total_k
-    spread = max(0.0, total_sq - 2.0 * mean * total_sk + mean * mean * total_k2)
-    stderr = math.sqrt(spread / ((n_pairs - 1) * n_pairs)) / (total_k / n_pairs)
+    mean = total / (2 * n_pairs)
+    spread = max(0.0, total_sq - 2.0 * mean * (2.0 * total) + mean * mean * (4.0 * n_pairs))
+    stderr = math.sqrt(spread / ((n_pairs - 1) * n_pairs)) / 2.0
     value = mean - 8.0 * math.pi / 3.0 * ia.contact_density_a0(geom, z0)
-    triple = (value / units.BOHR_RADIUS**3, stderr / units.BOHR_RADIUS**3, 2 * n_pairs - total_k)
-    return triple, tuple(int(c) for c in pairs_keeping)
+    return value / units.BOHR_RADIUS**3, stderr / units.BOHR_RADIUS**3, rejected
 
 
 def three_normal_mc(geom: ia.TrapGeometry, z0: float, n_samples: int, seed: int):
@@ -431,7 +422,7 @@ def test_dipolar_mc_deterministic_and_chunk_invariant():
     a = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=42)
     b = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=42)
     assert a == b
-    assert _mc_triple(a) == serial_mc_reference(REF_GEOM, REF_Z0, 150_000, 42)[0]
+    assert _mc_triple(a) == serial_mc_reference(REF_GEOM, REF_Z0, 150_000, 42)
     c = ia.dipolar_average_mc(REF_GEOM, REF_Z0, 150_000, seed=43)
     assert c.value_m3 != a.value_m3
 
@@ -442,7 +433,7 @@ MC_STREAM_CASES = {
     "cutoff=1": (ia.TrapGeometry(1.0, 1.0, 1.0, 1.0), 0.0, 1.0),
     "cutoff=50": (ia.TrapGeometry(400.0, 400.0, 100.0, 100.0), 0.0, 50.0),
     "anisotropic": (ia.TrapGeometry(300.0, 150.0, 120.0, 80.0), 600.0, 0.1),
-    # the two evaluations of a pair sit at different |R|, so some pairs keep one
+    # the two evaluations of a pair sit at different |R|, so some pairs count one of two as 0
     "z0=1,cutoff=1": (ia.TrapGeometry(1.0, 1.0, 1.0, 1.0), 1.0, 1.0),
 }
 
@@ -455,14 +446,13 @@ MC_STREAM_CASES = {
 @pytest.mark.parametrize("case", list(MC_STREAM_CASES))
 def test_dipolar_mc_bit_identical_to_serial_reference_for_any_pool_size(monkeypatch, case, n_samples):
     geom, z0, cutoff = MC_STREAM_CASES[case]
-    want, pairs_keeping = serial_mc_reference(geom, z0, n_samples, 42, cutoff)
+    monkeypatch.setattr(ia, "MC_CORE_CUTOFF_A0", cutoff)
+    want = serial_mc_reference(geom, z0, n_samples, 42)
     if cutoff > 0.1:
-        assert want[2] > 0  # the rejecting path is exercised
-    if z0 != 0.0 and cutoff > 0.1:
-        assert pairs_keeping[1] > 0  # pairs that keep one evaluation of two
+        assert want[2] > 0  # the zeroing step is exercised
     for cpus in (1, 2, 3):
         monkeypatch.setattr(ia, "_usable_cpus", lambda: cpus)
-        got = ia.dipolar_average_mc(geom, z0, n_samples, seed=42, core_cutoff_a0=cutoff)
+        got = ia.dipolar_average_mc(geom, z0, n_samples, seed=42)
         assert _mc_triple(got) == want, f"{cpus} workers"
 
 
@@ -485,10 +475,10 @@ def test_dipolar_mc_error_in_one_worker_reaches_the_caller(monkeypatch):
     # two chunks on two workers; the one of the second chunk, on a thread of its own, fails
     failure, hooked, real = RuntimeError("worker 1 failed"), [], ia._mc_chunk_sums
 
-    def fail_in_worker_1(geom, z0, n_pairs, seed, cut2, chunks, buffers):
+    def fail_in_worker_1(geom, z0, n_pairs, seed, chunks):
         if chunks.start == 1:
             raise failure
-        return real(geom, z0, n_pairs, seed, cut2, chunks, buffers)
+        return real(geom, z0, n_pairs, seed, chunks)
 
     monkeypatch.setattr(ia, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(ia, "_mc_chunk_sums", fail_in_worker_1)
@@ -518,11 +508,22 @@ def test_dipolar_mc_refuses_bad_seed(seed):
         ia.dipolar_average_mc(REF_GEOM, REF_Z0, 10_000, seed=seed)
 
 
-def test_dipolar_mc_core_rejection_counted():
+def test_dipolar_mc_core_rejection_counted(monkeypatch):
     # overlapping traps at tiny separation with a huge cutoff: must reject
+    monkeypatch.setattr(ia, "MC_CORE_CUTOFF_A0", 1.0)
     geom = ia.TrapGeometry(1.0, 1.0, 1.0, 1.0)
-    mc = ia.dipolar_average_mc(geom, 0.1, 20_000, seed=3, core_cutoff_a0=1.0)
+    mc = ia.dipolar_average_mc(geom, 0.1, 20_000, seed=3)
     assert mc.n_rejected > 0
+
+
+@pytest.mark.parametrize("z0s, n_samples, seed", [
+    ([2100.0, 2200.0, 2300.0, 2400.0], 1_000_000, 885608974),  # the benchmark's MC scan at its first seed
+    ([1.0, 225.75, 450.5, 675.25, 900.0], 300_001, MC_SEED),  # down to the traps' overlap
+], ids=["benchmark", "overlap"])
+def test_dipolar_mc_rejects_nothing_for_the_default_geometry(z0s, n_samples, seed):
+    # no evaluation falls inside the core, so counting one as 0 changes no output byte of these scans
+    for i, z0 in enumerate(z0s):
+        assert ia.dipolar_average_mc(REF_GEOM, z0, n_samples, seed + i).n_rejected == 0
 
 
 def test_dipolar_mc_refuses_when_every_sample_is_rejected():
