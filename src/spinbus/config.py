@@ -38,15 +38,16 @@ class CompileParams(Record):
     interaction geometry.  The gate default, -882.5 Hz, is that coupling
     under a retired dipole constant 5.708 times ``GAMMA_E_A0_HZ``; the one
     constant in ``interactions`` gives -154.6 Hz there, and the compiler
-    keeps -882.5 Hz until the coupling is derived.  Trap frequency, mass and
-    excitation budget describe the header's blue-lattice confinement for
-    transport planning, by the compiler's moves and by the ``transport``
-    command.
+    keeps -882.5 Hz until the coupling is derived.  The compiler refuses a
+    coupling that times its pulse at 0 s or inf s.  No field prices the
+    parked header's always-on coupling, which the compiler does not model.
+    Trap frequency, mass and excitation budget describe the header's
+    blue-lattice confinement for transport planning, by the compiler's moves
+    and by the ``transport`` command.
     """
 
     j_swap_hz: float = 4.7227e4
     j_gate_hz: float = -882.5
-    gate_separation_a0: float = 1000.0   # separation at which j_gate_hz is quoted
     onebit_time_s: float = 1.0e-5
     trap_frequency_hz: float = 982323.0
     mass_kg: float = 87.0 * ATOMIC_MASS
@@ -63,7 +64,7 @@ class CompileParams(Record):
         for name in ("j_swap_hz", "j_gate_hz"):  # a zero coupling realizes no pulse phase
             if getattr(self, name) == 0:
                 raise DomainError(f"{name} must be nonzero, got {getattr(self, name)!r}")
-        for name in ("gate_separation_a0", "trap_frequency_hz", "mass_kg"):
+        for name in ("trap_frequency_hz", "mass_kg"):
             if not getattr(self, name) > 0:
                 raise DomainError(f"{name} must be positive, got {getattr(self, name)!r}")
         if not 0.0 < self.p_budget < 1.0:

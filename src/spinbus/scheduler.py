@@ -17,11 +17,12 @@ A MOVE departs from wherever the header currently is (trajectory
 continuity); it may span several sites in one primitive.  The header is
 left at the last gate site rather than re-parked, so a lone two-qubit gate
 compiles to exactly three MOVEs.  Every primitive is emitted in one step,
-which clocks it and charges the idle crosstalk of the parked header per
-primitive, from the qubit nearest the header, so compile time does not grow
-with the register.  The schedule loader compiles a file's circuit on the
-file's register and params, and loads the file only if its primitives and
-totals are, field by field, what that compile writes.
+which clocks it, so compile time does not grow with the register.  The
+always-on coupling of the parked header is not modelled: a schedule reports
+only the primitives, their timing and the phase ledger.  The schedule loader
+compiles a file's circuit on the file's register and params, and loads the
+file only if its primitives and total time are, field by field, what that
+compile writes.
 
 Parsing, compiling, budgeting and JSON need no arrays.  The simulation
 functions import ``gates``, which owns every gate matrix, when they are
@@ -41,7 +42,6 @@ from .jsonio import checked_fields, dumps, loads_finite
 from .record import Record
 from .transport import plan_transport
 from .traps import CO2_WAVELENGTH_M
-from .units import BOHR_RADIUS
 
 SIMULATION_QUBIT_CAP = 8  # plus the header: 9 sites, a dense 512x512 unitary
 BUDGET_FLAG_RATIO = 0.1  # a schedule longer than this share of the coherence time is flagged
@@ -187,10 +187,6 @@ class Schedule(Record):
     primitives: tuple[Primitive, ...]
     total_time_s: float
     global_phase_rad: float
-    # residual always-on coupling accumulated while the header is parked
-    # during primitives that do not address it (reported, never simulated)
-    idle_crosstalk_phase_rad: float = 0.0
-    idle_infidelity_estimate: float = 0.0
 
 
 def _duration_for_angle(c_ang: float, angle: float) -> float:
@@ -211,27 +207,20 @@ class _Compiler:
         self.t = 0.0
         self.prims: list[Primitive] = []
         self.phase = 0.0
-        self.idle_phase = 0.0
         # pulse areas: swap needs sigma.sigma area pi/4; the gate Ising pulse
         # realizes exp(+i pi/4 zz), i.e. -c t = pi/4
         self.swap_duration = _duration_for_angle(2.0 * math.pi * params.j_swap_hz, math.pi / 4.0)
         self.ising_duration = _duration_for_angle(2.0 * math.pi * params.j_gate_hz, -math.pi / 4.0)
+        # a coupling so strong that 2 pi J overflows times its pulse as 0 s, one so weak as inf s
+        for pulse, duration in (("swap", self.swap_duration), ("Ising", self.ising_duration)):
+            if not 0.0 < duration < math.inf:
+                raise NumericalError(f"the {pulse} pulse takes {duration!r} s, not a finite time > 0 ({params})")
 
     def _emit(self, cls, *head, duration_s: float, tail: tuple = ()):
         """Append ``cls(*head, start_s, duration_s, *tail)`` starting now, and
-        advance the clock.  A primitive that does not address the header (its
-        first field; every MOVE does) is charged the residual coupling toward
-        the qubit nearest the parked header: the gate coupling scaled by 1/d^3,
-        d floored at the quoted gate separation (a header "at" a site operates
-        at gate range)."""
+        advance the clock."""
         self.prims.append(cls(*head, self.t, duration_s, *tail))
         self.t += duration_s
-        if self.header not in (head[0] if isinstance(head[0], tuple) else head[:1]):
-            nearest = abs(self.pos - min(max(round(self.pos), 0), self.register.n_qubits - 1))
-            gate_sep = self.params.gate_separation_a0
-            d_a0 = max(nearest * (self.register.site_spacing_m / BOHR_RADIUS), gate_sep)
-            j_res = abs(self.params.j_gate_hz) * (gate_sep / d_a0) ** 3
-            self.idle_phase += 2.0 * math.pi * j_res * duration_s
 
     def move_to(self, target: float):
         if target == self.pos:
@@ -326,13 +315,10 @@ class _Compiler:
                 self.two_qubit(gate)
             else:
                 self.single_qubit(gate)
-        totals = {"total_time_s": self.t, "idle_crosstalk_phase_rad": self.idle_phase,
-                  "idle_infidelity_estimate": 0.5 * (self.idle_phase * self.idle_phase),
-                  "global_phase_rad": math.remainder(self.phase, 2.0 * math.pi)}
-        for name, value in totals.items():
-            if not math.isfinite(value):
-                raise NumericalError(f"compiled {name} is not a finite float ({self.params})")
-        return Schedule(self.register, self.params, tuple(circuit), tuple(self.prims), **totals)
+        if not math.isfinite(self.t):  # the phase ledger is a sum of multiples of pi/4, always finite
+            raise NumericalError(f"compiled total_time_s is not a finite float ({self.params})")
+        phase = math.remainder(self.phase, 2.0 * math.pi)
+        return Schedule(self.register, self.params, tuple(circuit), tuple(self.prims), self.t, phase)
 
 
 def compile_circuit(
@@ -417,7 +403,6 @@ def verify_schedule(schedule: Schedule) -> dict:
         "global_phase_rad": schedule.global_phase_rad,
         "max_norm_error": err,
         "total_time_s": schedule.total_time_s,
-        "idle_infidelity_estimate": schedule.idle_infidelity_estimate,
         "matches": err < 1e-9,
     }
 
@@ -463,7 +448,7 @@ def budget(schedule: Schedule, rates_hz: dict[str, float]) -> BudgetReport:
 
 # --- serialization ----------------------------------------------------------
 
-SCHEDULE_FORMAT = "spinbus-schedule/2"
+SCHEDULE_FORMAT = "spinbus-schedule/3"
 
 
 def schedule_doc(schedule: Schedule) -> dict:
@@ -500,9 +485,10 @@ def schedule_from_json(text: str) -> Schedule:
     ``compile`` adds is ignored.  This is the one check of a schedule's
     content, which the simulator then trusts: malformed input raises
     DomainError.  The file's circuit is compiled by a ``_Compiler`` on the
-    file's register and params, and each primitive and total must be, field
-    by field, what that compile writes.  The phase ledger ``global_phase_rad``
-    is the one value taken from the file, so that simulation checks it."""
+    file's register and params, and each primitive and ``total_time_s`` must
+    be, field by field, what that compile writes.  The phase ledger
+    ``global_phase_rad`` is the one value taken from the file, so that
+    simulation checks it."""
     try:
         doc = loads_finite(text)
     except ValueError as exc:
@@ -533,8 +519,7 @@ def schedule_from_json(text: str) -> Schedule:
     if len(body["primitives"]) != len(compiled.primitives):
         raise DomainError(f"schedule has {len(body['primitives'])} primitives; its circuit compiles to "
                           f"{len(compiled.primitives)}")
-    for name in ("total_time_s", "idle_crosstalk_phase_rad", "idle_infidelity_estimate"):
-        _same(body[name], getattr(compiled, name), name)
+    _same(body["total_time_s"], compiled.total_time_s, "total_time_s")
     # the compiler writes math.remainder(phase, 2 pi), which it leaves unchanged, +-pi included
     if math.remainder(body["global_phase_rad"], 2.0 * math.pi) != body["global_phase_rad"]:
         raise DomainError(f"global_phase_rad {float(body['global_phase_rad'])!r} is not reduced into [-pi, pi]")

@@ -172,6 +172,7 @@ def _cases() -> dict:
         "mc-section": {"mc": {"seed": 7}},
         "former-species-linewidth": {"species": {"Fr": {**fr, "linewidth_hz": 1e7}}},
         "former-geometry-z0": {"geometry": {"z0_a0": 1000}},
+        "former-scheduler-gate-separation": {"scheduler": {"gate_separation_a0": 1000.0}},
         # a key is escaped as in JSON, so the message stays on one line
         "species-name-newline": {"species": {"\n": None}},
         "section-key-newline": {"geometry": {"bad\nkey": 1}},
@@ -187,8 +188,6 @@ def _cases() -> dict:
         "budget-zero": {"scheduler": {"p_budget": 0}},
         "frequency-negative": {"scheduler": {"trap_frequency_hz": -1}},
         "move-cap-negative": {"scheduler": {"max_move_duration_s": -1}},
-        "separation-zero": {"scheduler": {"gate_separation_a0": 0}},
-        "separation-negative": {"scheduler": {"gate_separation_a0": -5}},
         "onebit-negative": {"scheduler": {"onebit_time_s": -1e-5}},
         # a zero coupling realizes no pulse phase, so no compiled pulse could use it
         "gate-coupling-zero": {"scheduler": {"j_gate_hz": 0}},
@@ -247,11 +246,14 @@ def _cases() -> dict:
     cases["refuse-config-move-cap-transport"] = (
         {"scheduler": {"max_move_duration_s": 1e-5}}, ["transport", "--distance-m", "2.65e-06"]
     )
-    # scheduler values that load, but that no compiled schedule can hold
-    for label, scheduler in (("crosstalk-infinite", {"j_gate_hz": 1e308}),
-                             ("infidelity-overflows", {"j_gate_hz": 1e200}),
-                             ("onebit-huge", {"onebit_time_s": 1e300})):
+    # couplings that load, but so large that 2 pi J overflows and their pulse would take 0 s
+    for label, scheduler in (("gate-pulse-zero-time", {"j_gate_hz": 1e308}),
+                             ("swap-pulse-zero-time", {"j_swap_hz": 1e308})):
         cases[f"refuse-config-{label}-compile"] = ({"scheduler": scheduler}, every_command["compile"])
+    # one-bit gates that each take a finite time, but whose schedule's total time overflows
+    cases["refuse-config-total-time-overflows-compile"] = (
+        {"scheduler": {"onebit_time_s": 1e308}}, every_command["compile"]
+    )
     # a schedule that compiles, but whose time over the coherence time of its worst rate overflows
     cases["refuse-config-budget-ratio-overflows-compile"] = (
         {"scheduler": {"rates_hz": {"x": 1e308}, "onebit_time_s": 1e10}}, every_command["compile"]

@@ -11,10 +11,13 @@ editable install both work.  Exits 1 if the suite fails, and prints
 on the allowlist, and for each allowlist entry that is reached or that does
 not name exactly one executable line.  From the repository root:
 
-    PYTHONPATH=src python tests/reach.py
+    PYTHONPATH=src python -X dev tests/reach.py
 
-pytest does not collect this file (its name is not ``test_*.py``): tracing
-about doubles the suite's time, so CI runs it as a step of its own.
+pytest does not collect this file (its name is not ``test_*.py``).  Since
+it runs every test and exits 1 if any fails, CI runs the suite only through
+it, once, under ``-X dev`` (asyncio debug mode, warnings for files never
+closed): tracing about doubles the suite's time, and a second, untraced run
+would check nothing more.
 """
 
 from __future__ import annotations

@@ -279,7 +279,7 @@ def test_compile_then_simulate_round_trip(capsys, tmp_path, swap, mode):
     code, _, _ = _run_with_config(capsys, tmp_path, config, "compile", str(circuit), "--out", str(schedule_path))
     assert code == 0
     doc = json.loads(schedule_path.read_text())
-    assert doc["format"] == "spinbus-schedule/2"
+    assert doc["format"] == "spinbus-schedule/3"
     assert doc["budget"]["ratio"] > 0
 
     code2, out, _ = _run_with_config(capsys, tmp_path, config, "simulate", str(schedule_path))
@@ -362,6 +362,12 @@ SCHEDULE_DEFECTS = {
     "infinity": (_bare_total_time("-Infinity"), "non-finite number -Infinity"),
     "overflow": (_bare_total_time("1e999"), "1e999 overflows"),
     "format-1": (lambda doc: json.dumps({**doc, "format": "spinbus-schedule/1"}), "unsupported schedule format"),
+    # a /2 file, with the idle crosstalk totals that format carried, is refused by its format, not by its keys
+    "format-2": (
+        lambda doc: json.dumps({**doc, "format": "spinbus-schedule/2", "idle_crosstalk_phase_rad": 0.0,
+                                "idle_infidelity_estimate": 0.0}),
+        "error: unsupported schedule format 'spinbus-schedule/2'",
+    ),
     "negative-duration": (
         lambda doc: _first_primitive(doc, {**doc["primitives"][0], "duration_s": -1.0}),
         "primitive 0: duration_s -1.0 is not the compiled ",
@@ -447,19 +453,14 @@ SCHEDULE_DEFECTS = {
     "ising-area": (
         lambda doc: _edited(doc, 4, phase_rad=0.5), "primitive 4: phase_rad 0.5 is not the compiled 0.7853981633974483"
     ),
-    # totals other than the compiled ones: an idle infidelity, a negative phase, a
-    # phase as a 300-digit JSON integer (shown as a float)
-    "idle-infidelity": (
-        lambda doc: json.dumps({**doc, "idle_infidelity_estimate": 5.0}),
-        "idle_infidelity_estimate 5.0 is not the compiled ",
+    # a /3 document that carries the idle crosstalk totals of /2, which no schedule holds now
+    "idle-fields": (
+        lambda doc: json.dumps({**doc, "idle_crosstalk_phase_rad": -3.0, "idle_infidelity_estimate": 5.0}),
+        "error: unknown keys in schedule: idle_crosstalk_phase_rad, idle_infidelity_estimate",
     ),
-    "idle-phase-negative": (
-        lambda doc: json.dumps({**doc, "idle_crosstalk_phase_rad": -3.0}),
-        "idle_crosstalk_phase_rad -3.0 is not the compiled ",
-    ),
-    "idle-phase-huge-int": (
-        lambda doc: json.dumps({**doc, "idle_crosstalk_phase_rad": 10**300}),
-        "idle_crosstalk_phase_rad 1e+300 is not the compiled ",
+    # a total time as a 300-digit JSON integer, shown as a float
+    "total-time-huge-int": (
+        lambda doc: json.dumps({**doc, "total_time_s": 10**300}), "total_time_s 1e+300 is not the compiled ",
     ),
     # a global phase not reduced into [-pi, pi]: wrapped by two turns, or beyond pi
     "global-phase-wrapped": (
@@ -626,7 +627,6 @@ README_CONFIG = regen.readme_config()
 # the README example plus every key it leaves out, so that the fuzz reaches each of them
 FUZZ_CONFIG = functools.reduce(lambda doc, item: _replaced(doc, *item), [
     (("red_lattice", "wavelength_m"), 10.6e-6),
-    (("scheduler", "gate_separation_a0"), 1000.0),
     (("scheduler", "onebit_time_s"), 1e-5),
     (("scheduler", "swap_primitive"), "heisenberg"),
     (("scheduler", "max_move_duration_s"), 1e-3),
@@ -722,7 +722,7 @@ def _probe_outputs(capsys, config):
 
 def test_every_config_key_moves_some_output(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    # the header idles parked between sites during the first H, where gate_separation_a0 sets its coupling
+    # a one-bit gate, which single_bit_mode compiles, and a two-qubit one, which every other scheduler key times
     Path("circuit.txt").write_text("H q0\nXOR q0 q1\n")
     reference = list(_probe_outputs(capsys, FUZZ_CONFIG))
     assert all(code == 0 for code, _, _ in reference)

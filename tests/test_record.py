@@ -15,8 +15,8 @@ WIDTHS = dict(a_qr=400.0, a_qz=400.0, a_hr=100.0, a_hz=100.0)
 # the compiler's message for a swap coupling too small to time, with the
 # CompileParams repr that the dataclass version of the record printed
 TINY_SWAP_ERROR = (
-    "numerical failure: compiled total_time_s is not a finite float (CompileParams(j_swap_hz=1e-310, "
-    "j_gate_hz=-882.5, gate_separation_a0=1000.0, onebit_time_s=1e-05, trap_frequency_hz=982323.0, "
+    "numerical failure: the swap pulse takes inf s, not a finite time > 0 (CompileParams(j_swap_hz=1e-310, "
+    "j_gate_hz=-882.5, onebit_time_s=1e-05, trap_frequency_hz=982323.0, "
     "mass_kg=1.444668987942e-25, p_budget=0.0001, swap_primitive='heisenberg', single_bit_mode='direct', "
     "max_move_duration_s=None))\n"
 )

@@ -170,6 +170,16 @@ def test_species_validation():
         traps.AtomSpecies("bad", -1.0, 100.0, 700.0)
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"detuning_hz": 0.0}, "blue lattice must be blue-detuned: detuning > 0"),
+    ({"rabi_hz": -1.0}, "rabi frequency and linewidth must be positive"),
+    ({"linewidth_hz": 0.0}, "rabi frequency and linewidth must be positive"),
+])
+def test_blue_lattice_validation(fields, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        traps.BlueLatticeSpec(**fields)
+
+
 def test_scattering_mass_validation():
     # the config refuses a mass_amu that is not positive first; the record checks its own kg
     with pytest.raises(DomainError, match="scattering mass must be positive"):
